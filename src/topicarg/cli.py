@@ -165,14 +165,17 @@ def _schedule(cfg: RunConfig, seed: int) -> mutual_mod.TrainSchedule:
 
 
 def _split_for_mode(cfg: RunConfig, args, records, examples):
+    """The run's split and its training seed, as `evaluate` derives them."""
     if args.mode == "cross_target":
         if not args.held_out:
             raise ValueError("--held-out TARGET is required in cross_target mode")
-        return corpus_mod.make_cross_target_split(records, args.held_out)
+        split = corpus_mod.make_cross_target_split(records, args.held_out)
+        index = sorted({r.target for r in records}).index(args.held_out)
+        return split, evaluate_mod.run_seed(cfg.seed, index)
     folds = corpus_mod.make_in_target_folds(examples, cfg.folds, cfg.seed)
     if not 0 <= args.fold < cfg.folds:
         raise ValueError(f"--fold must be in [0, {cfg.folds})")
-    return folds[args.fold]
+    return folds[args.fold], evaluate_mod.run_seed(cfg.seed, args.fold)
 
 
 def _train_one(cfg: RunConfig, split, vocab, enc_vocab, log_freq, seed: int):
@@ -209,7 +212,7 @@ def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     records, vocab, enc_vocab, bows, log_freq = _load_prepared(cfg)
     examples = corpus_mod.examples_from_records(records)
-    split = _split_for_mode(cfg, args, records, examples)
+    split, seed = _split_for_mode(cfg, args, records, examples)
 
     run_name = (
         f"cross_{args.held_out.replace(' ', '_')}"
@@ -220,13 +223,13 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_snapshot(cfg, out / "config.resolved")
 
-    result = _train_one(cfg, split, vocab, enc_vocab, log_freq, cfg.seed)
+    result = _train_one(cfg, split, vocab, enc_vocab, log_freq, seed)
 
     save_checkpoint(
         out / "checkpoint.bin",
         _checkpoint_arrays(result),
         meta={
-            "seed": cfg.seed,
+            "seed": seed,
             "mode": args.mode,
             "run": run_name,
             "iterations_run": result.stopped_at_iteration,
@@ -296,7 +299,7 @@ def cmd_evaluate(args) -> int:
     else:
 
         def train_fn(split, seed):
-            result = _train_one(cfg, split, vocab, enc_vocab, log_freq, cfg.seed + seed)
+            result = _train_one(cfg, split, vocab, enc_vocab, log_freq, seed)
 
             def predict_fn(test_examples):
                 inputs = mutual_mod.build_inputs(
@@ -316,7 +319,9 @@ def cmd_evaluate(args) -> int:
         )
         rows = [(f"fold_{i}", rep) for i, rep in enumerate(reports)]
     else:
-        averaged, per_target = evaluate_mod.run_cross_target(train_fn, records)
+        averaged, per_target = evaluate_mod.run_cross_target(
+            train_fn, records, seed=cfg.seed
+        )
         rows = sorted(per_target.items())
     evaluate_mod.report_to_csv(out / f"{args.protocol}_metrics.csv", rows, averaged)
     print(
@@ -482,7 +487,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError, AssertionError) as err:
+    except (ValueError, FileNotFoundError, AssertionError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -82,25 +82,37 @@ def mean_report(reports) -> MetricReport:
     return MetricReport(*[float(x) for x in rows.mean(axis=0)])
 
 
+def run_seed(seed: int, index: int) -> int:
+    """Training seed of protocol run `index` under the run-level `seed`.
+
+    `index` is the fold number in-target, or the held-out target's position
+    in sorted target order cross-target. The protocol runners and a single
+    `train` run both derive their seed here, so they train identical models.
+    """
+    return seed + index
+
+
 def run_in_target(train_fn, examples, k: int = 10, seed: int = 0):
     """k-fold protocol: train per fold via `train_fn(split, seed) -> predict`.
 
     Returns (averaged report, per-fold reports). Each fold's model is trained
-    from scratch and evaluated on that fold's test slice.
+    from scratch, with seed `run_seed(seed, fold)`, and evaluated on that
+    fold's test slice.
     """
     folds = make_in_target_folds(examples, k, seed)
     reports = []
     for i, split in enumerate(folds):
-        predict_fn = train_fn(split, seed + i)
+        predict_fn = train_fn(split, run_seed(seed, i))
         preds = predict_fn(split.test)
         golds = [ex.label for ex in split.test]
         reports.append(metric_report(confusion(golds, preds)))
     return mean_report(reports), reports
 
 
-def run_cross_target(train_fn, records, targets=None):
+def run_cross_target(train_fn, records, targets=None, seed: int = 0):
     """Leave-one-target-out protocol over every target (or the given list).
 
+    The run holding out `targets[i]` trains with seed `run_seed(seed, i)`.
     Asserts on every run that the held-out target is absent from train and
     val. Returns (averaged report, {target: report}).
     """
@@ -110,7 +122,7 @@ def run_cross_target(train_fn, records, targets=None):
     for i, held_out in enumerate(targets):
         split = make_cross_target_split(records, held_out)
         assert_no_leakage(split)
-        predict_fn = train_fn(split, i)
+        predict_fn = train_fn(split, run_seed(seed, i))
         preds = predict_fn(split.test)
         golds = [ex.label for ex in split.test]
         per_target[held_out] = metric_report(confusion(golds, preds))

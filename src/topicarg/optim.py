@@ -36,6 +36,11 @@ def adamw(
     return OptimizerState("adamw", learning_rate, beta1, beta2, weight_decay=weight_decay)
 
 
+# Elements per block: 16k float64 = 128 KiB, so a block of p, g, m, v and the
+# two scratch buffers stays in L2 while all of its ufuncs run over it.
+_CHUNK = 16384
+
+
 def optimizer_step(
     state: OptimizerState,
     params: dict[str, np.ndarray],
@@ -45,14 +50,43 @@ def optimizer_step(
 
     AdamW applies decoupled weight decay against the pre-update values, so a
     zero gradient still shrinks a parameter by lr * weight_decay * value.
+
+    The update runs in place, block by block over the flattened arrays, with
+    the textbook operation order kept element for element::
+
+        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        u = (m/bc1) / (sqrt(v/bc2) + eps)  [+ wd*p for AdamW]
+        p -= lr*u
+
+    so results are bitwise-equal to evaluating those expressions on whole
+    arrays. Every gradient is checked for finiteness, and every stepped
+    parameter for C-contiguity, before anything is mutated.
     """
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+            raise FloatingPointError(
+                f"non-finite gradient for parameter {name!r} at step {state.step_count + 1}"
+            )
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            continue
+        if not p.flags.c_contiguous:
+            # reshape(-1) would copy, and the in-place update would be lost
+            raise ValueError(f"parameter {name!r} is not C-contiguous")
+        if g.shape != p.shape:
+            raise ValueError(
+                f"gradient shape {g.shape} does not match parameter {name!r} {p.shape}"
+            )
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.learning_rate
+    c1, c2 = 1.0 - b1, 1.0 - b2
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    decay = state.weight_decay if state.algorithm == "adamw" else 0.0
+    scratch_a = np.empty(_CHUNK)
+    scratch_b = np.empty(_CHUNK)
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -60,13 +94,28 @@ def optimizer_step(
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        if state.algorithm == "adamw" and state.weight_decay != 0.0:
-            update = update + state.weight_decay * p
-        p -= state.learning_rate * update
+        flat_p = p.reshape(-1)
+        flat_g = g.reshape(-1)  # a copy when g is strided; it is only read
+        flat_m = state.m[name].reshape(-1)
+        flat_v = state.v[name].reshape(-1)
+        for lo in range(0, flat_p.size, _CHUNK):
+            hi = min(lo + _CHUNK, flat_p.size)
+            pc, gc, mc, vc = flat_p[lo:hi], flat_g[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
+            a, u = scratch_a[: hi - lo], scratch_b[: hi - lo]
+            np.multiply(mc, b1, out=mc)
+            np.multiply(gc, c1, out=a)
+            np.add(mc, a, out=mc)
+            np.multiply(vc, b2, out=vc)
+            np.multiply(gc, c2, out=a)
+            np.multiply(a, gc, out=a)
+            np.add(vc, a, out=vc)
+            np.divide(vc, bc2, out=a)
+            np.sqrt(a, out=a)
+            np.add(a, eps, out=a)
+            np.divide(mc, bc1, out=u)
+            np.divide(u, a, out=u)
+            if decay != 0.0:
+                np.multiply(pc, decay, out=a)
+                np.add(u, a, out=u)
+            np.multiply(u, lr, out=u)
+            np.subtract(pc, u, out=pc)

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from synthdata import stance_corpus, write_tsv
+from topicarg import autodiff
 from topicarg.cli import main
 
 
@@ -138,6 +140,28 @@ class TestTrain:
         )
         assert code != 0
 
+    def test_non_finite_gradient_is_a_clean_error(self, corpus_path, tmp_path, capsys,
+                                                  monkeypatch):
+        grads_of = autodiff.grads_of
+
+        def poisoned(leaves):
+            grads = grads_of(leaves)
+            name = sorted(grads)[0]
+            grads[name] = np.full_like(grads[name], np.nan)
+            return grads
+
+        monkeypatch.setattr(autodiff, "grads_of", poisoned)
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        code = main(
+            ["train", "--mode", "in_target_fold", "--fold", "0",
+             *small_flags(corpus_path, out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite gradient for parameter '")
+        assert "Traceback" not in err
+
 
 class TestEvaluate:
     def test_oracle_in_target(self, corpus_path, tmp_path, capsys):
@@ -182,6 +206,29 @@ class TestEvaluate:
         assert code == 0
         lines = (out / "eval" / "cross_target_metrics.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 2 + 1
+
+    @pytest.mark.parametrize(
+        "protocol, run_args, run_name, row",
+        [
+            ("in_target", ["--mode", "in_target_fold", "--fold", "1"], "fold_1", "fold_1"),
+            ("cross_target", ["--mode", "cross_target", "--held-out", "space mining"],
+             "cross_space_mining", "space mining"),
+        ],
+    )
+    def test_protocol_row_equals_single_train_run(
+        self, corpus_path, tmp_path, protocol, run_args, run_name, row
+    ):
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        flags = [*small_flags(corpus_path, out), "--folds", "3", "--iterations", "1",
+                 "--seed", "3"]
+        assert main(["evaluate", "--protocol", protocol, "--predictor", "full",
+                     *flags]) == 0
+        rows = (out / "eval" / f"{protocol}_metrics.csv").read_text().split("\n")
+        assert main(["train", *run_args, *flags]) == 0
+        trained = (out / "train" / run_name / "metrics.csv").read_text().split("\n")
+        assert trained[1].startswith(f"{run_name},")
+        assert f"{row},{trained[1].split(',', 1)[1]}" in rows
 
 
 class TestExtractAndCoherence:

@@ -1,8 +1,40 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topicarg.nn import SeededRng
-from topicarg.optim import adam, adamw, optimizer_step
+from topicarg.optim import _CHUNK, OptimizerState, adam, adamw, optimizer_step
+
+
+def reference_step(state, params, grads):
+    """Whole-array Adam/AdamW step: the oracle the fused step must equal bitwise."""
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            continue
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        m = state.m[name]
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        if state.algorithm == "adamw" and state.weight_decay != 0.0:
+            update = update + state.weight_decay * p
+        p -= state.learning_rate * update
 
 
 def test_zero_gradient_is_fixed_point_for_adam():
@@ -67,7 +99,84 @@ def test_descends_a_quadratic():
 
 
 def test_unknown_algorithm_rejected():
-    from topicarg.optim import OptimizerState
-
     with pytest.raises(ValueError):
         OptimizerState("sgd", 0.1)
+
+
+SHAPES = [(), (1,), (3, 4), (_CHUNK - 1,), (_CHUNK,), (_CHUNK + 1,), (2, _CHUNK // 2 + 1)]
+
+
+def _strided(g: np.ndarray) -> np.ndarray:
+    """The same values as `g` in a non-contiguous view: a column slice of a
+    wider array, like the ones `concat`'s backward hands out."""
+    wide = np.zeros((g.size, 2))
+    wide[:, 0] = g.reshape(-1)
+    view = wide[:, 0].reshape(g.shape)
+    assert g.size <= 1 or not view.flags.c_contiguous
+    return view
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    algorithm=st.sampled_from(["adam", "adamw"]),
+    weight_decay=st.sampled_from([0.0, 0.01, 0.7]),
+    shape=st.sampled_from(SHAPES),
+    steps=st.integers(1, 4),
+    strided=st.booleans(),
+    scale=st.sampled_from([0.0, 1e-12, 1.0, 1e6]),
+    lr=st.floats(1e-5, 1.0),
+    beta1=st.floats(0.0, 0.99),
+    beta2=st.floats(0.5, 0.9999),
+    seed=st.integers(0, 2**16),
+)
+def test_fused_step_equals_reference_bitwise(
+    algorithm, weight_decay, shape, steps, strided, scale, lr, beta1, beta2, seed
+):
+    rng = np.random.default_rng(seed)
+    fused = OptimizerState(algorithm, lr, beta1, beta2, weight_decay=weight_decay)
+    ref = copy.deepcopy(fused)
+    p_fused = {"w": rng.normal(size=shape), "b": rng.normal(size=3)}
+    p_ref = copy.deepcopy(p_fused)
+    for _ in range(steps):
+        grads = {k: scale * rng.normal(size=v.shape) for k, v in p_fused.items()}
+        strided_grads = {k: _strided(g) if strided else g for k, g in grads.items()}
+        optimizer_step(fused, p_fused, strided_grads)
+        reference_step(ref, p_ref, grads)
+        assert fused.step_count == ref.step_count
+        for k in p_ref:
+            assert np.array_equal(p_fused[k], p_ref[k])
+            assert np.array_equal(fused.m[k], ref.m[k])
+            assert np.array_equal(fused.v[k], ref.v[k])
+
+
+def test_non_contiguous_parameter_rejected():
+    base = np.ones((4, 6))
+    params = {"ok": np.ones(3), "w": base[:, :3]}
+    state = adam(0.1)
+    with pytest.raises(ValueError, match="'w'.*contiguous"):
+        optimizer_step(state, params, {"ok": np.ones(3), "w": np.ones((4, 3))})
+    assert np.array_equal(base, np.ones((4, 6)))
+    assert np.array_equal(params["ok"], np.ones(3))
+    assert state.step_count == 0 and not state.m and not state.v
+
+
+def test_gradient_shape_mismatch_rejected():
+    with pytest.raises(ValueError, match="'w'"):
+        optimizer_step(adam(0.1), {"w": np.ones(3)}, {"w": np.ones((1, 3))})
+
+
+def test_failed_step_leaves_state_untouched():
+    rng = np.random.default_rng(0)
+    params = {"a": rng.normal(size=(5, 4)), "z": rng.normal(size=7)}
+    state = adamw(0.1, weight_decay=0.1)
+    optimizer_step(state, params, {k: rng.normal(size=v.shape) for k, v in params.items()})
+    before = copy.deepcopy((params, state.m, state.v, state.step_count))
+    # "a" comes first, so a step that mutated while it checked would touch it
+    grads = {"a": rng.normal(size=(5, 4)), "z": np.full(7, np.inf)}
+    with pytest.raises(FloatingPointError, match="'z' at step 2"):
+        optimizer_step(state, params, grads)
+    after = (params, state.m, state.v, state.step_count)
+    for b, a in zip(before[:3], after[:3]):
+        assert b.keys() == a.keys()
+        assert all(np.array_equal(b[k], a[k]) for k in b)
+    assert after[3] == before[3] == 1
