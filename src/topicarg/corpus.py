@@ -245,8 +245,11 @@ def vectorize_all(token_seqs, vocab: Vocabulary) -> sparse.csr_matrix:
 def make_in_target_folds(examples, k: int, seed: int) -> list[DatasetSplit]:
     """Seeded k-fold splits: fold i tests, fold i+1 validates, rest train."""
     n = len(examples)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    if k < 3:
+        raise ValueError(
+            f"k must be >= 3 (a test fold, a validation fold and at least one "
+            f"training fold), got {k}"
+        )
     if n < k:
         raise ValueError(f"need at least k={k} examples, got {n}")
     order = SeededRng(seed).permutation(n)

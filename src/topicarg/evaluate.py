@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import (
     LABELS,
@@ -139,19 +139,77 @@ def assert_no_leakage(split: DatasetSplit) -> None:
         )
 
 
-def _window_sets(corpus_docs, window: int):
-    """Boolean occurrence sets for every sliding window of each document."""
+def _scored_words(topic_words, cutoff: int) -> list[str]:
+    """The top-`cutoff` words that one NPMI score pairs up, validated."""
+    words = list(topic_words)[:cutoff]
+    if cutoff > len(topic_words):
+        raise ValueError(f"cutoff {cutoff} exceeds the {len(topic_words)} topic words")
+    if len(words) < 2:
+        raise ValueError("need at least two words for pairwise NPMI")
+    seen = set()
+    for w in words:
+        if w in seen:
+            raise ValueError(f"topic word {w!r} is repeated in the top {cutoff}")
+        seen.add(w)
+    return words
+
+
+def _window_counts(vocab: list[str], corpus_docs, window: int) -> tuple[int, np.ndarray]:
+    """Window total and the integer co-occurrence matrix of `vocab`.
+
+    Every document yields max(len - window, 0) + 1 sliding windows (none if
+    empty). One pass over the tokens builds the sparse 0/1 window x word
+    incidence matrix S; `counts = S.T @ S` then holds, for vocab columns i
+    and j, the windows containing word i (diagonal) or both words.
+    """
     if window < 1:
         raise ValueError("window must be >= 1")
+    column = {w: i for i, w in enumerate(vocab)}
+    lengths, tokens = [], []
     for doc in corpus_docs:
         doc = list(doc)
-        if not doc:
-            continue
-        if len(doc) <= window:
-            yield set(doc)
-            continue
-        for start in range(len(doc) - window + 1):
-            yield set(doc[start : start + window])
+        lengths.append(len(doc))
+        tokens.extend(column.get(w, -1) for w in doc)
+    lengths = np.array(lengths, dtype=np.int64)
+    tokens = np.array(tokens, dtype=np.int64)
+    n_windows = np.where(lengths > 0, np.maximum(lengths - window, 0) + 1, 0)
+    total = int(n_windows.sum())
+    if total == 0:
+        raise ValueError("corpus has no windows")
+    # a word at position p of a doc lies in window starts max(0, p-window+1)
+    # through min(p, last start), rows offset by the doc's first window
+    doc_of = np.repeat(np.arange(len(lengths)), lengths)
+    pos = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    hit = tokens >= 0
+    doc_of, pos, cols = doc_of[hit], pos[hit], tokens[hit]
+    first = (np.cumsum(n_windows) - n_windows)[doc_of]
+    lo = first + np.maximum(pos - window + 1, 0)
+    hi = first + np.minimum(pos, n_windows[doc_of] - 1) + 1
+    spans = hi - lo
+    rows = np.arange(spans.sum()) + np.repeat(lo - (np.cumsum(spans) - spans), spans)
+    incidence = sparse.csr_array(
+        (np.ones(len(rows), dtype=np.int64), (rows, np.repeat(cols, spans))),
+        shape=(total, len(vocab)),
+    )
+    incidence.sum_duplicates()
+    incidence.data[:] = 1  # a word repeated inside a window counts once
+    return total, (incidence.T @ incidence).toarray()
+
+
+def _mean_npmi(cols, total: int, counts: np.ndarray) -> float:
+    """Mean NPMI over the column pairs in `combinations(cols, 2)` order."""
+    cols = np.asarray(cols)
+    i, j = np.triu_indices(len(cols), 1)
+    eps = NPMI_SMOOTHING
+    p = np.diagonal(counts)[cols] / total + eps
+    p12 = counts[cols[i], cols[j]] / total + eps
+    return float(np.mean(np.log(p12 / (p[i] * p[j])) / -np.log(p12)))
+
+
+def _warn_absent(vocab: list[str], counts: np.ndarray) -> None:
+    for w, c in zip(vocab, np.diagonal(counts)):
+        if c == 0:
+            logger.warning("npmi: word %r never occurs in the corpus", w)
 
 
 def npmi(topic_words, corpus_docs, window: int = 10, cutoff: int = 10) -> float:
@@ -159,38 +217,12 @@ def npmi(topic_words, corpus_docs, window: int = 10, cutoff: int = 10) -> float:
 
     Probabilities are window frequencies with additive smoothing; a word that
     never occurs is scored at the smoothing floor and flagged via logging.
+    The top words must be distinct.
     """
-    words = list(topic_words)[:cutoff]
-    if cutoff > len(topic_words):
-        raise ValueError(f"cutoff {cutoff} exceeds the {len(topic_words)} topic words")
-    if len(words) < 2:
-        raise ValueError("need at least two words for pairwise NPMI")
-    occur = {w: 0 for w in words}
-    joint = {pair: 0 for pair in combinations(words, 2)}
-    total = 0
-    wordset = set(words)
-    for win in _window_sets(corpus_docs, window):
-        total += 1
-        present = win & wordset
-        for w in present:
-            occur[w] += 1
-        for pair in combinations(sorted(present), 2):
-            key = pair if pair in joint else (pair[1], pair[0])
-            if key in joint:
-                joint[key] += 1
-    if total == 0:
-        raise ValueError("corpus has no windows")
-    for w, c in occur.items():
-        if c == 0:
-            logger.warning("npmi: word %r never occurs in the corpus", w)
-    eps = NPMI_SMOOTHING
-    scores = []
-    for (w1, w2), c12 in joint.items():
-        p1 = occur[w1] / total + eps
-        p2 = occur[w2] / total + eps
-        p12 = c12 / total + eps
-        scores.append(np.log(p12 / (p1 * p2)) / -np.log(p12))
-    return float(np.mean(scores))
+    words = _scored_words(topic_words, cutoff)
+    total, counts = _window_counts(words, corpus_docs, window)
+    _warn_absent(words, counts)
+    return _mean_npmi(np.arange(len(words)), total, counts)
 
 
 @dataclass
@@ -219,12 +251,19 @@ def coherence_report(
     window: int = 10,
     cutoffs: tuple[int, ...] = (5, 10, 15, 20),
 ) -> CoherenceReport:
-    docs = [list(d) for d in corpus_docs]
-    per_topic: dict[int, dict[int, float]] = {}
-    for topic, words in topic_word_lists.items():
-        per_topic[topic] = {
-            c: npmi(words, docs, window=window, cutoff=c) for c in cutoffs
-        }
+    """`npmi` of every topic at every cutoff, from one pass over the windows."""
+    scored = {
+        topic: {c: _scored_words(words, c) for c in cutoffs}
+        for topic, words in topic_word_lists.items()
+    }
+    vocab = list(dict.fromkeys(w for row in scored.values() for ws in row.values() for w in ws))
+    total, counts = _window_counts(vocab, corpus_docs, window)
+    _warn_absent(vocab, counts)
+    column = {w: i for i, w in enumerate(vocab)}
+    per_topic = {
+        topic: {c: _mean_npmi([column[w] for w in ws], total, counts) for c, ws in row.items()}
+        for topic, row in scored.items()
+    }
     averaged = {
         c: float(np.mean([row[c] for row in per_topic.values()])) for c in cutoffs
     }

@@ -125,8 +125,9 @@ def _kl_rows_graph(p, q) -> ad.Tensor:
 
 def similarity_graph(u, z) -> ad.Tensor:
     """Differentiable row-wise O(u, z); either side may be a constant."""
-    a = _kl_rows_graph(u, z)
-    b = _kl_rows_graph(z, u)
+    # clamp the floored KLs at 0 as `similarity_O` does, so O stays in (0, 1]
+    a = ad.relu(_kl_rows_graph(u, z))
+    b = ad.relu(_kl_rows_graph(z, u))
     harm = a * b / (a + b + _HARMONIC_GUARD)
     return 1.0 / (1.0 + harm)
 

@@ -62,11 +62,16 @@ def optimizer_step(
     arrays. Every gradient is checked for finiteness, and every stepped
     parameter for C-contiguity, before anything is mutated.
     """
+    finite = np.empty(_CHUNK, dtype=bool)
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(
-                f"non-finite gradient for parameter {name!r} at step {state.step_count + 1}"
-            )
+        # block by block into one buffer, in whatever layout g has
+        for block in np.nditer(
+            g, flags=["external_loop", "buffered", "zerosize_ok"], buffersize=_CHUNK
+        ):
+            if not np.isfinite(block, out=finite[: block.size]).all():
+                raise FloatingPointError(
+                    f"non-finite gradient for parameter {name!r} at step {state.step_count + 1}"
+                )
     for name, p in params.items():
         g = grads.get(name)
         if g is None:

@@ -162,6 +162,20 @@ class TestTrain:
         assert err.startswith("error: non-finite gradient for parameter '")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["train", "--mode", "in_target_fold", "--fold", "0"],
+         ["evaluate", "--protocol", "in_target", "--predictor", "full"]],
+    )
+    def test_two_folds_is_a_clean_error(self, corpus_path, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        code = main([*command, *small_flags(corpus_path, out), "--folds", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: k must be >= 3 (a test fold, a validation fold")
+        assert "Traceback" not in err
+
 
 class TestEvaluate:
     def test_oracle_in_target(self, corpus_path, tmp_path, capsys):

@@ -225,6 +225,11 @@ class TestInTargetFolds:
         with pytest.raises(ValueError):
             make_in_target_folds(examples, k=1, seed=0)
 
+    def test_two_folds_rejected_for_an_empty_train_set(self):
+        with pytest.raises(ValueError, match="k must be >= 3 .*training fold"):
+            make_in_target_folds(self._examples(10), k=2, seed=0)
+        assert all(s.train for s in make_in_target_folds(self._examples(10), k=3, seed=0))
+
 
 class TestCrossTargetSplit:
     def test_held_out_excluded_from_train_and_val(self):

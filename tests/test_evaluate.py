@@ -1,8 +1,12 @@
+import logging
 import math
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synthdata import stance_corpus
 from topicarg.corpus import DatasetSplit, LABELS, examples_from_records
@@ -20,6 +24,53 @@ from topicarg.evaluate import (
     run_in_target,
 )
 from topicarg.nn import SeededRng
+
+
+def _window_sets(corpus_docs, window):
+    """Boolean occurrence sets for every sliding window of each document."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    for doc in corpus_docs:
+        doc = list(doc)
+        if not doc:
+            continue
+        if len(doc) <= window:
+            yield set(doc)
+            continue
+        for start in range(len(doc) - window + 1):
+            yield set(doc[start : start + window])
+
+
+def reference_npmi(topic_words, corpus_docs, window=10, cutoff=10):
+    """Window-by-window NPMI: the oracle the one-pass counts must equal exactly."""
+    words = list(topic_words)[:cutoff]
+    if cutoff > len(topic_words):
+        raise ValueError(f"cutoff {cutoff} exceeds the {len(topic_words)} topic words")
+    if len(words) < 2:
+        raise ValueError("need at least two words for pairwise NPMI")
+    occur = {w: 0 for w in words}
+    joint = {pair: 0 for pair in combinations(words, 2)}
+    total = 0
+    wordset = set(words)
+    for win in _window_sets(corpus_docs, window):
+        total += 1
+        present = win & wordset
+        for w in present:
+            occur[w] += 1
+        for pair in combinations(sorted(present), 2):
+            key = pair if pair in joint else (pair[1], pair[0])
+            if key in joint:
+                joint[key] += 1
+    if total == 0:
+        raise ValueError("corpus has no windows")
+    eps = NPMI_SMOOTHING
+    scores = []
+    for (w1, w2), c12 in joint.items():
+        p1 = occur[w1] / total + eps
+        p2 = occur[w2] / total + eps
+        p12 = c12 / total + eps
+        scores.append(np.log(p12 / (p1 * p2)) / -np.log(p12))
+    return float(np.mean(scores))
 
 
 def brute_force_report(cm):
@@ -272,6 +323,16 @@ class TestNpmi:
         with pytest.raises(ValueError):
             npmi(["a", "b"], [], window=2, cutoff=2)
 
+    def test_repeated_topic_word_rejected(self):
+        docs = [["a", "b", "c", "a"], ["b", "a"], ["c", "d", "a"]]
+        for words in (["a", "b", "a"], ["a", "a", "b"]):
+            with pytest.raises(ValueError, match="'a' is repeated"):
+                npmi(words, docs, window=3, cutoff=3)
+        # a repeat below the cutoff is never scored
+        assert npmi(["a", "b", "a"], docs, window=3, cutoff=2) == npmi(
+            ["a", "b"], docs, window=3, cutoff=2
+        )
+
 
 class TestCoherenceReport:
     def test_cutoffs_and_csv(self, tmp_path):
@@ -293,6 +354,81 @@ class TestCoherenceReport:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "topic,npmi@5,npmi@10,npmi@15,npmi@20"
         assert len(lines) == 4  # header + 2 topics + mean
+
+    def test_repeated_topic_word_rejected(self):
+        docs = [["a", "b", "c", "d"]] * 3
+        with pytest.raises(ValueError, match="'c' is repeated"):
+            coherence_report(
+                {0: ["a", "b", "d"], 1: ["c", "d", "c"]}, docs, window=3, cutoffs=(2, 3)
+            )
+
+    def test_missing_word_flagged_once_per_call(self, caplog):
+        docs = [["a", "b", "c"]] * 5
+        lists = {0: ["a", "ghost", "b"], 1: ["ghost", "c", "b"]}
+        with caplog.at_level(logging.WARNING):
+            coherence_report(lists, docs, window=3, cutoffs=(2, 3))
+        assert [r.getMessage() for r in caplog.records] == [
+            "npmi: word 'ghost' never occurs in the corpus"
+        ]
+
+
+ALPHABET = [f"w{i}" for i in range(8)]
+ABSENT = ["ghost", "phantom"]
+docs_strategy = st.lists(st.lists(st.sampled_from(ALPHABET), max_size=16), max_size=8)
+topic_strategy = st.lists(
+    st.sampled_from(ALPHABET + ABSENT), min_size=2, max_size=len(ALPHABET) + 2, unique=True
+)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alphabet_size=st.integers(6, 8),
+    docs=docs_strategy,
+    window=st.integers(1, 12),
+    topic=topic_strategy,
+    data=st.data(),
+)
+def test_npmi_equals_reference_exactly(alphabet_size, docs, window, topic, data):
+    alphabet = ALPHABET[:alphabet_size]
+    docs = [[w for w in doc if w in alphabet] for doc in docs]
+    cutoff = data.draw(st.integers(2, len(topic)), label="cutoff")
+    assert _outcome(npmi, topic, docs, window=window, cutoff=cutoff) == _outcome(
+        reference_npmi, topic, docs, window=window, cutoff=cutoff
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    docs=docs_strategy,
+    window=st.integers(1, 12),
+    topics=st.lists(topic_strategy, min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_coherence_report_equals_reference_exactly(docs, window, topics, data):
+    shortest = min(len(t) for t in topics)
+    cutoffs = tuple(
+        data.draw(st.lists(st.integers(2, shortest), min_size=1, max_size=4), label="cutoffs")
+    )
+    lists = dict(enumerate(topics))
+    try:
+        rep = coherence_report(lists, docs, window=window, cutoffs=cutoffs)
+    except ValueError as err:
+        assert str(err) == "corpus has no windows"
+        assert not any(docs)
+        return
+    for t, words in lists.items():
+        assert rep.per_topic[t] == {
+            c: reference_npmi(words, docs, window=window, cutoff=c) for c in cutoffs
+        }
+    for c in cutoffs:
+        assert rep.averaged[c] == float(np.mean([row[c] for row in rep.per_topic.values()]))
 
 
 def test_report_csv_shape(tmp_path):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synthdata import stance_corpus
 from topicarg import autodiff as ad
@@ -102,6 +104,29 @@ class TestSimilarity:
             u, z = random_distribution(rng), random_distribution(rng)
             g = similarity_graph(ad.constant(u[None, :]), ad.constant(z[None, :]))
             assert float(g.data[0]) == pytest.approx(similarity_O(u, z), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    z_logits=st.lists(st.floats(-8, 8), min_size=2, max_size=10),
+    noise=st.lists(st.floats(-1, 1), min_size=10, max_size=10),
+    scale=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1.0]),
+    u_first=st.booleans(),
+)
+def test_graph_similarity_stays_in_unit_interval(z_logits, noise, scale, u_first):
+    """O in (0, 1], equal to the clamped scalar O, with finite gradients, also
+    when u is z plus tiny noise and the floored KLs dip below zero."""
+    z_logits = np.array(z_logits)
+    logits = ad.Tensor(z_logits + scale * np.array(noise[: len(z_logits)]))
+    u = ad.softmax(ad.reshape(logits, (1, -1)))
+    z = softmax(z_logits)
+    pair = (u, ad.constant(z[None, :]))
+    o = similarity_graph(*(pair if u_first else pair[::-1]))
+    value = float(o.data[0])
+    assert 0.0 < value <= 1.0
+    assert value == pytest.approx(similarity_O(u.data[0], z), abs=1e-12)
+    ad.tensor_sum(o).backward()
+    assert np.all(np.isfinite(logits.grad))
 
 
 class TestMutualLoss:

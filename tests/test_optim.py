@@ -180,3 +180,17 @@ def test_failed_step_leaves_state_untouched():
         assert b.keys() == a.keys()
         assert all(np.array_equal(b[k], a[k]) for k in b)
     assert after[3] == before[3] == 1
+
+
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 4])
+def test_non_finite_found_in_any_block(index, bad, strided):
+    g = np.zeros(2 * _CHUNK + 5)
+    g[index] = bad
+    if strided:
+        g = _strided(g)
+    state = adam(0.1)
+    with pytest.raises(FloatingPointError, match="'w' at step 1"):
+        optimizer_step(state, {"w": np.ones(g.shape)}, {"w": g})
+    assert state.step_count == 0 and not state.m
