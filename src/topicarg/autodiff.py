@@ -3,7 +3,9 @@
 A deliberately small operator set: dense linear algebra, the activations and
 normalizers the models need, reductions, and a gather for embedding lookups.
 Everything is float64 and single-threaded, so two runs from the same seed give
-bitwise-identical results.
+bitwise-identical results. Gradients are dense arrays, except that a leaf fed
+only through `take_rows`, or as the right operand of a matmul with a constant
+left operand, gets a `RowSparse` gradient holding just its nonzero rows.
 """
 from __future__ import annotations
 
@@ -21,8 +23,37 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+class RowSparse:
+    """A gradient that is zero outside a few rows of a 2-D leaf.
+
+    `rows` are sorted and unique, `values[i]` is row `rows[i]` of the dense
+    gradient, and `shape` is the dense shape. Ops emit it only for leaves, so
+    no op's backward ever receives one; `np.asarray` gives the dense array.
+    """
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, shape: tuple):
+        self.rows = rows
+        self.values = values
+        self.shape = shape
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.zeros(self.shape)
+        dense[self.rows] = self.values
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
 def _accumulate(current, update):
-    return update if current is None else current + update
+    if current is None:
+        return update
+    if isinstance(current, RowSparse) or isinstance(update, RowSparse):
+        return np.asarray(current) + np.asarray(update)
+    return current + update
+
+
+def _is_leaf(t: "Tensor") -> bool:
+    return t.requires_grad and t._backward is None
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -132,8 +163,12 @@ def lift(params: dict[str, np.ndarray], requires_grad=True) -> dict[str, Tensor]
     return {k: Tensor(v, requires_grad=requires_grad) for k, v in params.items()}
 
 
-def grads_of(leaves: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """Collect leaf gradients after backward(); missing grads are zeros."""
+def grads_of(leaves: dict[str, Tensor]) -> dict[str, np.ndarray | RowSparse]:
+    """Collect leaf gradients after backward(); missing grads are zeros.
+
+    A gradient that only a gather or a constant-left matmul produced is a
+    `RowSparse`; any mix with another gradient is dense.
+    """
     return {
         k: (t.grad if t.grad is not None else np.zeros_like(t.data))
         for k, t in leaves.items()
@@ -211,7 +246,14 @@ def matmul(a, b) -> Tensor:
         if a.requires_grad:
             a.grad = _accumulate(a.grad, g @ b.data.T)
         if b.requires_grad:
-            b.grad = _accumulate(b.grad, a.data.T @ g)
+            grad = a.data.T @ g
+            if not a.requires_grad and _is_leaf(b):
+                # rows for a's zero columns are zero (a bag-of-words batch
+                # touches few words). The product stays whole: BLAS may round
+                # a[:, rows].T @ g differently from the same rows of a.T @ g.
+                rows = np.flatnonzero(a.data.any(axis=0))
+                grad = RowSparse(rows, grad[rows], b.data.shape)
+            b.grad = _accumulate(b.grad, grad)
 
     return _result(out, (a, b), backward)
 
@@ -362,8 +404,11 @@ def take_rows(a, ids: Iterable[int]) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, idx, g)
-            a.grad = _accumulate(a.grad, buf)
+            # per row, the same additions in the same order as a dense scatter
+            rows, inverse = np.unique(idx, return_inverse=True)
+            values = np.zeros((rows.size, a.data.shape[1]))
+            np.add.at(values, inverse, g)
+            grad = RowSparse(rows, values, a.data.shape)
+            a.grad = _accumulate(a.grad, grad if _is_leaf(a) else np.asarray(grad))
 
     return _result(out, (a,), backward)

@@ -10,6 +10,7 @@ frozen z targets.
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,13 +30,7 @@ from .evaluate import confusion, metric_report
 from .nn import EPS, MlpSpec, SeededRng, init_mlp, kl_categorical, mlp_forward, softmax
 from .ntm import NtmParams, infer_topic_distributions, train_ntm_epoch
 from .optim import adam, adamw, OptimizerState, optimizer_step
-from .topics import (
-    ExtractedTopics,
-    build_target_mask,
-    empty_topics,
-    extract_topics,
-    filter_topics,
-)
+from .topics import ExtractedTopics, best_topic, empty_topics, rank_terms, top_terms
 
 logger = logging.getLogger(__name__)
 
@@ -255,16 +250,18 @@ def extract_topics_for_targets(
     """Per-target argmax topic from the current topic-word matrix.
 
     Targets whose words are all out of vocabulary (or unembedded) fall back
-    to empty topics with a warning instead of aborting the run.
+    to empty topics with a warning instead of aborting the run. The embedding
+    table is normalized, and every topic's words ranked, once per call.
     """
-    table = embedding_table(enc, data.enc_vocab, data.vocab)
+    normalized = embedding_table(enc, data.enc_vocab, data.vocab).normalized()
+    ranking = rank_terms(ntm.topic_word)
     out: dict[str, ExtractedTopics] = {}
     for target in targets:
         target_tokens = tokenize(target, mode="encoder")
-        mask = build_target_mask(target_tokens, data.vocab, ntm.cfg.num_topics)
         try:
-            lists = filter_topics(ntm.topic_word, mask, n_top_terms)
-            out[target] = extract_topics(lists, table, target_tokens, ratio_p)
+            target_ids = data.vocab.ids(target_tokens)
+            lists = top_terms(ntm.topic_word, ranking, target_ids, n_top_terms)
+            out[target] = best_topic(lists, normalized, data.vocab, target_tokens, ratio_p)
         except ValueError as err:
             logger.warning("topic extraction skipped for target %r: %s", target, err)
             out[target] = empty_topics()
@@ -283,6 +280,15 @@ def build_inputs(examples, topics_by_target, enc_vocab, max_len, use_topics):
             )
         )
     return inputs
+
+
+@contextmanager
+def _phase(name: str):
+    """Prefix a numeric failure inside the block with the training phase."""
+    try:
+        yield
+    except FloatingPointError as err:
+        raise FloatingPointError(f"{name} phase: {err}") from err
 
 
 def train_alternating(
@@ -352,16 +358,17 @@ def train_alternating(
                 if schedule.kl_warmup_epochs > 0
                 else 1.0
             )
-            stats = train_ntm_epoch(
-                ntm,
-                data.bows,
-                opt_ntm,
-                schedule.batch_size,
-                rng_ntm,
-                kl_weight=kl_w,
-                mutual_term=mutual_term,
-                gamma=gamma,
-            )
+            with _phase("ntm"):
+                stats = train_ntm_epoch(
+                    ntm,
+                    data.bows,
+                    opt_ntm,
+                    schedule.batch_size,
+                    rng_ntm,
+                    kl_weight=kl_w,
+                    mutual_term=mutual_term,
+                    gamma=gamma,
+                )
             history.append(
                 HistoryRow(
                     iteration,
@@ -382,17 +389,18 @@ def train_alternating(
         inputs = build_inputs(data.examples, topics_now, data.enc_vocab, max_len, use_topics)
 
         for epoch in range(1, schedule.classifier_epochs + 1):
-            stats = train_classifier_epoch(
-                enc,
-                inputs,
-                gold,
-                opt_cls,
-                schedule.batch_size,
-                rng_cls,
-                proj_params=proj_params,
-                z_targets=z_targets,
-                gamma=gamma,
-            )
+            with _phase("classifier"):
+                stats = train_classifier_epoch(
+                    enc,
+                    inputs,
+                    gold,
+                    opt_cls,
+                    schedule.batch_size,
+                    rng_cls,
+                    proj_params=proj_params,
+                    z_targets=z_targets,
+                    gamma=gamma,
+                )
             history.append(
                 HistoryRow(
                     iteration,

@@ -193,7 +193,7 @@ def grad_check(
     leaves = ad.lift(params)
     out = loss_fn(leaves)
     out.backward()
-    analytic = ad.grads_of(leaves)
+    analytic = {k: np.asarray(g) for k, g in ad.grads_of(leaves).items()}
 
     coords = []
     names = sorted(params)

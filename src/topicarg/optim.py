@@ -5,6 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import RowSparse
+
 
 @dataclass
 class OptimizerState:
@@ -44,7 +46,7 @@ _CHUNK = 16384
 def optimizer_step(
     state: OptimizerState,
     params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray | RowSparse],
 ) -> None:
     """One Adam/AdamW step over every entry of `params`.
 
@@ -59,14 +61,20 @@ def optimizer_step(
         p -= lr*u
 
     so results are bitwise-equal to evaluating those expressions on whole
-    arrays. Every gradient is checked for finiteness, and every stepped
-    parameter for C-contiguity, before anything is mutated.
+    arrays. A `RowSparse` gradient is stepped as its dense form would be:
+    blocks hold whole rows, and rows it does not touch take the g = 0 update
+    (moments decay, AdamW still decays p) without a dense g being built or
+    read. Every gradient (a `RowSparse` one through its values) is checked
+    for finiteness, and every stepped parameter for C-contiguity, before
+    anything is mutated.
     """
     finite = np.empty(_CHUNK, dtype=bool)
     for name, g in grads.items():
         # block by block into one buffer, in whatever layout g has
         for block in np.nditer(
-            g, flags=["external_loop", "buffered", "zerosize_ok"], buffersize=_CHUNK
+            g.values if isinstance(g, RowSparse) else g,
+            flags=["external_loop", "buffered", "zerosize_ok"],
+            buffersize=_CHUNK,
         ):
             if not np.isfinite(block, out=finite[: block.size]).all():
                 raise FloatingPointError(
@@ -100,19 +108,46 @@ def optimizer_step(
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
         flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)  # a copy when g is strided; it is only read
         flat_m = state.m[name].reshape(-1)
         flat_v = state.v[name].reshape(-1)
-        for lo in range(0, flat_p.size, _CHUNK):
-            hi = min(lo + _CHUNK, flat_p.size)
-            pc, gc, mc, vc = flat_p[lo:hi], flat_g[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
+        sparse = isinstance(g, RowSparse)
+        if sparse:
+            width = p.shape[1]
+            rows_per_block = max(1, _CHUNK // max(width, 1))
+            size = rows_per_block * width
+            # g.rows[bounds[i]:bounds[i + 1]] are the touched rows of block i
+            bounds = np.searchsorted(
+                g.rows, np.arange(0, p.shape[0] + rows_per_block, rows_per_block)
+            )
+        else:
+            size = _CHUNK
+            flat_g = g.reshape(-1)  # a copy when g is strided; it is only read
+        if size > scratch_a.size:
+            scratch_a = np.empty(size)
+            scratch_b = np.empty(size)
+        for i, lo in enumerate(range(0, flat_p.size, size)):
+            hi = min(lo + size, flat_p.size)
+            pc, mc, vc = flat_p[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
             a, u = scratch_a[: hi - lo], scratch_b[: hi - lo]
             np.multiply(mc, b1, out=mc)
-            np.multiply(gc, c1, out=a)
+            if sparse:
+                # a = g*c1 over the block: +0.0, as 0.0*c1 is, on untouched rows
+                local = g.rows[bounds[i] : bounds[i + 1]] - i * rows_per_block
+                gv = g.values[bounds[i] : bounds[i + 1]]
+                a_rows = a.reshape(-1, width)
+                a.fill(0.0)
+                a_rows[local] = gv * c1
+            else:
+                gc = flat_g[lo:hi]
+                np.multiply(gc, c1, out=a)
             np.add(mc, a, out=mc)
             np.multiply(vc, b2, out=vc)
-            np.multiply(gc, c2, out=a)
-            np.multiply(a, gc, out=a)
+            if sparse:
+                # untouched rows still hold 0.0, which (0.0*c2)*0.0 also is
+                a_rows[local] = (gv * c2) * gv
+            else:
+                np.multiply(gc, c2, out=a)
+                np.multiply(a, gc, out=a)
             np.add(vc, a, out=vc)
             np.divide(vc, bc2, out=a)
             np.sqrt(a, out=a)

@@ -107,10 +107,35 @@ def build_target_mask(target_tokens, vocab: Vocabulary, num_topics: int) -> Targ
     return TargetMask(np.tile(row, (num_topics, 1)))
 
 
+def rank_terms(topic_word: np.ndarray) -> np.ndarray:
+    """(K, V) word ids per topic by weight descending, ties by smaller id."""
+    return np.argsort(-np.asarray(topic_word, dtype=np.float64), axis=1, kind="stable")
+
+
+def top_terms(topic_word: np.ndarray, ranking: np.ndarray, excluded_ids, n: int) -> KeyTermLists:
+    """Per topic, the first n ids of its `rank_terms` row that are not excluded.
+
+    A stable sort restricted to the kept words orders them as the full sort
+    does, so one ranking serves every target's exclusions.
+    """
+    topic_word = np.asarray(topic_word, dtype=np.float64)
+    k, v = topic_word.shape
+    excluded = np.zeros(v, dtype=bool)
+    excluded[np.asarray(excluded_ids, dtype=np.int64)] = True
+    n_excluded = int(excluded.sum())
+    if not 1 <= n <= v - n_excluded:
+        raise ValueError(f"n={n} out of range [1, {v - n_excluded}] after masking")
+    ids = np.empty((k, n), dtype=np.int64)
+    for row in range(k):
+        ranked = ranking[row, : n + n_excluded]
+        ids[row] = ranked[~excluded[ranked]][:n]
+    return KeyTermLists(ids, np.take_along_axis(topic_word, ids, axis=1))
+
+
 def filter_topics(topic_word: np.ndarray, mask: TargetMask, n: int) -> KeyTermLists:
     """Top-n key terms per topic among unmasked words.
 
-    Ranked by masked weight descending, ties by smaller word id. Masked
+    Ranked by weight descending, ties by smaller word id. Masked
     (target-word) columns are excluded outright so they can never be chosen,
     even when other weights are negative.
     """
@@ -118,18 +143,8 @@ def filter_topics(topic_word: np.ndarray, mask: TargetMask, n: int) -> KeyTermLi
     k, v = topic_word.shape
     if mask.mask.shape != (k, v):
         raise ValueError(f"mask shape {mask.mask.shape} != topic_word shape {(k, v)}")
-    keep = np.flatnonzero(mask.mask[0] == 1)
-    if not 1 <= n <= keep.size:
-        raise ValueError(f"n={n} out of range [1, {keep.size}] after masking")
-    masked = topic_word * mask.mask
-    ids = np.empty((k, n), dtype=np.int64)
-    weights = np.empty((k, n))
-    for row in range(k):
-        # sort by (-weight, id); keep is already id-ascending
-        order = keep[np.argsort(-masked[row, keep], kind="stable")][:n]
-        ids[row] = order
-        weights[row] = masked[row, order]
-    return KeyTermLists(ids, weights)
+    excluded = np.flatnonzero(mask.mask[0] != 1)
+    return top_terms(topic_word, rank_terms(topic_word), excluded, n)
 
 
 def score_topic(target_vecs: np.ndarray, topic_vecs: np.ndarray, p: float) -> float:
@@ -158,10 +173,18 @@ def extract_topics(
     p: float = 0.5,
 ) -> ExtractedTopics:
     """Score all K key-term lists against the target; return the argmax list."""
-    normalized = embeddings.normalized()
-    target_ids = [
-        i for i in embeddings.vocab.ids(target_tokens) if np.any(normalized[i])
-    ]
+    return best_topic(lists, embeddings.normalized(), embeddings.vocab, target_tokens, p)
+
+
+def best_topic(
+    lists: KeyTermLists,
+    normalized: np.ndarray,
+    vocab: Vocabulary,
+    target_tokens,
+    p: float,
+) -> ExtractedTopics:
+    """`extract_topics` against an `EmbeddingTable.normalized()` table."""
+    target_ids = [i for i in vocab.ids(target_tokens) if np.any(normalized[i])]
     if not target_ids:
         raise ValueError(
             "target has no token that is both in the vocabulary and embedded"
@@ -176,7 +199,7 @@ def extract_topics(
     return ExtractedTopics(
         topic_index=best,
         term_ids=term_ids,
-        terms=tuple(embeddings.vocab.id_to_word[i] for i in term_ids),
+        terms=tuple(vocab.id_to_word[i] for i in term_ids),
         weights=tuple(float(w) for w in lists.weights[best]),
         score=float(scores[best]),
         per_topic_scores=tuple(float(s) for s in scores),

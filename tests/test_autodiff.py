@@ -1,6 +1,8 @@
 """Every differentiable op is checked against central finite differences."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topicarg import autodiff as ad
 from topicarg.nn import SeededRng
@@ -138,3 +140,64 @@ def test_deep_chain_backward_is_iterative():
         acc = acc + x
     ad.tensor_sum(acc).backward()
     assert np.allclose(x.grad, [5001.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    width=st.integers(1, 9),
+    ids=st.lists(st.integers(0, 10_000), max_size=60),
+    gathers=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_take_rows_gradient_equals_dense_scatter_bitwise(rows, width, ids, gathers, seed):
+    rng = np.random.default_rng(seed)
+    idx = np.asarray([i % rows for i in ids], dtype=np.int64)  # unsorted, repeated, empty
+    leaf = ad.Tensor(rng.normal(size=(rows, width)))
+    upstream = [rng.normal(size=(idx.size, width)) for _ in range(gathers)]
+    outs = [ad.take_rows(leaf, idx) for _ in range(gathers)]
+    ad.tensor_sum(
+        ad.concat([o * ad.constant(u) for o, u in zip(outs, upstream)], axis=0)
+    ).backward()
+    dense = None
+    for u in upstream:  # the dense scatter each gather used to accumulate
+        buf = np.zeros((rows, width))
+        np.add.at(buf, idx, u)
+        dense = buf if dense is None else dense + buf
+    # one gather stays row-sparse; a second one on the same leaf densifies
+    assert isinstance(leaf.grad, ad.RowSparse) == (gathers == 1)
+    assert np.asarray(leaf.grad).tobytes() == dense.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    batch=st.integers(1, 24),
+    n=st.integers(1, 600),
+    m=st.integers(1, 300),
+    zero_columns=st.sampled_from(["none", "some", "all"]),
+    seed=st.integers(0, 2**16),
+)
+def test_constant_left_matmul_gradient_equals_dense_bitwise(batch, n, m, zero_columns, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(batch, n))
+    if zero_columns == "some":
+        a[:, rng.random(n) < 0.8] = 0.0  # like a bag-of-words batch
+    elif zero_columns == "all":
+        a[:] = 0.0
+    leaf = ad.Tensor(rng.normal(size=(n, m)))
+    upstream = rng.normal(size=(batch, m))
+    out = ad.matmul(ad.constant(a), leaf)
+    assert out.data.tobytes() == (a @ leaf.data).tobytes()
+    ad.tensor_sum(out * ad.constant(upstream)).backward()  # out's gradient is upstream
+    assert isinstance(leaf.grad, ad.RowSparse)
+    assert np.asarray(leaf.grad).tobytes() == (a.T @ upstream).tobytes()
+
+
+def test_row_sparse_gradient_only_lands_on_leaves():
+    table = ad.Tensor(RNG.normal((5, 3)))
+    doubled = table * 2.0
+    ad.tensor_sum(ad.take_rows(doubled, [4, 1, 4])).backward()
+    assert isinstance(doubled.grad, np.ndarray)
+    expected = np.zeros((5, 3))
+    expected[[1, 4]] = [[2.0] * 3, [4.0] * 3]
+    assert np.array_equal(table.grad, expected)

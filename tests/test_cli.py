@@ -159,8 +159,32 @@ class TestTrain:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: non-finite gradient for parameter '")
-        assert "Traceback" not in err
+        assert err == (
+            "error: ntm phase: non-finite gradient for parameter 'enc_logvar.W0' at step 1\n"
+        )
+
+    def test_non_finite_gradient_names_the_classifier_phase(self, corpus_path, tmp_path,
+                                                            capsys, monkeypatch):
+        grads_of = autodiff.grads_of
+
+        def poisoned(leaves):
+            grads = grads_of(leaves)
+            if "word_emb" in grads:
+                grads["word_emb"] = np.full_like(grads["word_emb"], np.inf)
+            return grads
+
+        monkeypatch.setattr(autodiff, "grads_of", poisoned)
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        code = main(
+            ["train", "--mode", "in_target_fold", "--fold", "0",
+             *small_flags(corpus_path, out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: classifier phase: non-finite gradient for parameter 'word_emb' at step 1\n"
+        )
 
     @pytest.mark.parametrize(
         "command",

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from synthdata import stance_corpus
 from topicarg import autodiff as ad
-from topicarg.corpus import build_vocabulary, examples_from_records, vectorize_all
-from topicarg.encoder import EncoderConfig, build_encoder_vocab, init_encoder
+from topicarg.corpus import build_vocabulary, examples_from_records, tokenize, vectorize_all
+from topicarg.encoder import EncoderConfig, build_encoder_vocab, embedding_table, init_encoder
 from topicarg.mutual import (
     MutualLossConfig,
     TrainData,
@@ -31,6 +31,13 @@ from topicarg.mutual import (
 from topicarg.nn import EPS, SeededRng, grad_check, kl_categorical, softmax
 from topicarg.ntm import NtmConfig, compute_log_freq, init_ntm, train_ntm_epoch
 from topicarg.optim import adam, adamw
+from topicarg.topics import (
+    ExtractedTopics,
+    KeyTermLists,
+    build_target_mask,
+    empty_topics,
+    score_topic,
+)
 
 
 def random_distribution(rng, k=6):
@@ -386,3 +393,123 @@ class TestAlternating:
             TrainSchedule(max_iterations=0)
         with pytest.raises(ValueError):
             TrainSchedule(ntm_epochs=0)
+
+
+def reference_filter_topics(topic_word, mask, n):
+    """Per-target top-n terms by masking and sorting the kept columns: the
+    oracle `extract_topics_for_targets`' shared ranking must equal."""
+    topic_word = np.asarray(topic_word, dtype=np.float64)
+    k, v = topic_word.shape
+    keep = np.flatnonzero(mask.mask[0] == 1)
+    if not 1 <= n <= keep.size:
+        raise ValueError(f"n={n} out of range [1, {keep.size}] after masking")
+    masked = topic_word * mask.mask
+    ids = np.empty((k, n), dtype=np.int64)
+    weights = np.empty((k, n))
+    for row in range(k):
+        order = keep[np.argsort(-masked[row, keep], kind="stable")][:n]
+        ids[row] = order
+        weights[row] = masked[row, order]
+    return KeyTermLists(ids, weights)
+
+
+def reference_extract_topics(lists, embeddings, target_tokens, p):
+    """Argmax topic against a table normalized afresh for this one target."""
+    normalized = embeddings.normalized()
+    target_ids = [i for i in embeddings.vocab.ids(target_tokens) if np.any(normalized[i])]
+    if not target_ids:
+        raise ValueError("target has no token that is both in the vocabulary and embedded")
+    target_vecs = normalized[target_ids]
+    scores = [
+        score_topic(target_vecs, normalized[lists.word_ids[k]], p)
+        for k in range(lists.word_ids.shape[0])
+    ]
+    best = int(np.argmax(scores))
+    term_ids = tuple(int(i) for i in lists.word_ids[best])
+    return ExtractedTopics(
+        topic_index=best,
+        term_ids=term_ids,
+        terms=tuple(embeddings.vocab.id_to_word[i] for i in term_ids),
+        weights=tuple(float(w) for w in lists.weights[best]),
+        score=float(scores[best]),
+        per_topic_scores=tuple(float(s) for s in scores),
+    )
+
+
+def reference_extract_for_targets(ntm, enc, data, targets, n_top_terms, ratio_p):
+    table = embedding_table(enc, data.enc_vocab, data.vocab)
+    out = {}
+    for target in targets:
+        target_tokens = tokenize(target, mode="encoder")
+        mask = build_target_mask(target_tokens, data.vocab, ntm.cfg.num_topics)
+        try:
+            lists = reference_filter_topics(ntm.topic_word, mask, n_top_terms)
+            out[target] = reference_extract_topics(lists, table, target_tokens, ratio_p)
+        except ValueError:
+            out[target] = empty_topics()
+    return out
+
+
+_EXTRACTION_SETUP = _training_setup()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.sampled_from(["normal", "ties"]),
+    unembedded=st.integers(0, 10),
+    n_top_terms=st.integers(1, 41),
+    ratio_p=st.floats(0.01, 0.99),
+    extra_words=st.lists(st.integers(0, 39), max_size=6),
+    seed=st.integers(0, 2**16),
+)
+def test_extraction_equals_per_target_oracle(
+    weights, unembedded, n_top_terms, ratio_p, extra_words, seed
+):
+    rng = np.random.default_rng(seed)
+    ntm, enc, data = copy.deepcopy(_EXTRACTION_SETUP)
+    shape = ntm.topic_word.shape
+    if weights == "ties":  # repeated values, both signs of zero, negatives
+        ntm.topic_word[...] = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=shape)
+    else:
+        ntm.topic_word[...] = rng.normal(size=shape)
+    words = data.vocab.id_to_word
+    for w in rng.choice(words, size=unembedded, replace=False):
+        enc.params["word_emb"][data.enc_vocab.index_of[w]] = 0.0
+    targets = sorted({e.target for e in data.examples}) + [
+        "flat earth",  # out of vocabulary: no topics
+        " ".join(words[i % len(words)] for i in extra_words),
+    ]
+    got = extract_topics_for_targets(ntm, enc, data, targets, n_top_terms, ratio_p)
+    assert got == reference_extract_for_targets(ntm, enc, data, targets, n_top_terms, ratio_p)
+
+
+def test_row_sparse_gradients_train_as_their_dense_form(monkeypatch, tmp_path):
+    schedule = TrainSchedule(
+        max_iterations=2, ntm_epochs=2, classifier_epochs=1, batch_size=8,
+        seed=33, patience=0,
+    )
+    grads_of = ad.grads_of
+    kinds = set()
+
+    def run(tag, densify):
+        def collect(leaves):
+            grads = grads_of(leaves)
+            kinds.update(type(g).__name__ for g in grads.values())
+            return {k: np.asarray(g) for k, g in grads.items()} if densify else grads
+
+        monkeypatch.setattr(ad, "grads_of", collect)
+        ntm, enc, data = _training_setup()
+        result = train_alternating(
+            ntm, enc, data, schedule, gamma=0.1,
+            lr_ntm=2e-3, lr_classifier=1e-3, n_top_terms=4, ratio_p=0.5, max_len=64,
+        )
+        history_to_csv(result.history, tmp_path / f"{tag}.csv")
+        return {**ntm.params, **enc.params, **result.proj_params}
+
+    sparse = run("sparse", densify=False)
+    assert "RowSparse" in kinds
+    dense = run("dense", densify=True)
+    assert sparse.keys() == dense.keys()
+    for k in sparse:
+        assert sparse[k].tobytes() == dense[k].tobytes(), k
+    assert (tmp_path / "sparse.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topicarg.autodiff import RowSparse
 from topicarg.nn import SeededRng
 from topicarg.optim import _CHUNK, OptimizerState, adam, adamw, optimizer_step
 
@@ -194,3 +195,79 @@ def test_non_finite_found_in_any_block(index, bad, strided):
     with pytest.raises(FloatingPointError, match="'w' at step 1"):
         optimizer_step(state, {"w": np.ones(g.shape)}, {"w": g})
     assert state.step_count == 0 and not state.m
+
+
+# (rows, width): blocks of whole rows, width 7 leaves a ragged _CHUNK, one row
+# wider than _CHUNK, and a width that divides it
+SPARSE_SHAPES = [(1, 5), (6, 3), (2 * (_CHUNK // 7) + 9, 7), (3, _CHUNK + 3), (40, 1024)]
+
+
+def _touched_rows(rng, n_rows: int, width: int, touched: str) -> np.ndarray:
+    if touched == "none":
+        return np.zeros(0, dtype=np.int64)
+    if touched == "all":
+        return np.arange(n_rows)
+    per_block = max(1, _CHUNK // width)
+    # both sides of every block boundary, plus a random sprinkle
+    edges = [r for b in range(per_block, n_rows, per_block) for r in (b - 1, b)]
+    extra = rng.choice(n_rows, size=min(n_rows, 5), replace=False)
+    return np.unique(np.concatenate([edges, extra, [0, n_rows - 1]]).astype(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    algorithm=st.sampled_from(["adam", "adamw"]),
+    weight_decay=st.sampled_from([0.0, 0.01, 0.7]),
+    shape=st.sampled_from(SPARSE_SHAPES),
+    touched=st.sampled_from(["none", "some", "all"]),
+    signed_zero_m=st.booleans(),
+    steps=st.integers(1, 3),
+    lr=st.floats(1e-5, 1.0),
+    beta1=st.floats(0.0, 0.99),
+    beta2=st.floats(0.5, 0.9999),
+    seed=st.integers(0, 2**16),
+)
+def test_row_sparse_step_equals_reference_on_dense_form_bytewise(
+    algorithm, weight_decay, shape, touched, signed_zero_m, steps, lr, beta1, beta2, seed
+):
+    rng = np.random.default_rng(seed)
+    fused = OptimizerState(algorithm, lr, beta1, beta2, weight_decay=weight_decay)
+    ref = copy.deepcopy(fused)
+    p_fused = {"w": rng.normal(size=shape), "b": rng.normal(size=3)}
+    if signed_zero_m:
+        # moments of +0.0 and -0.0: an untouched row's m*b1 + 0.0 makes both +0.0
+        fused.m["w"] = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        fused.v["w"] = np.zeros(shape)
+        fused.m["b"], fused.v["b"] = np.zeros(3), np.zeros(3)
+        ref.m, ref.v = copy.deepcopy(fused.m), copy.deepcopy(fused.v)
+    p_ref = copy.deepcopy(p_fused)
+    for _ in range(steps):
+        rows = _touched_rows(rng, shape[0], shape[1], touched)
+        values = rng.normal(size=(rows.size, shape[1]))
+        values[rng.random(values.shape) < 0.1] = 0.0
+        sparse = RowSparse(rows, values, shape)
+        b_grad = rng.normal(size=3)
+        optimizer_step(fused, p_fused, {"w": sparse, "b": b_grad})
+        reference_step(ref, p_ref, {"w": np.asarray(sparse), "b": b_grad})
+        assert fused.step_count == ref.step_count
+        for k in p_ref:
+            assert p_fused[k].tobytes() == p_ref[k].tobytes()
+            assert fused.m[k].tobytes() == ref.m[k].tobytes()
+            assert fused.v[k].tobytes() == ref.v[k].tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_row_sparse_values_stop_the_step(bad):
+    rng = np.random.default_rng(1)
+    params = {"a": rng.normal(size=4), "w": rng.normal(size=(6, 3))}
+    state = adam(0.1)
+    optimizer_step(state, params, {"a": rng.normal(size=4), "w": rng.normal(size=(6, 3))})
+    before = copy.deepcopy((params, state.m, state.v))
+    values = rng.normal(size=(2, 3))
+    values[1, 2] = bad
+    grads = {"a": rng.normal(size=4), "w": RowSparse(np.array([1, 4]), values, (6, 3))}
+    with pytest.raises(FloatingPointError, match="'w' at step 2"):
+        optimizer_step(state, params, grads)
+    for b, a in zip(before, (params, state.m, state.v)):
+        assert all(b[k].tobytes() == a[k].tobytes() for k in b)
+    assert state.step_count == 1
