@@ -101,6 +101,7 @@ def cmd_prepare(args) -> int:
     write_snapshot(cfg, out / "config.resolved")
 
     manifest = {
+        "corpus_sha256": _sha256(Path(cfg.data)),
         "examples": len(examples),
         "label_counts": corpus_mod.label_counts(records),
         "target_counts": dict(sorted(corpus_mod.target_counts(records).items())),
@@ -122,6 +123,12 @@ def _load_prepared(cfg: RunConfig):
     out = _prepare_dir(cfg)
     if not (out / "manifest.json").exists():
         raise FileNotFoundError(f"no prepared data under {out}; run `prepare` first")
+    records = corpus_mod.load_tsv(cfg.data)
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    if manifest.get("corpus_sha256") != _sha256(Path(cfg.data)):
+        raise ValueError(
+            f"prepared data under {out} was built from another corpus; re-run prepare"
+        )
     vocab = Vocabulary.from_tsv(out / "vocab.tsv")
     enc_vocab = Vocabulary.from_tsv(out / "encoder_vocab.tsv")
     arrays, _ = load_checkpoint(out / "bows.bin")
@@ -129,7 +136,6 @@ def _load_prepared(cfg: RunConfig):
         (arrays["data"], arrays["indices"], arrays["indptr"]),
         shape=tuple(arrays["shape"]),
     )
-    records = corpus_mod.load_tsv(cfg.data)
     return records, vocab, enc_vocab, bows, arrays["log_freq"]
 
 

@@ -13,6 +13,7 @@ import logging
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, filterfalse, repeat
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,12 @@ SPLIT_TAGS = ("train", "val", "test")
 
 _REQUIRED_COLUMNS = ("topic", "sentence", "annotation", "set")
 _PUNCT_RE = re.compile(r"[^\w\s]", flags=re.UNICODE)
+# The ASCII characters _PUNCT_RE deletes, found by asking it, so that deleting
+# them with bytes.translate is the same regex applied to ASCII text.
+_ASCII_PUNCT = bytes(c for c in range(128) if _PUNCT_RE.match(chr(c)))
+# What default ntm mode drops from ASCII text: an ASCII token holds only
+# [a-z0-9_], so it is shorter than 2 characters iff it is one ASCII character.
+_NTM_ASCII_DROP = DEFAULT_STOPWORDS | {chr(c) for c in range(128)}
 
 
 class CorpusFormatError(ValueError):
@@ -163,13 +170,21 @@ def tokenize(text: str, mode: str = "encoder", stopwords=None) -> list[str]:
     """Lowercase, delete punctuation characters, split on whitespace.
 
     Mode "ntm" additionally drops stopwords and tokens shorter than 2
-    characters; mode "encoder" keeps everything.
+    characters; mode "encoder" keeps everything. ASCII text (after
+    lowercasing) takes a C-level path that gives the same tokens as the regex.
     """
     if mode not in ("ntm", "encoder"):
         raise ValueError(f"unknown tokenize mode {mode!r}")
-    tokens = _PUNCT_RE.sub("", text.lower()).split()
+    text = text.lower()
+    ascii_text = text.isascii()
+    if ascii_text:
+        tokens = text.encode("ascii").translate(None, _ASCII_PUNCT).decode("ascii").split()
+    else:
+        tokens = _PUNCT_RE.sub("", text).split()
     if mode == "ntm":
         stop = DEFAULT_STOPWORDS if stopwords is None else stopwords
+        if ascii_text and stop is DEFAULT_STOPWORDS:
+            return list(filterfalse(_NTM_ASCII_DROP.__contains__, tokens))
         tokens = [t for t in tokens if len(t) >= 2 and t not in stop]
     return tokens
 
@@ -226,19 +241,26 @@ def vectorize(tokens, vocab: Vocabulary) -> np.ndarray:
 
 
 def vectorize_all(token_seqs, vocab: Vocabulary) -> sparse.csr_matrix:
-    """Stack BoW vectors for many token sequences as a CSR matrix."""
-    data: list[int] = []
-    indices: list[int] = []
-    indptr = [0]
-    for tokens in token_seqs:
-        row = Counter(vocab.index_of[t] for t in tokens if t in vocab.index_of)
-        for idx in sorted(row):
-            indices.append(idx)
-            data.append(row[idx])
-        indptr.append(len(indices))
+    """Stack BoW vectors for many token sequences as a CSR matrix.
+
+    Counts come from one `np.unique` over the keys row * V + id, so each row's
+    indices are sorted; OOV tokens are ignored.
+    """
+    seqs = list(token_seqs)
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    ids = np.fromiter(
+        map(vocab.index_of.get, chain.from_iterable(seqs), repeat(-1)),
+        dtype=np.int64,
+        count=int(lengths.sum()),
+    )
+    rows = np.repeat(np.arange(len(seqs), dtype=np.int64), lengths)
+    hit = ids >= 0
+    keys, counts = np.unique(rows[hit] * vocab.size + ids[hit], return_counts=True)
+    indptr = np.zeros(len(seqs) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // vocab.size, minlength=len(seqs)), out=indptr[1:])
     return sparse.csr_matrix(
-        (np.array(data, dtype=np.int64), np.array(indices), np.array(indptr)),
-        shape=(len(indptr) - 1, vocab.size),
+        (counts.astype(np.int64), keys % vocab.size, indptr),
+        shape=(len(seqs), vocab.size),
     )
 
 

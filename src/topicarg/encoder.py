@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .corpus import LABELS, Vocabulary, tokenize
 from .nn import MlpSpec, SeededRng, init_mlp, mlp_forward, softmax
-from .topics import EmbeddingTable, ExtractedTopics
+from .topics import ExtractedTopics
 
 CLS, SEP, UNK = "<cls>", "<sep>", "<unk>"
 MARKERS = (CLS, SEP, UNK)
@@ -89,9 +89,11 @@ def build_encoder_vocab(
         tokens = tokenize(record.sentence, mode="encoder")
         freq.update(tokens)
         df.update(set(tokens))
-        target_tokens = tokenize(record.target, mode="encoder")
-        freq.update(target_tokens)
-        df.update(set(target_tokens))
+    # every record also counts its target's tokens; tokenize each target once
+    for target, n in Counter(record.target for record in records).items():
+        tokens = tokenize(target, mode="encoder")
+        freq.update({t: n * c for t, c in Counter(tokens).items()})
+        df.update(dict.fromkeys(tokens, n))
     ranked = sorted(freq, key=lambda w: (-freq[w], w))[:max_size]
     words = list(MARKERS) + ranked
     if ntm_vocab is not None:
@@ -223,15 +225,14 @@ def predict(params: EncoderParams, inputs) -> list[str]:
     return [classify(params, encode(params, x)).predicted for x in inputs]
 
 
-def embedding_table(params: EncoderParams, enc_vocab: Vocabulary, vocab: Vocabulary) -> EmbeddingTable:
-    """The encoder's word vectors re-indexed onto the NTM vocabulary."""
+def vocabulary_rows(enc_vocab: Vocabulary, vocab: Vocabulary) -> np.ndarray:
+    """The encoder-vocabulary row of every NTM word, in NTM id order."""
     missing = [w for w in vocab.id_to_word if w not in enc_vocab.index_of]
     if missing:
         raise ValueError(
             f"encoder vocabulary is missing {len(missing)} NTM word(s), e.g. {missing[:3]}"
         )
-    rows = np.array([enc_vocab.index_of[w] for w in vocab.id_to_word])
-    return EmbeddingTable(params.word_embeddings[rows].copy(), vocab)
+    return np.array([enc_vocab.index_of[w] for w in vocab.id_to_word])
 
 
 def write_predictions(path, examples, predictions, probabilities) -> None:

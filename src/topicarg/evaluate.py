@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 from scipy import sparse
@@ -157,21 +158,22 @@ def _scored_words(topic_words, cutoff: int) -> list[str]:
 def _window_counts(vocab: list[str], corpus_docs, window: int) -> tuple[int, np.ndarray]:
     """Window total and the integer co-occurrence matrix of `vocab`.
 
-    Every document yields max(len - window, 0) + 1 sliding windows (none if
-    empty). One pass over the tokens builds the sparse 0/1 window x word
-    incidence matrix S; `counts = S.T @ S` then holds, for vocab columns i
-    and j, the windows containing word i (diagonal) or both words.
+    `corpus_docs` is an iterable of token sequences. Every document yields
+    max(len - window, 0) + 1 sliding windows (none if empty). One pass over
+    the tokens builds the sparse 0/1 window x word incidence matrix S;
+    `counts = S.T @ S` then holds, for vocab columns i and j, the windows
+    containing word i (diagonal) or both words.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     column = {w: i for i, w in enumerate(vocab)}
-    lengths, tokens = [], []
-    for doc in corpus_docs:
-        doc = list(doc)
-        lengths.append(len(doc))
-        tokens.extend(column.get(w, -1) for w in doc)
-    lengths = np.array(lengths, dtype=np.int64)
-    tokens = np.array(tokens, dtype=np.int64)
+    docs = list(corpus_docs)
+    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
+    tokens = np.fromiter(
+        map(column.get, chain.from_iterable(docs), repeat(-1)),
+        dtype=np.int64,
+        count=int(lengths.sum()),
+    )
     n_windows = np.where(lengths > 0, np.maximum(lengths - window, 0) + 1, 0)
     total = int(n_windows.sum())
     if total == 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,16 +22,23 @@ from .encoder import (
     EncoderParams,
     build_input,
     classify_graph,
-    embedding_table,
     encode_batch,
     encode_batch_graph,
     predict,
+    vocabulary_rows,
 )
 from .evaluate import confusion, metric_report
 from .nn import EPS, MlpSpec, SeededRng, init_mlp, kl_categorical, mlp_forward, softmax
 from .ntm import NtmParams, infer_topic_distributions, train_ntm_epoch
 from .optim import adam, adamw, OptimizerState, optimizer_step
-from .topics import ExtractedTopics, best_topic, empty_topics, rank_terms, top_terms
+from .topics import (
+    EmbeddingTable,
+    ExtractedTopics,
+    best_topic,
+    empty_topics,
+    rank_terms,
+    top_terms,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -225,6 +233,11 @@ class TrainData:
             val_examples=list(split.val),
         )
 
+    @cached_property
+    def enc_rows(self) -> np.ndarray:
+        """Encoder-vocabulary row of each NTM word; built on first use, then kept."""
+        return vocabulary_rows(self.enc_vocab, self.vocab)
+
 
 @dataclass
 class TrainResult:
@@ -253,7 +266,7 @@ def extract_topics_for_targets(
     to empty topics with a warning instead of aborting the run. The embedding
     table is normalized, and every topic's words ranked, once per call.
     """
-    normalized = embedding_table(enc, data.enc_vocab, data.vocab).normalized()
+    normalized = EmbeddingTable(enc.word_embeddings[data.enc_rows], data.vocab).normalized()
     ranking = rank_terms(ntm.topic_word)
     out: dict[str, ExtractedTopics] = {}
     for target in targets:
@@ -269,15 +282,17 @@ def extract_topics_for_targets(
 
 
 def build_inputs(examples, topics_by_target, enc_vocab, max_len, use_topics):
+    target_tokens = {
+        target: tokenize(target, mode="encoder")
+        for target in dict.fromkeys(ex.target for ex in examples)
+    }
     inputs = []
     for ex in examples:
         topics = topics_by_target.get(ex.target) if use_topics else None
         if topics is not None and not topics.terms:
             topics = None
         inputs.append(
-            build_input(
-                ex.tokens, tokenize(ex.target, mode="encoder"), topics, enc_vocab, max_len
-            )
+            build_input(ex.tokens, target_tokens[ex.target], topics, enc_vocab, max_len)
         )
     return inputs
 

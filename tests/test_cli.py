@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -72,6 +73,41 @@ class TestPrepare:
 
     def test_missing_data_flag(self, tmp_path, capsys):
         assert main(["prepare", "--out-dir", str(tmp_path / "o")]) != 0
+
+
+class TestPreparedCorpusLink:
+    COMMANDS = {
+        "train": ["train", "--mode", "in_target_fold", "--fold", "0"],
+        "evaluate": ["evaluate", "--protocol", "in_target", "--predictor", "oracle"],
+        "extract-topics": ["extract-topics", "--checkpoint", "unused.bin"],
+        "coherence": ["coherence", "--topics", "unused.tsv"],
+    }
+
+    def test_manifest_records_the_corpus_hash(self, corpus_path, tmp_path):
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        manifest = json.loads((out / "prepared" / "manifest.json").read_text())
+        assert manifest["corpus_sha256"] == hashlib.sha256(corpus_path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("change", ["modified_tsv", "manifest_without_hash"])
+    def test_another_corpus_is_refused(self, corpus_path, tmp_path, capsys, command, change):
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        if change == "modified_tsv":
+            lines = corpus_path.read_text().split("\n")
+            corpus_path.write_text("\n".join(lines[:-2]) + "\n")  # one row fewer
+        else:
+            path = out / "prepared" / "manifest.json"
+            manifest = json.loads(path.read_text())
+            del manifest["corpus_sha256"]
+            path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main([*self.COMMANDS[command], *small_flags(corpus_path, out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: prepared data under {out / 'prepared'} was built from another "
+            "corpus; re-run prepare\n"
+        )
 
 
 class TestTrain:

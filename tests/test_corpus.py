@@ -1,13 +1,19 @@
 import logging
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from synthdata import stance_corpus, write_tsv
 from topicarg.corpus import (
     ANNOTATION_TO_LABEL,
     CorpusFormatError,
     RawRecord,
+    Vocabulary,
     build_vocabulary,
     examples_from_records,
     label_counts,
@@ -19,6 +25,37 @@ from topicarg.corpus import (
     vectorize,
     vectorize_all,
 )
+from topicarg.stopwords import DEFAULT_STOPWORDS
+
+_REFERENCE_PUNCT_RE = re.compile(r"[^\w\s]", flags=re.UNICODE)
+
+
+def reference_tokenize(text, mode="encoder", stopwords=None):
+    """The regex tokenizer `tokenize` must agree with on every input."""
+    if mode not in ("ntm", "encoder"):
+        raise ValueError(f"unknown tokenize mode {mode!r}")
+    tokens = _REFERENCE_PUNCT_RE.sub("", text.lower()).split()
+    if mode == "ntm":
+        stop = DEFAULT_STOPWORDS if stopwords is None else stopwords
+        tokens = [t for t in tokens if len(t) >= 2 and t not in stop]
+    return tokens
+
+
+def reference_vectorize_all(token_seqs, vocab):
+    """Row-by-row `Counter` BoW stacking that `vectorize_all` must equal byte for byte."""
+    data: list[int] = []
+    indices: list[int] = []
+    indptr = [0]
+    for tokens in token_seqs:
+        row = Counter(vocab.index_of[t] for t in tokens if t in vocab.index_of)
+        for idx in sorted(row):
+            indices.append(idx)
+            data.append(row[idx])
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (np.array(data, dtype=np.int64), np.array(indices), np.array(indptr)),
+        shape=(len(indptr) - 1, vocab.size),
+    )
 
 
 def rec(target="guns", sentence="a sentence", annotation="NoArgument", split="train"):
@@ -111,6 +148,68 @@ class TestTokenize:
 
     def test_custom_stopwords(self):
         assert tokenize("alpha beta", mode="ntm", stopwords={"alpha"}) == ["beta"]
+
+
+# Every ASCII character (controls such as \t\v\f and \x1c-\x1f, which
+# str.split treats as whitespace, included), non-ASCII letters, punctuation and
+# spaces, 'İ' (whose lowercase is two characters, one a combining mark) and
+# the Kelvin sign (whose lowercase is ASCII 'k').
+TOKENIZE_CHARS = [chr(c) for c in range(128)] + list(
+    "éßΩжǅ٣ⅷ«»—’¿。\u00a0\u2028\u3000İ\u212a\u0307"
+)
+TOKENIZE_WORDS = [
+    "The", "ABOUT", "a", "I", "x", "it's", "don't", "alpha", "beta", "Beta",
+    "naïve", "café", "İstanbul", "\u212aelvin", "o_o", "42",
+]
+STOPWORD_SETS = [
+    None, DEFAULT_STOPWORDS, set(DEFAULT_STOPWORDS), frozenset(), {"alpha", "the", "b"},
+]
+text_strategy = st.lists(
+    st.one_of(
+        st.sampled_from(TOKENIZE_WORDS),
+        st.text(alphabet=st.sampled_from(TOKENIZE_CHARS), max_size=6),
+    ),
+    max_size=10,
+).map(" ".join)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    text=text_strategy,
+    mode=st.sampled_from(["encoder", "ntm"]),
+    stopwords=st.sampled_from(STOPWORD_SETS),
+)
+@example(text="a\x1cb\x1dcd\x1e\x1fef\tgh\vij\fkl", mode="ntm", stopwords=None)
+@example(text="\u212a \u212aelvin THE i", mode="ntm", stopwords=None)
+@example(text="İ İstanbul'un i", mode="ntm", stopwords=None)
+@example(text="x y_z, the ... 9", mode="ntm", stopwords=frozenset())
+def test_tokenize_equals_reference(text, mode, stopwords):
+    tokens = tokenize(text, mode=mode, stopwords=stopwords)
+    assert type(tokens) is list
+    assert tokens == reference_tokenize(text, mode=mode, stopwords=stopwords)
+
+
+def _csr_bytes(mat):
+    return [
+        (a.dtype.str, a.tobytes()) for a in (mat.data, mat.indices, mat.indptr)
+    ] + [mat.shape, mat.has_sorted_indices]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seqs=st.lists(
+        st.lists(st.sampled_from([f"w{i}" for i in range(5)] + ["oov", "w"]), max_size=12)
+        .flatmap(lambda seq: st.sampled_from([seq, tuple(seq)])),
+        max_size=8,
+    ),
+    size=st.integers(1, 5),
+)
+def test_vectorize_all_equals_reference_bytes(seqs, size):
+    words = [f"w{i}" for i in range(size)]
+    vocab = Vocabulary({w: i for i, w in enumerate(words)}, words, {w: 1 for w in words})
+    assert _csr_bytes(vectorize_all(seqs, vocab)) == _csr_bytes(
+        reference_vectorize_all(seqs, vocab)
+    )
 
 
 class TestVocabulary:

@@ -18,13 +18,13 @@ from topicarg.encoder import (
     encode_batch,
     encode_batch_graph,
     encode_graph,
-    embedding_table,
     init_encoder,
     predict,
+    vocabulary_rows,
     write_predictions,
 )
 from topicarg.nn import EPS, SeededRng, grad_check
-from topicarg.topics import ExtractedTopics
+from topicarg.topics import EmbeddingTable, ExtractedTopics
 
 
 @pytest.fixture
@@ -192,12 +192,21 @@ def test_embedding_table_covers_ntm_vocab():
     enc_vocab = build_encoder_vocab(records, max_size=100, ntm_vocab=ntm_vocab)
     cfg = EncoderConfig(vocab_size=enc_vocab.size, emb_dim=8, hidden_dim=10, output_dim=6)
     enc = init_encoder(cfg, SeededRng(7))
-    table = embedding_table(enc, enc_vocab, ntm_vocab)
+    rows = vocabulary_rows(enc_vocab, ntm_vocab)
+    table = EmbeddingTable(enc.word_embeddings[rows], ntm_vocab)
     assert table.vectors.shape == (ntm_vocab.size, 8)
     for word, idx in list(ntm_vocab.index_of.items())[:5]:
         assert np.array_equal(
             table.vectors[idx], enc.params["word_emb"][enc_vocab.index_of[word]]
         )
+
+
+def test_vocabulary_rows_refuses_a_missing_ntm_word():
+    records = stance_corpus(n_per_cell=10, seed=0)
+    ntm_vocab = build_vocabulary(records, max_size=25)
+    enc_vocab = build_encoder_vocab(records, max_size=3)  # NTM words not forced in
+    with pytest.raises(ValueError, match=r"encoder vocabulary is missing \d+ NTM word"):
+        vocabulary_rows(enc_vocab, ntm_vocab)
 
 
 def test_predict_and_prediction_tsv(tmp_path, enc, enc_vocab):

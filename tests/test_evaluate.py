@@ -404,21 +404,30 @@ def test_npmi_equals_reference_exactly(alphabet_size, docs, window, topic, data)
     )
 
 
-@settings(max_examples=200, deadline=None)
+# the shapes a caller may hand the corpus in: any iterable of token sequences
+DOC_FORMS = {
+    "lists": lambda docs: [list(d) for d in docs],
+    "tuples": lambda docs: tuple(tuple(d) for d in docs),
+    "generator": lambda docs: (d for d in docs),
+}
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     docs=docs_strategy,
     window=st.integers(1, 12),
     topics=st.lists(topic_strategy, min_size=1, max_size=4),
+    form=st.sampled_from(sorted(DOC_FORMS)),
     data=st.data(),
 )
-def test_coherence_report_equals_reference_exactly(docs, window, topics, data):
+def test_coherence_report_equals_reference_exactly(docs, window, topics, form, data):
     shortest = min(len(t) for t in topics)
     cutoffs = tuple(
         data.draw(st.lists(st.integers(2, shortest), min_size=1, max_size=4), label="cutoffs")
     )
     lists = dict(enumerate(topics))
     try:
-        rep = coherence_report(lists, docs, window=window, cutoffs=cutoffs)
+        rep = coherence_report(lists, DOC_FORMS[form](docs), window=window, cutoffs=cutoffs)
     except ValueError as err:
         assert str(err) == "corpus has no windows"
         assert not any(docs)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,14 @@ from hypothesis import strategies as st
 
 from synthdata import stance_corpus
 from topicarg import autodiff as ad
+from topicarg import mutual as mutual_mod
 from topicarg.corpus import build_vocabulary, examples_from_records, tokenize, vectorize_all
-from topicarg.encoder import EncoderConfig, build_encoder_vocab, embedding_table, init_encoder
+from topicarg.encoder import (
+    EncoderConfig,
+    build_encoder_vocab,
+    init_encoder,
+    vocabulary_rows,
+)
 from topicarg.mutual import (
     MutualLossConfig,
     TrainData,
@@ -32,6 +39,7 @@ from topicarg.nn import EPS, SeededRng, grad_check, kl_categorical, softmax
 from topicarg.ntm import NtmConfig, compute_log_freq, init_ntm, train_ntm_epoch
 from topicarg.optim import adam, adamw
 from topicarg.topics import (
+    EmbeddingTable,
     ExtractedTopics,
     KeyTermLists,
     build_target_mask,
@@ -437,7 +445,8 @@ def reference_extract_topics(lists, embeddings, target_tokens, p):
 
 
 def reference_extract_for_targets(ntm, enc, data, targets, n_top_terms, ratio_p):
-    table = embedding_table(enc, data.enc_vocab, data.vocab)
+    rows = vocabulary_rows(data.enc_vocab, data.vocab)
+    table = EmbeddingTable(enc.word_embeddings[rows], data.vocab)
     out = {}
     for target in targets:
         target_tokens = tokenize(target, mode="encoder")
@@ -481,6 +490,30 @@ def test_extraction_equals_per_target_oracle(
     ]
     got = extract_topics_for_targets(ntm, enc, data, targets, n_top_terms, ratio_p)
     assert got == reference_extract_for_targets(ntm, enc, data, targets, n_top_terms, ratio_p)
+
+
+def test_extraction_maps_the_vocabularies_once_per_train_data(monkeypatch):
+    ntm, enc, data = _training_setup()
+    calls = []
+
+    def counted(enc_vocab, vocab):
+        calls.append(1)
+        return vocabulary_rows(enc_vocab, vocab)
+
+    monkeypatch.setattr(mutual_mod, "vocabulary_rows", counted)
+    targets = sorted({e.target for e in data.examples})
+    first = extract_topics_for_targets(ntm, enc, data, targets, 4, 0.5)
+    assert extract_topics_for_targets(ntm, enc, data, targets, 4, 0.5) == first
+    assert first == reference_extract_for_targets(ntm, enc, data, targets, 4, 0.5)
+    assert len(calls) == 1
+
+
+def test_extraction_refuses_an_encoder_vocabulary_missing_ntm_words():
+    ntm, enc, data = _training_setup()
+    short = build_encoder_vocab(stance_corpus(n_per_cell=8, seed=0), max_size=3)
+    data = dataclasses.replace(data, enc_vocab=short)
+    with pytest.raises(ValueError, match=r"encoder vocabulary is missing \d+ NTM word"):
+        extract_topics_for_targets(ntm, enc, data, ["guns"], 4, 0.5)
 
 
 def test_row_sparse_gradients_train_as_their_dense_form(monkeypatch, tmp_path):
