@@ -1,17 +1,19 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A deliberately small operator set: dense linear algebra, the activations and
-normalizers the models need, reductions, and a gather for embedding lookups.
-Everything is float64 and single-threaded, so two runs from the same seed give
+A deliberately small operator set: dense linear algebra, a product with a
+constant CSR left operand, the activations and normalizers the models need,
+reductions, segment means, and a gather for embedding lookups. Everything is
+float64 and single-threaded, so two runs from the same seed give
 bitwise-identical results. Gradients are dense arrays, except that a leaf fed
-only through `take_rows`, or as the right operand of a matmul with a constant
-left operand, gets a `RowSparse` gradient holding just its nonzero rows.
+only through `take_rows` or `csr_matmul` gets a `RowSparse` gradient holding
+just the rows a batch touches.
 """
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -166,8 +168,8 @@ def lift(params: dict[str, np.ndarray], requires_grad=True) -> dict[str, Tensor]
 def grads_of(leaves: dict[str, Tensor]) -> dict[str, np.ndarray | RowSparse]:
     """Collect leaf gradients after backward(); missing grads are zeros.
 
-    A gradient that only a gather or a constant-left matmul produced is a
-    `RowSparse`; any mix with another gradient is dense.
+    A gradient that only a gather or a CSR matmul produced is a `RowSparse`;
+    any mix with another gradient is dense.
     """
     return {
         k: (t.grad if t.grad is not None else np.zeros_like(t.data))
@@ -246,16 +248,32 @@ def matmul(a, b) -> Tensor:
         if a.requires_grad:
             a.grad = _accumulate(a.grad, g @ b.data.T)
         if b.requires_grad:
-            grad = a.data.T @ g
-            if not a.requires_grad and _is_leaf(b):
-                # rows for a's zero columns are zero (a bag-of-words batch
-                # touches few words). The product stays whole: BLAS may round
-                # a[:, rows].T @ g differently from the same rows of a.T @ g.
-                rows = np.flatnonzero(a.data.any(axis=0))
-                grad = RowSparse(rows, grad[rows], b.data.shape)
-            b.grad = _accumulate(b.grad, grad)
+            b.grad = _accumulate(b.grad, a.data.T @ g)
 
     return _result(out, (a, b), backward)
+
+
+def csr_matmul(x, b) -> Tensor:
+    """`x @ b` for a constant scipy CSR matrix `x`, in O(nonzeros of x).
+
+    b's gradient is `x.T @ g`, which is zero outside x's stored columns (a
+    bag-of-words batch touches few words): it is computed over those columns
+    only and, for a leaf, handed on as a `RowSparse`.
+    """
+    x = sparse.csr_matrix(x)
+    b = as_tensor(b)
+    if b.data.ndim != 2 or x.shape[1] != b.data.shape[0]:
+        raise ValueError(f"csr_matmul shapes {x.shape} @ {b.data.shape} do not align")
+    out = np.asarray(x @ b.data)
+
+    def backward(g):
+        if b.requires_grad:
+            cols, compact = np.unique(x.indices, return_inverse=True)
+            xc = sparse.csr_matrix((x.data, compact, x.indptr), shape=(x.shape[0], cols.size))
+            grad = RowSparse(cols, np.asarray(xc.T @ g), b.data.shape)
+            b.grad = _accumulate(b.grad, grad if _is_leaf(b) else np.asarray(grad))
+
+    return _result(out, (b,), backward)
 
 
 def exp(a) -> Tensor:
@@ -390,6 +408,35 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
                 t.grad = _accumulate(t.grad, g[tuple(idx)])
 
     return _result(out, tuple(ts), backward)
+
+
+def segment_mean(a, keys, n: int) -> Tensor:
+    """Row means of a 2-D tensor per segment: out[s] averages rows with key s.
+
+    `keys` are non-decreasing ints in [0, n), one per row of `a`; the cost is
+    linear in the rows. An empty segment gives a zero row. Backward hands each
+    row its segment's gradient scaled by 1/count.
+    """
+    a = as_tensor(a)
+    keys = np.asarray(keys, dtype=np.int64)
+    if a.data.ndim != 2 or keys.shape != (a.data.shape[0],):
+        raise ValueError("segment_mean expects a 2-D tensor and one key per row")
+    if keys.size and (keys[0] < 0 or keys[-1] >= n or np.any(keys[1:] < keys[:-1])):
+        raise ValueError(f"segment keys must be non-decreasing in [0, {n})")
+    counts = np.bincount(keys, minlength=n)
+    present = np.flatnonzero(counts)
+    scale = np.zeros(n)
+    scale[present] = 1.0 / counts[present]
+    out = np.zeros((n, a.data.shape[1]))
+    if present.size:
+        starts = np.searchsorted(keys, present)
+        out[present] = np.add.reduceat(a.data, starts, axis=0) * scale[present, None]
+
+    def backward(g):
+        if a.requires_grad:
+            a.grad = _accumulate(a.grad, (g * scale[:, None])[keys])
+
+    return _result(out, (a,), backward)
 
 
 def take_rows(a, ids: Iterable[int]) -> Tensor:

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from . import autodiff as ad
 
@@ -93,19 +94,25 @@ def init_mlp(spec: MlpSpec, rng: SeededRng, prefix: str = "") -> dict[str, np.nd
 
 
 def mlp_forward(spec: MlpSpec, params: dict, x, prefix: str = "") -> ad.Tensor:
-    """Run the MLP; `params` values may be ndarrays (inference) or Tensors."""
-    h = ad.as_tensor(x)
-    if h.data.ndim == 1:
-        h = ad.reshape(h, (1, -1))
-    if h.data.shape[-1] != spec.layer_widths[0]:
+    """Run the MLP; `params` values may be ndarrays (inference) or Tensors.
+
+    A scipy sparse `x` is a constant whose first layer costs O(nonzeros).
+    """
+    if sparse.issparse(x):
+        h = x
+    else:
+        h = ad.as_tensor(x)
+        if h.data.ndim == 1:
+            h = ad.reshape(h, (1, -1))
+    if h.shape[-1] != spec.layer_widths[0]:
         raise ValueError(
-            f"input width {h.data.shape[-1]} != first layer width {spec.layer_widths[0]}"
+            f"input width {h.shape[-1]} != first layer width {spec.layer_widths[0]}"
         )
     act = _ACTIVATIONS[spec.activation]
     for i in range(spec.n_layers):
         w = ad.as_tensor(params[f"{prefix}W{i}"])
         b = ad.as_tensor(params[f"{prefix}b{i}"])
-        h = ad.matmul(h, w) + b
+        h = (ad.csr_matmul(h, w) if sparse.issparse(h) else ad.matmul(h, w)) + b
         if i < spec.n_layers - 1:
             h = act(h)
     if spec.output_activation == "softmax":

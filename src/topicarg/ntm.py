@@ -109,21 +109,24 @@ def _total_counts(corpus_bows) -> np.ndarray:
     return arr.sum(axis=0)
 
 
-def normalize_bow(v: np.ndarray) -> np.ndarray:
-    """Counts scaled to sum 1 per row; all-zero rows stay zero."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        total = v.sum()
-        return v / total if total > 0 else v.copy()
-    totals = v.sum(axis=1, keepdims=True)
-    return np.divide(v, np.where(totals > 0, totals, 1.0))
+def normalize_bow(counts) -> sparse.csr_matrix:
+    """Count rows scaled to sum 1, as a new CSR matrix; all-zero rows stay zero.
+
+    Dense counts (one row or a batch) are converted here, so every caller
+    runs the same sparse first layer.
+    """
+    if not sparse.issparse(counts):
+        counts = np.atleast_2d(counts)
+    x = sparse.csr_matrix(counts, dtype=np.float64, copy=True)
+    totals = np.asarray(x.sum(axis=1), dtype=np.float64).ravel()
+    x.data /= np.repeat(np.where(totals > 0, totals, 1.0), np.diff(x.indptr))
+    return x
 
 
-def infer(ntm: NtmParams, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior (mu, logvar) for one BoW vector or a batch of them."""
-    v = np.asarray(v, dtype=np.float64)
-    squeeze = v.ndim == 1
-    x = normalize_bow(np.atleast_2d(v))
+def infer(ntm: NtmParams, v) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior (mu, logvar) for one BoW vector or a batch (dense or sparse)."""
+    squeeze = not sparse.issparse(v) and np.ndim(v) == 1
+    x = normalize_bow(v)
     if x.shape[1] != ntm.cfg.vocab_size:
         raise ValueError(f"BoW width {x.shape[1]} != vocabulary size {ntm.cfg.vocab_size}")
     mu = mlp_forward(ntm.cfg.mu_spec(), ntm.params, x, prefix="enc_mu.").data
@@ -182,11 +185,16 @@ def elbo_batch_graph(
     leaves: dict[str, ad.Tensor],
     cfg: NtmConfig,
     log_freq: np.ndarray,
-    counts: np.ndarray,
+    counts,
     noise: np.ndarray,
 ) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor]:
-    """Differentiable batch ELBO; returns (recon_sum, kl_sum, z) Tensors."""
-    x = ad.constant(normalize_bow(counts))
+    """Differentiable batch ELBO; returns (recon_sum, kl_sum, z) Tensors.
+
+    `counts` are BoW rows, sparse or dense. Only the reconstruction term
+    reads them as a dense (B, V) block.
+    """
+    counts = sparse.csr_matrix(counts)
+    x = normalize_bow(counts)
     mu = mlp_forward(cfg.mu_spec(), leaves, x, prefix="enc_mu.")
     logvar = mlp_forward(cfg.logvar_spec(), leaves, x, prefix="enc_logvar.")
     std = ad.exp(0.5 * logvar)
@@ -195,7 +203,7 @@ def elbo_batch_graph(
     z = ad.softmax(logits, axis=-1)
     word_logits = ad.matmul(z, leaves["topic_word"]) + ad.constant(log_freq)
     logp = ad.log_softmax(word_logits, axis=-1)
-    recon_sum = -ad.tensor_sum(ad.constant(counts) * logp)
+    recon_sum = -ad.tensor_sum(ad.constant(counts.toarray()) * logp)
     kl_sum = 0.5 * ad.tensor_sum(ad.exp(logvar) + mu * mu - 1.0 - logvar)
     return recon_sum, kl_sum, z
 
@@ -218,11 +226,12 @@ def train_ntm_epoch(
     n = corpus_bows.shape[0]
     if n == 0:
         raise ValueError("empty corpus")
+    bows = sparse.csr_matrix(corpus_bows)
     order = rng.permutation(n)
     sum_recon = sum_kl = sum_mutual = 0.0
     for start in range(0, n, batch_size):
         idx = order[start : start + batch_size]
-        counts = _dense_rows(corpus_bows, idx)
+        counts = bows[idx]
         noise = rng.normal((len(idx), ntm.cfg.latent_dim))
         leaves = ad.lift(ntm.params)
         recon, kl, z = elbo_batch_graph(leaves, ntm.cfg, ntm.log_freq, counts, noise)
@@ -292,17 +301,14 @@ def train_ntm(
 
 
 def infer_topic_distributions(ntm: NtmParams, corpus_bows) -> np.ndarray:
-    """Zero-noise z for every row: the deterministic posterior-mean path."""
-    counts = _dense_rows(corpus_bows, np.arange(corpus_bows.shape[0]))
-    mu, logvar = infer(ntm, counts)
-    sample = LatentSample(mu, logvar, np.zeros_like(mu), softplus_np(mu))
-    return topic_distribution(ntm, sample)
+    """Zero-noise z for every row: the deterministic posterior-mean path.
 
-
-def _dense_rows(corpus_bows, idx) -> np.ndarray:
-    if sparse.issparse(corpus_bows):
-        return np.asarray(corpus_bows[idx].todense(), dtype=np.float64)
-    return np.asarray(corpus_bows, dtype=np.float64)[idx]
+    With no noise z depends on mu alone, so the log-variance encoder is not run.
+    """
+    cfg, params = ntm.cfg, ntm.params
+    mu = mlp_forward(cfg.mu_spec(), params, normalize_bow(corpus_bows), prefix="enc_mu.")
+    logits = mlp_forward(cfg.topic_head_spec(), params, ad.softplus(mu), prefix="topic_head.")
+    return ad.softmax(logits, axis=-1).data
 
 
 def export_topic_word_tsv(ntm: NtmParams, vocab: Vocabulary, path) -> None:

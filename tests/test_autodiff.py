@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy import sparse
+
 from topicarg import autodiff as ad
-from topicarg.nn import SeededRng
+from topicarg.nn import SeededRng, grad_check
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -174,23 +176,85 @@ def test_take_rows_gradient_equals_dense_scatter_bitwise(rows, width, ids, gathe
     batch=st.integers(1, 24),
     n=st.integers(1, 600),
     m=st.integers(1, 300),
-    zero_columns=st.sampled_from(["none", "some", "all"]),
+    zeros=st.sampled_from(["none", "columns", "rows", "all"]),
     seed=st.integers(0, 2**16),
 )
-def test_constant_left_matmul_gradient_equals_dense_bitwise(batch, n, m, zero_columns, seed):
+def test_csr_matmul_gradient_is_row_sparse_over_present_columns(batch, n, m, zeros, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(batch, n))
-    if zero_columns == "some":
+    if zeros in ("columns", "rows"):
         a[:, rng.random(n) < 0.8] = 0.0  # like a bag-of-words batch
-    elif zero_columns == "all":
+    if zeros == "rows":
+        a[rng.random(batch) < 0.5] = 0.0  # empty documents
+    elif zeros == "all":
         a[:] = 0.0
     leaf = ad.Tensor(rng.normal(size=(n, m)))
     upstream = rng.normal(size=(batch, m))
-    out = ad.matmul(ad.constant(a), leaf)
-    assert out.data.tobytes() == (a @ leaf.data).tobytes()
+    out = ad.csr_matmul(sparse.csr_matrix(a), leaf)
+    # sums in another order than BLAS: within 1e-12 of the dense product's scale
+    assert np.all(np.abs(out.data - a @ leaf.data) <= 1e-12 * (np.abs(a) @ np.abs(leaf.data)))
     ad.tensor_sum(out * ad.constant(upstream)).backward()  # out's gradient is upstream
     assert isinstance(leaf.grad, ad.RowSparse)
-    assert np.asarray(leaf.grad).tobytes() == (a.T @ upstream).tobytes()
+    assert np.array_equal(leaf.grad.rows, np.flatnonzero(a.any(axis=0)))
+    dense = a.T @ upstream
+    bound = 1e-12 * (np.abs(a.T) @ np.abs(upstream))
+    assert np.all(np.abs(leaf.grad.values - dense[leaf.grad.rows]) <= bound[leaf.grad.rows])
+    assert np.all(np.asarray(leaf.grad)[~a.any(axis=0)] == 0.0)
+
+
+def test_csr_matmul_rejects_misaligned_shapes():
+    with pytest.raises(ValueError):
+        ad.csr_matmul(sparse.csr_matrix(np.ones((2, 3))), ad.Tensor(np.ones((4, 2))))
+
+
+def pool_matrix(keys, n):
+    """The dense (n, T) mean-pooling matrix segment_mean replaces."""
+    pool = np.zeros((n, len(keys)))
+    for s in range(n):
+        members = np.flatnonzero(keys == s)
+        pool[s, members] = 1.0 / max(members.size, 1)
+    return pool
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    keys=st.lists(st.integers(0, 11), max_size=50).map(sorted),
+    extra=st.integers(0, 3),
+    width=st.integers(1, 7),
+    seed=st.integers(0, 2**16),
+)
+def test_segment_mean_equals_pool_matrix_product(keys, extra, width, seed):
+    keys = np.asarray(keys, dtype=np.int64)
+    n = (int(keys.max()) + 1 if keys.size else 0) + extra  # trailing empty segments
+    rng = np.random.default_rng(seed)
+    rows = ad.Tensor(rng.normal(size=(keys.size, width)))
+    upstream = rng.normal(size=(n, width))
+    pool = pool_matrix(keys, n)
+    out = ad.segment_mean(rows, keys, n)
+    assert out.data.shape == (n, width)
+    bound = 1e-12 * (pool @ np.abs(rows.data))
+    assert np.all(np.abs(out.data - pool @ rows.data) <= bound)
+    assert not out.data[np.bincount(keys, minlength=n) == 0].any()  # empty segments
+    ad.tensor_sum(out * ad.constant(upstream)).backward()
+    assert np.allclose(rows.grad, pool.T @ upstream, rtol=1e-15, atol=0.0)
+
+
+def test_segment_mean_grad_check():
+    keys = np.array([0, 0, 0, 2, 3, 3, 5])
+    params = {"x": RNG.normal((keys.size, 4))}
+    weights = RNG.normal((7, 4))
+
+    def loss(leaves):
+        return ad.tensor_sum(ad.tanh(ad.segment_mean(leaves["x"], keys, 7)) * ad.constant(weights))
+
+    report = grad_check(loss, params, samples=28, rng=SeededRng(5))
+    assert report.passed, report.max_rel_error
+
+
+@pytest.mark.parametrize("keys", [[1, 0], [0, 3], [-1, 0]])
+def test_segment_mean_rejects_bad_keys(keys):
+    with pytest.raises(ValueError):
+        ad.segment_mean(ad.Tensor(np.ones((2, 2))), keys, 3)
 
 
 def test_row_sparse_gradient_only_lands_on_leaves():
