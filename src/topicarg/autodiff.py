@@ -10,7 +10,7 @@ just the rows a batch touches.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -414,8 +414,9 @@ def segment_mean(a, keys, n: int) -> Tensor:
     """Row means of a 2-D tensor per segment: out[s] averages rows with key s.
 
     `keys` are non-decreasing ints in [0, n), one per row of `a`; the cost is
-    linear in the rows. An empty segment gives a zero row. Backward hands each
-    row its segment's gradient scaled by 1/count.
+    linear in the rows. Each segment's rows are summed in order, then scaled
+    by 1/count; an empty segment gives a zero row. Backward hands each row its
+    segment's gradient scaled by 1/count.
     """
     a = as_tensor(a)
     keys = np.asarray(keys, dtype=np.int64)
@@ -424,13 +425,14 @@ def segment_mean(a, keys, n: int) -> Tensor:
     if keys.size and (keys[0] < 0 or keys[-1] >= n or np.any(keys[1:] < keys[:-1])):
         raise ValueError(f"segment keys must be non-decreasing in [0, {n})")
     counts = np.bincount(keys, minlength=n)
-    present = np.flatnonzero(counts)
-    scale = np.zeros(n)
-    scale[present] = 1.0 / counts[present]
-    out = np.zeros((n, a.data.shape[1]))
-    if present.size:
-        starts = np.searchsorted(keys, present)
-        out[present] = np.add.reduceat(a.data, starts, axis=0) * scale[present, None]
+    scale = np.divide(1.0, counts, out=np.zeros(n), where=counts > 0)
+    # row s of this 0/1 matrix selects segment s; CSR sums it sequentially,
+    # several times faster than np.add.reduceat on row blocks
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    select = sparse.csr_matrix(
+        (np.ones(keys.size), np.arange(keys.size), indptr), shape=(n, keys.size)
+    )
+    out = np.asarray(select @ a.data) * scale[:, None]
 
     def backward(g):
         if a.requires_grad:
@@ -439,10 +441,10 @@ def segment_mean(a, keys, n: int) -> Tensor:
     return _result(out, (a,), backward)
 
 
-def take_rows(a, ids: Iterable[int]) -> Tensor:
+def take_rows(a, ids: Sequence[int] | np.ndarray) -> Tensor:
     """Gather rows of a 2-D tensor; backward scatter-adds (embedding lookup)."""
     a = as_tensor(a)
-    idx = np.asarray(list(ids), dtype=np.int64)
+    idx = np.asarray(ids, dtype=np.int64)
     if a.data.ndim != 2:
         raise ValueError("take_rows expects a 2-D tensor")
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):

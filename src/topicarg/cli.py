@@ -258,11 +258,8 @@ def cmd_train(args) -> int:
     test_inputs = mutual_mod.build_inputs(
         split.test, result.topics_by_target, enc_vocab, cfg.max_len, cfg.use_topics
     )
-    preds = encoder_mod.predict(result.enc, test_inputs)
-    probs = [
-        encoder_mod.classify(result.enc, encoder_mod.encode(result.enc, x)).probabilities
-        for x in test_inputs
-    ]
+    probs = encoder_mod.predict_proba(result.enc, test_inputs)
+    preds = encoder_mod.labels_of(probs)
     encoder_mod.write_predictions(out / "predictions.tsv", split.test, preds, probs)
     report = evaluate_mod.metric_report(
         evaluate_mod.confusion([ex.label for ex in split.test], preds)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import LABELS, Vocabulary, tokenize
-from .nn import MlpSpec, SeededRng, init_mlp, mlp_forward, softmax
+from .nn import MlpSpec, SeededRng, init_mlp, mlp_forward
 from .topics import ExtractedTopics
 
 CLS, SEP, UNK = "<cls>", "<sep>", "<unk>"
@@ -55,12 +55,6 @@ class EncoderInput:
     @property
     def n_segments(self) -> int:
         return len(set(self.segment_ids))
-
-
-@dataclass
-class ClassPrediction:
-    probabilities: np.ndarray  # (3,) over (support, oppose, none)
-    predicted: str
 
 
 class EncoderParams:
@@ -154,36 +148,10 @@ def init_encoder(cfg: EncoderConfig, rng: SeededRng) -> EncoderParams:
     return EncoderParams(cfg, params)
 
 
-def encode_graph(params: dict, cfg: EncoderConfig, enc_input: EncoderInput) -> ad.Tensor:
-    """Differentiable encode: returns h as a (1, d_h) Tensor."""
-    ids = np.asarray(enc_input.token_ids, dtype=np.int64)
-    if ids.size and ids.max() >= cfg.vocab_size:
-        raise IndexError(f"token id {ids.max()} outside embedding range")
-    segs = np.asarray(enc_input.segment_ids, dtype=np.int64)
-    pools = []
-    for seg in range(len(SEGMENTS)):
-        members = np.flatnonzero(segs == seg)
-        if members.size == 0:
-            pools.append(ad.constant(np.zeros((1, cfg.emb_dim))))
-            continue
-        rows = ad.take_rows(params["word_emb"], ids[members]) + ad.take_rows(
-            params["seg_emb"], np.full(members.size, seg)
-        )
-        pools.append(ad.tensor_mean(rows, axis=0, keepdims=True))
-    pooled = ad.concat(pools, axis=1)
-    return mlp_forward(cfg.body_spec(), params, pooled, prefix="body.")
-
-
-def encode(params: EncoderParams, enc_input: EncoderInput) -> np.ndarray:
-    """The semantic vector h for one input (deterministic)."""
-    return encode_graph(params.params, params.cfg, enc_input).data[0]
-
-
 def encode_batch_graph(params: dict, cfg: EncoderConfig, inputs) -> ad.Tensor:
-    """Batched encode: one embedding gather plus a pooling matmul.
+    """Batched encode: one embedding gather, then one mean per (input, segment).
 
-    Matches stacked encode_graph outputs up to float rounding (mean pooling
-    expressed as a matrix product); returns (B, d_h).
+    Pooling costs O(tokens); an absent segment pools to zeros. Returns (B, d_h).
     """
     if not inputs:
         raise ValueError("encode_batch_graph needs at least one input")
@@ -192,17 +160,13 @@ def encode_batch_graph(params: dict, cfg: EncoderConfig, inputs) -> ad.Tensor:
         raise IndexError(f"token id {ids.max()} outside embedding range")
     segs = np.concatenate([np.asarray(x.segment_ids, dtype=np.int64) for x in inputs])
     n_seg = len(SEGMENTS)
-    pool = np.zeros((len(inputs) * n_seg, ids.size))
-    offset = 0
-    for i, x in enumerate(inputs):
-        local = np.asarray(x.segment_ids)
-        for s in range(n_seg):
-            members = np.flatnonzero(local == s) + offset
-            if members.size:
-                pool[i * n_seg + s, members] = 1.0 / members.size
-        offset += len(x.token_ids)
-    rows = ad.take_rows(params["word_emb"], ids) + ad.take_rows(params["seg_emb"], segs)
-    pooled = ad.matmul(ad.constant(pool), rows)  # (B*3, emb_dim)
+    lengths = [len(x.token_ids) for x in inputs]
+    keys = np.repeat(np.arange(len(inputs)) * n_seg, lengths) + segs
+    order = np.argsort(keys, kind="stable")  # the identity for build_input's layout
+    rows = ad.take_rows(params["word_emb"], ids[order]) + ad.take_rows(
+        params["seg_emb"], segs[order]
+    )
+    pooled = ad.segment_mean(rows, keys[order], len(inputs) * n_seg)  # (B*3, emb_dim)
     stacked = ad.reshape(pooled, (len(inputs), n_seg * cfg.emb_dim))
     return mlp_forward(cfg.body_spec(), params, stacked, prefix="body.")
 
@@ -215,14 +179,25 @@ def classify_graph(params: dict, cfg: EncoderConfig, h: ad.Tensor) -> ad.Tensor:
     return ad.softmax(mlp_forward(cfg.classifier_spec(), params, h, prefix="cls."), axis=-1)
 
 
-def classify(params: EncoderParams, h: np.ndarray) -> ClassPrediction:
-    """Softmax over three logits; ties broken by label order (support first)."""
-    probs = classify_graph(params.params, params.cfg, ad.constant(np.atleast_2d(h))).data[0]
-    return ClassPrediction(probabilities=probs, predicted=LABELS[int(np.argmax(probs))])
+def predict_proba(params: EncoderParams, inputs, chunk: int = 256) -> np.ndarray:
+    """(N, 3) class probabilities over LABELS, encoding `chunk` inputs at a time."""
+    parts = [
+        classify_graph(
+            params.params, params.cfg,
+            encode_batch_graph(params.params, params.cfg, inputs[i : i + chunk]),
+        ).data
+        for i in range(0, len(inputs), chunk)
+    ]
+    return np.concatenate(parts) if parts else np.zeros((0, params.cfg.num_classes))
+
+
+def labels_of(probabilities: np.ndarray) -> list[str]:
+    """Argmax label per row; ties broken by label order (support first)."""
+    return [LABELS[i] for i in np.argmax(probabilities, axis=1)]
 
 
 def predict(params: EncoderParams, inputs) -> list[str]:
-    return [classify(params, encode(params, x)).predicted for x in inputs]
+    return labels_of(predict_proba(params, inputs))
 
 
 def vocabulary_rows(enc_vocab: Vocabulary, vocab: Vocabulary) -> np.ndarray:

@@ -1,30 +1,71 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from synthdata import stance_corpus
 from topicarg import autodiff as ad
-from topicarg.corpus import build_vocabulary
+from topicarg.corpus import LABELS, build_vocabulary
 from topicarg.encoder import (
     CLS,
+    SEGMENTS,
     SEP,
     UNK,
     EncoderConfig,
     EncoderInput,
     build_encoder_vocab,
     build_input,
-    classify,
     classify_graph,
-    encode,
     encode_batch,
     encode_batch_graph,
-    encode_graph,
     init_encoder,
+    labels_of,
     predict,
+    predict_proba,
     vocabulary_rows,
     write_predictions,
 )
-from topicarg.nn import EPS, SeededRng, grad_check
+from topicarg.nn import EPS, SeededRng, grad_check, mlp_forward
 from topicarg.topics import EmbeddingTable, ExtractedTopics
+
+
+# Per-example oracles: one input at a time, each segment pooled by its own mean.
+def encode_graph(params: dict, cfg: EncoderConfig, enc_input: EncoderInput) -> ad.Tensor:
+    """Differentiable encode of one input: h as a (1, d_h) Tensor."""
+    ids = np.asarray(enc_input.token_ids, dtype=np.int64)
+    if ids.size and ids.max() >= cfg.vocab_size:
+        raise IndexError(f"token id {ids.max()} outside embedding range")
+    segs = np.asarray(enc_input.segment_ids, dtype=np.int64)
+    pools = []
+    for seg in range(len(SEGMENTS)):
+        members = np.flatnonzero(segs == seg)
+        if members.size == 0:
+            pools.append(ad.constant(np.zeros((1, cfg.emb_dim))))
+            continue
+        rows = ad.take_rows(params["word_emb"], ids[members]) + ad.take_rows(
+            params["seg_emb"], np.full(members.size, seg)
+        )
+        pools.append(ad.tensor_mean(rows, axis=0, keepdims=True))
+    pooled = ad.concat(pools, axis=1)
+    return mlp_forward(cfg.body_spec(), params, pooled, prefix="body.")
+
+
+def encode(params, enc_input: EncoderInput) -> np.ndarray:
+    return encode_graph(params.params, params.cfg, enc_input).data[0]
+
+
+@dataclass
+class ClassPrediction:
+    probabilities: np.ndarray  # (3,) over (support, oppose, none)
+    predicted: str
+
+
+def classify(params, h: np.ndarray) -> ClassPrediction:
+    """Softmax over three logits; ties broken by label order (support first)."""
+    probs = classify_graph(params.params, params.cfg, ad.constant(np.atleast_2d(h))).data[0]
+    return ClassPrediction(probabilities=probs, predicted=LABELS[int(np.argmax(probs))])
 
 
 @pytest.fixture
@@ -209,6 +250,40 @@ def test_vocabulary_rows_refuses_a_missing_ntm_word():
         vocabulary_rows(enc_vocab, ntm_vocab)
 
 
+# the fixtures are only read, so sharing them across examples is safe
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(0, 40),
+    chunk=st.integers(1, 17),
+    with_topics=st.lists(st.booleans(), min_size=40, max_size=40),
+    seed=st.integers(0, 2**16),
+)
+def test_batched_prediction_matches_per_example_oracle(enc, enc_vocab, n, chunk, with_topics, seed):
+    rng = np.random.default_rng(seed)
+    words = enc_vocab.id_to_word[3:]
+    inputs = [
+        build_input(
+            list(rng.choice(words, rng.integers(0, 12))),
+            list(rng.choice(words, rng.integers(1, 3))),
+            topics_of(*rng.choice(words, 2)) if with_topics[i] else None,
+            enc_vocab,
+            32,
+        )
+        for i in range(n)
+    ]
+    probs = predict_proba(enc, inputs, chunk=chunk)
+    oracle = [classify(enc, encode(enc, x)) for x in inputs]
+    assert probs.shape == (n, 3)
+    assert np.all(np.abs(probs - np.array([o.probabilities for o in oracle]).reshape(n, 3)) <= 1e-12)
+    assert predict(enc, inputs) == [o.predicted for o in oracle]
+
+
+def test_labels_break_ties_by_label_order():
+    assert labels_of(np.array([[0.4, 0.4, 0.2], [0.3, 0.35, 0.35], [1 / 3] * 3])) == [
+        "support", "oppose", "support"
+    ]
+
+
 def test_predict_and_prediction_tsv(tmp_path, enc, enc_vocab):
     from topicarg.corpus import examples_from_records
 
@@ -219,7 +294,7 @@ def test_predict_and_prediction_tsv(tmp_path, enc, enc_vocab):
     ]
     preds = predict(enc, inputs)
     assert len(preds) == 6
-    probs = [classify(enc, encode(enc, x)).probabilities for x in inputs]
+    probs = predict_proba(enc, inputs)
     path = tmp_path / "preds.tsv"
     write_predictions(path, examples, preds, probs)
     lines = path.read_text().strip().split("\n")
