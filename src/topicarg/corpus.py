@@ -230,16 +230,6 @@ def build_vocabulary(records, max_size: int, stopwords=None) -> Vocabulary:
     )
 
 
-def vectorize(tokens, vocab: Vocabulary) -> np.ndarray:
-    """Bag-of-words counts over the vocabulary; OOV tokens are ignored."""
-    counts = np.zeros(vocab.size, dtype=np.int64)
-    for t in tokens:
-        idx = vocab.index_of.get(t)
-        if idx is not None:
-            counts[idx] += 1
-    return counts
-
-
 def vectorize_all(token_seqs, vocab: Vocabulary) -> sparse.csr_matrix:
     """Stack BoW vectors for many token sequences as a CSR matrix.
 
@@ -280,8 +270,9 @@ def make_in_target_folds(examples, k: int, seed: int) -> list[DatasetSplit]:
     for i in range(k):
         test_idx = folds[i]
         val_idx = folds[(i + 1) % k]
-        rest = set(test_idx) | set(val_idx)
-        train_idx = [j for j in order if j not in rest]
+        held = np.zeros(n, dtype=bool)
+        held[test_idx] = held[val_idx] = True
+        train_idx = order[~held[order]]
         splits.append(
             DatasetSplit(
                 train=[examples[j] for j in train_idx],

@@ -16,7 +16,7 @@ from scipy import sparse
 
 from . import autodiff as ad
 from .corpus import Vocabulary
-from .nn import MlpSpec, SeededRng, gaussian_kl, init_mlp, mlp_forward, softmax, softplus_np
+from .nn import MlpSpec, SeededRng, init_mlp, mlp_forward
 from .optim import OptimizerState, adam, optimizer_step
 
 
@@ -35,21 +35,6 @@ class NtmConfig:
 
     def topic_head_spec(self) -> MlpSpec:
         return MlpSpec((self.latent_dim, self.num_topics))
-
-
-@dataclass
-class LatentSample:
-    mu: np.ndarray
-    logvar: np.ndarray
-    noise: np.ndarray
-    theta_hat: np.ndarray
-
-
-@dataclass
-class ElboParts:
-    total: float
-    reconstruction: float
-    kl: float
 
 
 @dataclass
@@ -134,51 +119,6 @@ def infer(ntm: NtmParams, v) -> tuple[np.ndarray, np.ndarray]:
     if squeeze:
         return mu[0], logvar[0]
     return mu, logvar
-
-
-def reparameterize(mu: np.ndarray, logvar: np.ndarray, rng: SeededRng) -> LatentSample:
-    """theta_hat = softplus(mu + exp(logvar/2) * noise), noise ~ N(0, I)."""
-    mu = np.asarray(mu, dtype=np.float64)
-    logvar = np.asarray(logvar, dtype=np.float64)
-    if mu.shape != logvar.shape:
-        raise ValueError(f"shape mismatch: {mu.shape} vs {logvar.shape}")
-    noise = rng.normal(mu.shape)
-    theta_hat = softplus_np(mu + np.exp(0.5 * logvar) * noise)
-    return LatentSample(mu=mu, logvar=logvar, noise=noise, theta_hat=theta_hat)
-
-
-def topic_distribution(ntm: NtmParams, sample: LatentSample) -> np.ndarray:
-    """Softmax over the topic head's logits; a valid length-K distribution."""
-    theta = np.atleast_2d(sample.theta_hat)
-    logits = mlp_forward(ntm.cfg.topic_head_spec(), ntm.params, theta, prefix="topic_head.").data
-    z = softmax(logits, axis=-1)
-    return z[0] if sample.theta_hat.ndim == 1 else z
-
-
-def decode(ntm: NtmParams, z: np.ndarray) -> np.ndarray:
-    """Log word probabilities log_softmax(m + z @ T)."""
-    z = np.asarray(z, dtype=np.float64)
-    logits = ntm.log_freq + np.atleast_2d(z) @ ntm.topic_word
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return logp[0] if z.ndim == 1 else logp
-
-
-def elbo_loss(ntm: NtmParams, v: np.ndarray, rng: SeededRng, num_samples: int = 1) -> ElboParts:
-    """Per-sentence negative ELBO, Monte Carlo averaged over `num_samples`."""
-    if num_samples < 1:
-        raise ValueError("need at least one Monte Carlo sample")
-    v = np.asarray(v, dtype=np.float64)
-    mu, logvar = infer(ntm, v)
-    recon = 0.0
-    for _ in range(num_samples):
-        sample = reparameterize(mu, logvar, rng)
-        z = topic_distribution(ntm, sample)
-        logp = decode(ntm, z)
-        recon -= float(np.dot(v, logp))
-    recon /= num_samples
-    kl = gaussian_kl(mu, logvar)
-    return ElboParts(total=recon + kl, reconstruction=recon, kl=kl)
 
 
 def elbo_batch_graph(

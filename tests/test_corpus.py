@@ -12,6 +12,7 @@ from synthdata import stance_corpus, write_tsv
 from topicarg.corpus import (
     ANNOTATION_TO_LABEL,
     CorpusFormatError,
+    DatasetSplit,
     RawRecord,
     Vocabulary,
     build_vocabulary,
@@ -22,9 +23,9 @@ from topicarg.corpus import (
     make_in_target_folds,
     target_counts,
     tokenize,
-    vectorize,
     vectorize_all,
 )
+from topicarg.nn import SeededRng
 from topicarg.stopwords import DEFAULT_STOPWORDS
 
 _REFERENCE_PUNCT_RE = re.compile(r"[^\w\s]", flags=re.UNICODE)
@@ -255,6 +256,36 @@ class TestVocabulary:
         assert again.document_frequency == vocab.document_frequency
 
 
+def vectorize(tokens, vocab: Vocabulary) -> np.ndarray:
+    """Oracle: bag-of-words counts over the vocabulary; OOV tokens are ignored."""
+    counts = np.zeros(vocab.size, dtype=np.int64)
+    for t in tokens:
+        idx = vocab.index_of.get(t)
+        if idx is not None:
+            counts[idx] += 1
+    return counts
+
+
+def reference_in_target_folds(examples, k, seed):
+    """Oracle: the set-membership fold assembly `make_in_target_folds` replaced."""
+    order = SeededRng(seed).permutation(len(examples))
+    folds = np.array_split(order, k)
+    splits = []
+    for i in range(k):
+        test_idx = folds[i]
+        val_idx = folds[(i + 1) % k]
+        rest = set(test_idx) | set(val_idx)
+        train_idx = [j for j in order if j not in rest]
+        splits.append(
+            DatasetSplit(
+                train=[examples[j] for j in train_idx],
+                val=[examples[j] for j in val_idx],
+                test=[examples[j] for j in test_idx],
+            )
+        )
+    return splits
+
+
 class TestVectorize:
     def test_counts(self, tiny_vocab):
         counts = vectorize(["w0", "w1", "w0"], tiny_vocab)
@@ -323,6 +354,15 @@ class TestInTargetFolds:
             make_in_target_folds(examples, k=10, seed=0)
         with pytest.raises(ValueError):
             make_in_target_folds(examples, k=1, seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 120), k=st.integers(3, 12), seed=st.integers(0, 2**16))
+    def test_equals_set_membership_oracle(self, n, k, seed):
+        k = min(k, n)
+        examples = self._examples(n)
+        assert make_in_target_folds(examples, k, seed) == reference_in_target_folds(
+            examples, k, seed
+        )
 
     def test_two_folds_rejected_for_an_empty_train_set(self):
         with pytest.raises(ValueError, match="k must be >= 3 .*training fold"):

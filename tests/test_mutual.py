@@ -546,3 +546,25 @@ def test_row_sparse_gradients_train_as_their_dense_form(monkeypatch, tmp_path):
     for k in sparse:
         assert sparse[k].tobytes() == dense[k].tobytes(), k
     assert (tmp_path / "sparse.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+
+def test_train_alternating_twice_gives_identical_bytes(tmp_path):
+    schedule = TrainSchedule(
+        max_iterations=2, ntm_epochs=1, classifier_epochs=1, batch_size=8,
+        seed=21, patience=0,
+    )
+
+    def run(tag):
+        ntm, enc, data = _training_setup(gamma=0.1)
+        result = train_alternating(
+            ntm, enc, data, schedule, gamma=0.1,
+            lr_ntm=2e-3, lr_classifier=1e-3, n_top_terms=4, ratio_p=0.5, max_len=64,
+        )
+        history_to_csv(result.history, tmp_path / f"{tag}.csv")
+        return {**ntm.params, **enc.params, **result.proj_params}
+
+    first, second = run("first"), run("second")
+    assert first.keys() == second.keys()
+    for k in first:
+        assert first[k].tobytes() == second[k].tobytes(), k
+    assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()

@@ -1,27 +1,93 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from synthdata import planted_topic_corpus
 from topicarg import autodiff as ad
-from topicarg.nn import SeededRng, grad_check, softmax, softplus_np
+from topicarg.nn import SeededRng, gaussian_kl, grad_check, mlp_forward, softmax, softplus_np
 from topicarg.ntm import (
-    LatentSample,
     NtmConfig,
     NtmParams,
     compute_log_freq,
-    decode,
     elbo_batch_graph,
-    elbo_loss,
     infer,
     infer_topic_distributions,
     init_ntm,
-    reparameterize,
-    topic_distribution,
     train_ntm_epoch,
 )
 from topicarg.optim import adam
+
+
+# Array-level oracles: the VAE restated in numpy, one sentence or a batch.
+@dataclass
+class LatentSample:
+    mu: np.ndarray
+    logvar: np.ndarray
+    noise: np.ndarray
+    theta_hat: np.ndarray
+
+
+@dataclass
+class ElboParts:
+    total: float
+    reconstruction: float
+    kl: float
+
+
+def reparameterize(mu, logvar, rng: SeededRng) -> LatentSample:
+    """theta_hat = softplus(mu + exp(logvar/2) * noise), noise ~ N(0, I)."""
+    mu = np.asarray(mu, dtype=np.float64)
+    logvar = np.asarray(logvar, dtype=np.float64)
+    if mu.shape != logvar.shape:
+        raise ValueError(f"shape mismatch: {mu.shape} vs {logvar.shape}")
+    noise = rng.normal(mu.shape)
+    theta_hat = softplus_np(mu + np.exp(0.5 * logvar) * noise)
+    return LatentSample(mu=mu, logvar=logvar, noise=noise, theta_hat=theta_hat)
+
+
+def topic_distribution(ntm: NtmParams, sample: LatentSample) -> np.ndarray:
+    """Softmax over the topic head's logits; a valid length-K distribution."""
+    theta = np.atleast_2d(sample.theta_hat)
+    logits = mlp_forward(ntm.cfg.topic_head_spec(), ntm.params, theta, prefix="topic_head.").data
+    z = softmax(logits, axis=-1)
+    return z[0] if sample.theta_hat.ndim == 1 else z
+
+
+def decode(ntm: NtmParams, z) -> np.ndarray:
+    """Log word probabilities log_softmax(m + z @ T)."""
+    z = np.asarray(z, dtype=np.float64)
+    logits = ntm.log_freq + np.atleast_2d(z) @ ntm.topic_word
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return logp[0] if z.ndim == 1 else logp
+
+
+def elbo_loss(ntm: NtmParams, v, rng: SeededRng, num_samples: int = 1) -> ElboParts:
+    """Per-sentence negative ELBO, Monte Carlo averaged over `num_samples`."""
+    if num_samples < 1:
+        raise ValueError("need at least one Monte Carlo sample")
+    v = np.asarray(v, dtype=np.float64)
+    mu, logvar = infer(ntm, v)
+    recon = 0.0
+    for _ in range(num_samples):
+        z = topic_distribution(ntm, reparameterize(mu, logvar, rng))
+        recon -= float(np.dot(v, decode(ntm, z)))
+    recon /= num_samples
+    kl = gaussian_kl(mu, logvar)
+    return ElboParts(total=recon + kl, reconstruction=recon, kl=kl)
+
+
+def dense_topic_distributions(ntm: NtmParams, counts) -> np.ndarray:
+    """Zero-noise z with a dense first layer: rows normalized, then x @ W0 by BLAS."""
+    totals = counts.sum(axis=1, keepdims=True)
+    x = counts / np.where(totals > 0, totals, 1.0)
+    mu = mlp_forward(ntm.cfg.mu_spec(), ntm.params, x, prefix="enc_mu.").data
+    return topic_distribution(ntm, LatentSample(mu, mu, np.zeros_like(mu), softplus_np(mu)))
 
 
 def small_ntm(vocab_size=20, num_topics=3, latent_dim=5, hidden_dim=8, seed=0):
@@ -277,6 +343,22 @@ class TestInferTopicDistributions:
         assert z1.shape == (9, 3)
         assert np.allclose(z1.sum(axis=1), 1.0, atol=1e-6)
         assert np.array_equal(z1, z2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 24),
+        density=st.floats(0.0, 1.0),
+        as_sparse=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sparse_first_layer_matches_dense(self, rows, density, as_sparse, seed):
+        ntm = small_ntm(seed=seed % 7)
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 5, (rows, 20)) * (rng.random((rows, 20)) < density)
+        bows = sparse.csr_matrix(counts) if as_sparse else counts
+        z = infer_topic_distributions(ntm, bows)
+        # empty rows included: they see only the biases on both paths
+        assert np.abs(z - dense_topic_distributions(ntm, counts.astype(float))).max() <= 1e-12
 
 
 def test_topic_word_shape_validation():
