@@ -87,7 +87,8 @@ def dense_topic_distributions(ntm: NtmParams, counts) -> np.ndarray:
     totals = counts.sum(axis=1, keepdims=True)
     x = counts / np.where(totals > 0, totals, 1.0)
     mu = mlp_forward(ntm.cfg.mu_spec(), ntm.params, x, prefix="enc_mu.").data
-    return topic_distribution(ntm, LatentSample(mu, mu, np.zeros_like(mu), softplus_np(mu)))
+    zeros = np.zeros_like(mu)
+    return topic_distribution(ntm, LatentSample(mu, zeros, zeros, softplus_np(mu)))
 
 
 def small_ntm(vocab_size=20, num_topics=3, latent_dim=5, hidden_dim=8, seed=0):
