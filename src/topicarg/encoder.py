@@ -175,20 +175,26 @@ def encode_batch(params: EncoderParams, inputs) -> np.ndarray:
     return encode_batch_graph(params.params, params.cfg, inputs).data
 
 
+ENCODE_CHUNK = 256  # inputs per encode_batch call in encode_all
+
+
+def encode_all(params: EncoderParams, inputs) -> np.ndarray:
+    """(N, d_h) semantic vectors, encoding ENCODE_CHUNK inputs at a time."""
+    parts = [
+        encode_batch(params, inputs[i : i + ENCODE_CHUNK])
+        for i in range(0, len(inputs), ENCODE_CHUNK)
+    ]
+    return np.concatenate(parts) if parts else np.zeros((0, params.cfg.output_dim))
+
+
 def classify_graph(params: dict, cfg: EncoderConfig, h: ad.Tensor) -> ad.Tensor:
     return ad.softmax(mlp_forward(cfg.classifier_spec(), params, h, prefix="cls."), axis=-1)
 
 
-def predict_proba(params: EncoderParams, inputs, chunk: int = 256) -> np.ndarray:
-    """(N, 3) class probabilities over LABELS, encoding `chunk` inputs at a time."""
-    parts = [
-        classify_graph(
-            params.params, params.cfg,
-            encode_batch_graph(params.params, params.cfg, inputs[i : i + chunk]),
-        ).data
-        for i in range(0, len(inputs), chunk)
-    ]
-    return np.concatenate(parts) if parts else np.zeros((0, params.cfg.num_classes))
+def predict_proba(params: EncoderParams, inputs) -> np.ndarray:
+    """(N, 3) class probabilities over LABELS."""
+    h = ad.constant(encode_all(params, inputs))
+    return classify_graph(params.params, params.cfg, h).data
 
 
 def labels_of(probabilities: np.ndarray) -> list[str]:

@@ -18,10 +18,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import ArgumentExample, DatasetSplit, Vocabulary, tokenize
-from .encoder import (
+from .encoder import (  # perfbench/tracing.py patches _encode_all and encode_batch by name here
     EncoderParams,
     build_input,
     classify_graph,
+    encode_all as _encode_all,
     encode_batch,
     encode_batch_graph,
     predict,
@@ -454,13 +455,6 @@ def train_alternating(
         ntm_steps=opt_ntm.step_count,
         classifier_steps=opt_cls.step_count,
     )
-
-
-def _encode_all(enc: EncoderParams, inputs, chunk: int = 256) -> np.ndarray:
-    parts = [
-        encode_batch(enc, inputs[i : i + chunk]) for i in range(0, len(inputs), chunk)
-    ]
-    return np.concatenate(parts, axis=0)
 
 
 def history_to_csv(history: list[HistoryRow], path) -> None:

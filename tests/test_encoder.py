@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from synthdata import stance_corpus
 from topicarg import autodiff as ad
+from topicarg import encoder as encoder_mod
 from topicarg.corpus import LABELS, build_vocabulary
 from topicarg.encoder import (
     CLS,
@@ -150,15 +151,19 @@ class TestEncode:
         for v in enc.params.values():
             v[...] = 0.0
         enc.params["body.b1"][:] = 0.25
-        a = encode(enc, build_input(["water"], ["river"], None, enc_vocab, 16))
-        b = encode(enc, build_input(["rocket", "metal"], ["ore"], None, enc_vocab, 16))
+        a, b = encode_batch(enc, [
+            build_input(["water"], ["river"], None, enc_vocab, 16),
+            build_input(["rocket", "metal"], ["ore"], None, enc_vocab, 16),
+        ])
         assert np.allclose(a, 0.25)
         assert np.array_equal(a, b)
 
     def test_permutation_within_segment_invariant(self, enc, enc_vocab):
         t = topics_of("fish", "turbine")
-        a = encode(enc, build_input(["water", "flood", "river"], ["dams"], t, enc_vocab, 32))
-        b = encode(enc, build_input(["river", "water", "flood"], ["dams"], t, enc_vocab, 32))
+        a, b = encode_batch(enc, [
+            build_input(["water", "flood", "river"], ["dams"], t, enc_vocab, 32),
+            build_input(["river", "water", "flood"], ["dams"], t, enc_vocab, 32),
+        ])
         assert np.allclose(a, b)
 
     def test_batch_matches_single(self, enc, enc_vocab):
@@ -170,37 +175,41 @@ class TestEncode:
         for i, x in enumerate(inputs):
             assert np.allclose(batch[i], encode(enc, x), atol=1e-12)
 
-    def test_unknown_token_id_rejected(self, enc):
-        bad = EncoderInput((10 ** 6,), (0,))
+    def test_unknown_token_id_rejected(self, enc, enc_vocab):
+        good = build_input(["water"], ["river"], None, enc_vocab, 16)
         with pytest.raises(IndexError):
-            encode(enc, bad)
+            encode_batch(enc, [good, EncoderInput((10 ** 6,), (0,))])
 
     def test_determinism(self, enc, enc_vocab):
         x = build_input(["water"], ["river"], None, enc_vocab, 16)
-        assert np.array_equal(encode(enc, x), encode(enc, x))
+        assert np.array_equal(encode_batch(enc, [x]), encode_batch(enc, [x]))
 
 
 class TestClassify:
-    def test_zero_logits_uniform_and_tie_to_support(self, enc):
+    @pytest.fixture
+    def inputs(self, enc_vocab):
+        return [
+            build_input(["water", "flood"], ["river"], topics_of("fish"), enc_vocab, 16),
+            build_input(["rocket"], ["ore"], None, enc_vocab, 16),
+        ]
+
+    def test_zero_logits_uniform_and_tie_to_support(self, enc, inputs):
         for key in ("cls.W0", "cls.b0"):
             enc.params[key][...] = 0.0
-        pred = classify(enc, np.ones(6))
-        assert np.allclose(pred.probabilities, 1 / 3)
-        assert pred.predicted == "support"
+        assert np.allclose(predict_proba(enc, inputs), 1 / 3)
+        assert predict(enc, inputs) == ["support", "support"]
 
-    def test_dominant_logit(self, enc):
+    def test_dominant_logit(self, enc, inputs):
         enc.params["cls.W0"][...] = 0.0
         enc.params["cls.b0"][:] = [10.0, 0.0, 0.0]
-        pred = classify(enc, np.zeros(6))
-        assert pred.predicted == "support"
-        assert pred.probabilities[0] > 0.99
+        assert predict(enc, inputs) == ["support", "support"]
+        assert np.all(predict_proba(enc, inputs)[:, 0] > 0.99)
 
     def test_valid_distribution_on_random_h(self, enc):
-        rng = SeededRng(3)
-        for _ in range(20):
-            pred = classify(enc, rng.normal(6))
-            assert abs(pred.probabilities.sum() - 1.0) <= 1e-6
-            assert pred.predicted in ("support", "oppose", "none")
+        h = ad.constant(SeededRng(3).normal((20, 6)))
+        probs = classify_graph(enc.params, enc.cfg, h).data
+        assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-6)
+        assert set(labels_of(probs)) <= {"support", "oppose", "none"}
 
 
 class TestGradients:
@@ -258,7 +267,9 @@ def test_vocabulary_rows_refuses_a_missing_ntm_word():
     with_topics=st.lists(st.booleans(), min_size=40, max_size=40),
     seed=st.integers(0, 2**16),
 )
-def test_batched_prediction_matches_per_example_oracle(enc, enc_vocab, n, chunk, with_topics, seed):
+def test_batched_prediction_matches_per_example_oracle(
+    enc, enc_vocab, monkeypatch, n, chunk, with_topics, seed
+):
     rng = np.random.default_rng(seed)
     words = enc_vocab.id_to_word[3:]
     inputs = [
@@ -271,11 +282,14 @@ def test_batched_prediction_matches_per_example_oracle(enc, enc_vocab, n, chunk,
         )
         for i in range(n)
     ]
-    probs = predict_proba(enc, inputs, chunk=chunk)
+    with monkeypatch.context() as m:
+        m.setattr(encoder_mod, "ENCODE_CHUNK", chunk)  # small chunks cross boundaries
+        probs = predict_proba(enc, inputs)
+        labels = predict(enc, inputs)
     oracle = [classify(enc, encode(enc, x)) for x in inputs]
     assert probs.shape == (n, 3)
     assert np.all(np.abs(probs - np.array([o.probabilities for o in oracle]).reshape(n, 3)) <= 1e-12)
-    assert predict(enc, inputs) == [o.predicted for o in oracle]
+    assert labels == [o.predicted for o in oracle]
 
 
 def test_labels_break_ties_by_label_order():
