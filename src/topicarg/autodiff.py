@@ -453,11 +453,16 @@ def take_rows(a, ids: Sequence[int] | np.ndarray) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            # per row, the same additions in the same order as a dense scatter
-            rows, inverse = np.unique(idx, return_inverse=True)
-            values = np.zeros((rows.size, a.data.shape[1]))
-            np.add.at(values, inverse, g)
-            grad = RowSparse(rows, values, a.data.shape)
+            # row r of this 0/1 matrix selects the positions of id rows[r] in
+            # ascending order, so CSR sums each row from 0.0 in the order a
+            # dense scatter-add would
+            order = np.argsort(idx, kind="stable")
+            rows, counts = np.unique(idx, return_counts=True)
+            indptr = np.concatenate(([0], np.cumsum(counts)))
+            select = sparse.csr_matrix(
+                (np.ones(idx.size), order, indptr), shape=(rows.size, idx.size)
+            )
+            grad = RowSparse(rows, np.asarray(select @ g), a.data.shape)
             a.grad = _accumulate(a.grad, grad if _is_leaf(a) else np.asarray(grad))
 
     return _result(out, (a,), backward)

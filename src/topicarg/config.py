@@ -48,6 +48,9 @@ class RunConfig:
             raise ValueError("ratio_p must be in (0, 1)")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
+        for name in ("lr_ntm", "lr_classifier"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"config field {name} must be > 0")
 
 
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}

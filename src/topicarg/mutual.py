@@ -29,7 +29,7 @@ from .encoder import (  # perfbench/tracing.py patches _encode_all and encode_ba
     vocabulary_rows,
 )
 from .evaluate import confusion, metric_report
-from .nn import EPS, MlpSpec, SeededRng, init_mlp, kl_categorical, mlp_forward, softmax
+from .nn import EPS, MlpSpec, SeededRng, init_mlp, mlp_forward, softmax
 from .ntm import NtmParams, infer_topic_distributions, train_ntm_epoch
 from .optim import adam, adamw, OptimizerState, optimizer_step
 from .topics import (
@@ -46,19 +46,6 @@ logger = logging.getLogger(__name__)
 # Guard for the harmonic denominator in the differentiable path; invisible in
 # float64 unless both KLs are essentially zero.
 _HARMONIC_GUARD = 1e-30
-
-
-@dataclass
-class MutualLossConfig:
-    gamma: float = 0.1
-    direction_epsilon: float = EPS
-    loss_form: str = "one_minus_O"
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.loss_form != "one_minus_O":
-            raise ValueError(f"unsupported loss form {self.loss_form!r}")
 
 
 @dataclass
@@ -95,31 +82,6 @@ def project_to_topic(proj_params: dict, h: np.ndarray) -> np.ndarray:
     return u[0] if h.ndim == 1 else u
 
 
-def similarity_O(u: np.ndarray, z: np.ndarray) -> float:
-    """Harmonic-KL similarity: 1 / (1 + A*B/(A+B)); 1 exactly when A=B=0."""
-    # floored KLs can dip a hair below zero; treat them as zero
-    a = max(kl_categorical(u, z), 0.0)
-    b = max(kl_categorical(z, u), 0.0)
-    if a + b == 0.0:
-        return 1.0
-    return 1.0 / (1.0 + a * b / (a + b))
-
-
-def mutual_loss(pairs, config: MutualLossConfig | None = None) -> float:
-    """Sum of (1 - O(u, z)) over the pairs; zero iff every pair matches."""
-    if not pairs:
-        raise ValueError("mutual_loss needs at least one (u, z) pair")
-    return float(sum(1.0 - similarity_O(u, z) for u, z in pairs))
-
-
-def loss_topic_side(elbo_total: float, l_m: float, gamma: float) -> float:
-    return gamma * l_m + elbo_total
-
-
-def loss_classifier_side(ce_sum: float, l_m: float, gamma: float) -> float:
-    return gamma * l_m + ce_sum
-
-
 def _kl_rows_graph(p, q) -> ad.Tensor:
     """Row-wise floored KL between (B, K) distributions; returns (B,)."""
     p = ad.as_tensor(p)
@@ -129,7 +91,7 @@ def _kl_rows_graph(p, q) -> ad.Tensor:
 
 def similarity_graph(u, z) -> ad.Tensor:
     """Differentiable row-wise O(u, z); either side may be a constant."""
-    # clamp the floored KLs at 0 as `similarity_O` does, so O stays in (0, 1]
+    # floored KLs can dip a hair below 0; clamping them keeps O in (0, 1]
     a = ad.relu(_kl_rows_graph(u, z))
     b = ad.relu(_kl_rows_graph(z, u))
     harm = a * b / (a + b + _HARMONIC_GUARD)

@@ -128,41 +128,6 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def cross_entropy(predicted: np.ndarray, gold: int) -> float:
-    """-log predicted[gold] with the probability floor."""
-    p = np.asarray(predicted, dtype=np.float64)
-    if abs(p.sum() - 1.0) > 1e-6:
-        raise ValueError(f"predicted distribution sums to {p.sum()}, not 1")
-    if not 0 <= gold < p.shape[-1]:
-        raise IndexError(f"gold index {gold} out of range for {p.shape[-1]} classes")
-    return float(-np.log(p[gold] + EPS))
-
-
-def kl_categorical(p: np.ndarray, q: np.ndarray) -> float:
-    """Floored discrete KL: sum p_i * ln((p_i+eps)/(q_i+eps))."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    for name, dist in (("p", p), ("q", q)):
-        if abs(dist.sum() - 1.0) > 1e-6:
-            raise ValueError(f"{name} sums to {dist.sum()}, not 1")
-    return float(np.sum(p * (np.log(p + EPS) - np.log(q + EPS))))
-
-
-def gaussian_kl(mu: np.ndarray, logvar: np.ndarray) -> float:
-    """Closed-form KL(N(mu, diag(exp(logvar))) || N(0, I))."""
-    mu = np.asarray(mu, dtype=np.float64)
-    logvar = np.asarray(logvar, dtype=np.float64)
-    if mu.shape != logvar.shape:
-        raise ValueError(f"shape mismatch: {mu.shape} vs {logvar.shape}")
-    return float(0.5 * np.sum(np.exp(logvar) + mu * mu - 1.0 - logvar))
-
-
-def softplus_np(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
-
-
 @dataclass
 class GradCheckEntry:
     param: str

@@ -108,19 +108,6 @@ def normalize_bow(counts) -> sparse.csr_matrix:
     return x
 
 
-def infer(ntm: NtmParams, v) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior (mu, logvar) for one BoW vector or a batch (dense or sparse)."""
-    squeeze = not sparse.issparse(v) and np.ndim(v) == 1
-    x = normalize_bow(v)
-    if x.shape[1] != ntm.cfg.vocab_size:
-        raise ValueError(f"BoW width {x.shape[1]} != vocabulary size {ntm.cfg.vocab_size}")
-    mu = mlp_forward(ntm.cfg.mu_spec(), ntm.params, x, prefix="enc_mu.").data
-    logvar = mlp_forward(ntm.cfg.logvar_spec(), ntm.params, x, prefix="enc_logvar.").data
-    if squeeze:
-        return mu[0], logvar[0]
-    return mu, logvar
-
-
 def elbo_batch_graph(
     leaves: dict[str, ad.Tensor],
     cfg: NtmConfig,

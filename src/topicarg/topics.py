@@ -16,16 +16,6 @@ from .corpus import Vocabulary
 
 
 @dataclass
-class TargetMask:
-    """K x V {0,1} matrix; a column is all-zero iff the word is a target word."""
-
-    mask: np.ndarray
-
-    def masked_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.mask[0] == 0)
-
-
-@dataclass
 class KeyTermLists:
     """Per topic, the chosen word ids with weights in non-increasing order."""
 
@@ -99,14 +89,6 @@ def empty_topics() -> ExtractedTopics:
     return ExtractedTopics(-1, (), (), (), 0.0)
 
 
-def build_target_mask(target_tokens, vocab: Vocabulary, num_topics: int) -> TargetMask:
-    """All-ones mask with the target's in-vocabulary columns zeroed."""
-    row = np.ones(vocab.size)
-    for idx in vocab.ids(target_tokens):
-        row[idx] = 0.0
-    return TargetMask(np.tile(row, (num_topics, 1)))
-
-
 def rank_terms(topic_word: np.ndarray) -> np.ndarray:
     """(K, V) word ids per topic by weight descending, ties by smaller id."""
     return np.argsort(-np.asarray(topic_word, dtype=np.float64), axis=1, kind="stable")
@@ -132,21 +114,6 @@ def top_terms(topic_word: np.ndarray, ranking: np.ndarray, excluded_ids, n: int)
     return KeyTermLists(ids, np.take_along_axis(topic_word, ids, axis=1))
 
 
-def filter_topics(topic_word: np.ndarray, mask: TargetMask, n: int) -> KeyTermLists:
-    """Top-n key terms per topic among unmasked words.
-
-    Ranked by weight descending, ties by smaller word id. Masked
-    (target-word) columns are excluded outright so they can never be chosen,
-    even when other weights are negative.
-    """
-    topic_word = np.asarray(topic_word, dtype=np.float64)
-    k, v = topic_word.shape
-    if mask.mask.shape != (k, v):
-        raise ValueError(f"mask shape {mask.mask.shape} != topic_word shape {(k, v)}")
-    excluded = np.flatnonzero(mask.mask[0] != 1)
-    return top_terms(topic_word, rank_terms(topic_word), excluded, n)
-
-
 def score_topic(target_vecs: np.ndarray, topic_vecs: np.ndarray, p: float) -> float:
     """Sum of the top ceil(p * N_t) per-term cosine maxima, divided by N_tau.
 
@@ -166,16 +133,6 @@ def score_topic(target_vecs: np.ndarray, topic_vecs: np.ndarray, p: float) -> fl
     return float(top.sum() / target_vecs.shape[0])
 
 
-def extract_topics(
-    lists: KeyTermLists,
-    embeddings: EmbeddingTable,
-    target_tokens,
-    p: float = 0.5,
-) -> ExtractedTopics:
-    """Score all K key-term lists against the target; return the argmax list."""
-    return best_topic(lists, embeddings.normalized(), embeddings.vocab, target_tokens, p)
-
-
 def best_topic(
     lists: KeyTermLists,
     normalized: np.ndarray,
@@ -183,7 +140,10 @@ def best_topic(
     target_tokens,
     p: float,
 ) -> ExtractedTopics:
-    """`extract_topics` against an `EmbeddingTable.normalized()` table."""
+    """Score all K key-term lists against the target; return the argmax list.
+
+    `normalized` is an `EmbeddingTable.normalized()` table.
+    """
     target_ids = [i for i in vocab.ids(target_tokens) if np.any(normalized[i])]
     if not target_ids:
         raise ValueError(

@@ -12,6 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oracles import build_target_mask, extract_topics, filter_topics, mutual_loss, similarity_O
 from synthdata import (
     greedy_match_overlap,
     planted_top_words,
@@ -50,9 +51,7 @@ from topicarg.mutual import (
     TrainSchedule,
     build_inputs,
     extract_topics_for_targets,
-    mutual_loss,
     mutual_sum_graph,
-    similarity_O,
     train_alternating,
     train_classifier_epoch,
 )
@@ -66,7 +65,7 @@ from topicarg.ntm import (
     train_ntm_epoch,
 )
 from topicarg.optim import adam, adamw
-from topicarg.topics import EmbeddingTable, KeyTermLists, build_target_mask, extract_topics, filter_topics
+from topicarg.topics import EmbeddingTable, KeyTermLists
 
 
 def report(num: int, description: str, passed: bool, detail: str = "") -> None:

@@ -173,6 +173,30 @@ def test_take_rows_gradient_equals_dense_scatter_bitwise(rows, width, ids, gathe
 
 @settings(max_examples=80, deadline=None)
 @given(
+    rows=st.integers(1, 12),
+    ids=st.lists(st.integers(0, 11), max_size=40),
+    zeros=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_take_rows_gradient_bitwise_on_signed_zeros_and_extreme_magnitudes(
+    rows, ids, zeros, seed
+):
+    # repeated ids sum values from 1e-300 to 1e300 and of both zero signs, so
+    # any other order or starting value than the dense scatter's shows
+    rng = np.random.default_rng(seed)
+    idx = np.asarray([i % rows for i in ids], dtype=np.int64)
+    g = rng.normal(size=(idx.size, 3)) * 10.0 ** rng.integers(-300, 301, size=(idx.size, 3))
+    signed_zero = rng.random(g.shape) < zeros
+    g[signed_zero] = np.where(rng.random(int(signed_zero.sum())) < 0.5, -0.0, 0.0)
+    leaf = ad.Tensor(rng.normal(size=(rows, 3)))
+    ad.tensor_sum(ad.take_rows(leaf, idx) * ad.constant(g)).backward()
+    dense = np.zeros((rows, 3))
+    np.add.at(dense, idx, g)
+    assert np.asarray(leaf.grad).tobytes() == dense.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
     batch=st.integers(1, 24),
     n=st.integers(1, 600),
     m=st.integers(1, 300),

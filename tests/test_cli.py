@@ -236,6 +236,22 @@ class TestTrain:
         assert err.startswith("error: k must be >= 3 (a test fold, a validation fold")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--lr-ntm", "--lr-classifier"])
+    @pytest.mark.parametrize("value", ["0", "-1e-3", "nan"])
+    def test_non_positive_learning_rate_is_a_clean_error(
+        self, corpus_path, tmp_path, capsys, flag, value
+    ):
+        out = tmp_path / "run"
+        code = main(
+            ["train", "--mode", "in_target_fold", "--fold", "0",
+             *small_flags(corpus_path, out), f"{flag}={value}"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        name = flag[2:].replace("-", "_")
+        assert err.startswith(f"error: config field {name} must be > 0")
+        assert "Traceback" not in err
+
 
 class TestEvaluate:
     def test_oracle_in_target(self, corpus_path, tmp_path, capsys):

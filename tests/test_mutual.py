@@ -7,6 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    MutualLossConfig,
+    build_target_mask,
+    kl_categorical,
+    loss_classifier_side,
+    loss_topic_side,
+    mutual_loss,
+    similarity_O,
+)
 from synthdata import stance_corpus
 from topicarg import autodiff as ad
 from topicarg import mutual as mutual_mod
@@ -18,31 +27,25 @@ from topicarg.encoder import (
     vocabulary_rows,
 )
 from topicarg.mutual import (
-    MutualLossConfig,
     TrainData,
     TrainSchedule,
     build_inputs,
     extract_topics_for_targets,
     history_to_csv,
     init_projection,
-    loss_classifier_side,
-    loss_topic_side,
-    mutual_loss,
     mutual_sum_graph,
     project_to_topic,
-    similarity_O,
     similarity_graph,
     train_alternating,
     train_classifier_epoch,
 )
-from topicarg.nn import EPS, SeededRng, grad_check, kl_categorical, softmax
+from topicarg.nn import EPS, SeededRng, grad_check, softmax
 from topicarg.ntm import NtmConfig, compute_log_freq, init_ntm, train_ntm_epoch
 from topicarg.optim import adam, adamw
 from topicarg.topics import (
     EmbeddingTable,
     ExtractedTopics,
     KeyTermLists,
-    build_target_mask,
     empty_topics,
     score_topic,
 )

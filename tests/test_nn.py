@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import cross_entropy, gaussian_kl, kl_categorical
 from topicarg import autodiff as ad
 from topicarg.nn import (
     EPS,
     GradCheckReport,
     MlpSpec,
     SeededRng,
-    cross_entropy,
-    gaussian_kl,
     grad_check,
     init_mlp,
-    kl_categorical,
     mlp_forward,
     softmax,
 )

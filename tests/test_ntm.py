@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from oracles import gaussian_kl, infer, softplus_np
 from synthdata import planted_topic_corpus
 from topicarg import autodiff as ad
-from topicarg.nn import SeededRng, gaussian_kl, grad_check, mlp_forward, softmax, softplus_np
+from topicarg.nn import SeededRng, grad_check, mlp_forward, softmax
 from topicarg.ntm import (
     NtmConfig,
     NtmParams,
     compute_log_freq,
     elbo_batch_graph,
-    infer,
     infer_topic_distributions,
     init_ntm,
     train_ntm_epoch,

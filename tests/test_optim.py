@@ -271,3 +271,87 @@ def test_non_finite_row_sparse_values_stop_the_step(bad):
     for b, a in zip(before, (params, state.m, state.v)):
         assert all(b[k].tobytes() == a[k].tobytes() for k in b)
     assert state.step_count == 1
+
+
+# values a parameter may hold in rows no gradient touches: signed zeros and
+# subnormals, whose bits an inexact skip of those rows would change
+SPECIAL_P = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.5, -2.5])
+
+
+def _draw_gradient(rng, shape, draw):
+    """One gradient for a (rows, width) parameter: a RowSparse over a fresh
+    row set, or with "dense" a dense array whose rows are half all-zero."""
+    n_rows, width = shape
+    if draw == "dense":
+        g = rng.normal(size=shape)
+        g[rng.random(n_rows) < 0.5] = 0.0
+        return g
+    share = {"none": 0.0, "few": 0.05, "half": 0.5, "most": 0.9}[draw]
+    rows = np.flatnonzero(rng.random(n_rows) < share)
+    values = rng.normal(size=(rows.size, width))
+    values[rng.random(values.shape) < 0.1] = 0.0
+    return RowSparse(rows, values, shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    algorithm=st.sampled_from(["adam", "adamw"]),
+    weight_decay=st.sampled_from([0.0, 0.01, 0.7]),
+    shape=st.sampled_from(SPARSE_SHAPES),
+    draws=st.lists(st.sampled_from(["none", "few", "half", "most", "dense"]), min_size=1, max_size=6),
+    lr=st.floats(1e-5, 1.0),
+    beta1=st.floats(0.0, 0.99),
+    beta2=st.floats(0.5, 0.9999),
+    seed=st.integers(0, 2**16),
+)
+def test_live_row_step_equals_reference_from_fresh_state(
+    algorithm, weight_decay, shape, draws, lr, beta1, beta2, seed
+):
+    rng = np.random.default_rng(seed)
+    fused = OptimizerState(algorithm, lr, beta1, beta2, weight_decay=weight_decay)
+    ref = copy.deepcopy(fused)
+    p = rng.normal(size=shape)
+    special = rng.random(shape) < 0.5
+    p[special] = rng.choice(SPECIAL_P, size=int(special.sum()))
+    p_fused, p_ref = {"w": p}, {"w": p.copy()}
+    touched = np.zeros(shape[0], dtype=bool)
+    for draw in draws:
+        g = _draw_gradient(rng, shape, draw)
+        if isinstance(g, RowSparse):
+            touched[g.rows] = True
+        else:
+            touched |= np.any(g != 0.0, axis=1)
+        optimizer_step(fused, p_fused, {"w": g})
+        reference_step(ref, p_ref, {"w": np.asarray(g)})
+        assert fused.step_count == ref.step_count
+        assert p_fused["w"].tobytes() == p_ref["w"].tobytes()
+        assert fused.m["w"].tobytes() == ref.m["w"].tobytes()
+        assert fused.v["w"].tobytes() == ref.v["w"].tobytes()
+        # the moments of never-touched rows are still all +0.0 bits
+        untouched = np.zeros((int((~touched).sum()), shape[1]))
+        assert fused.m["w"][~touched].tobytes() == untouched.tobytes()
+        assert fused.v["w"][~touched].tobytes() == untouched.tobytes()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("learning_rate", 0.0), ("learning_rate", -1e-3), ("learning_rate", np.nan),
+        ("beta1", -0.1), ("beta1", 1.0), ("beta1", np.nan),
+        ("beta2", -0.1), ("beta2", 1.0), ("beta2", np.nan),
+        ("eps", 0.0), ("eps", -1e-8), ("eps", np.nan),
+        ("weight_decay", -0.01), ("weight_decay", np.nan),
+    ],
+)
+def test_invalid_hyper_parameter_named(field, value):
+    kwargs = {"learning_rate": 1e-3, field: value}
+    with pytest.raises(ValueError, match=field):
+        OptimizerState("adamw", **kwargs)
+
+
+def test_constructors_validate():
+    with pytest.raises(ValueError, match="learning_rate"):
+        adam(-1e-3)
+    with pytest.raises(ValueError, match="weight_decay"):
+        adamw(1e-3, weight_decay=-0.5)
+    assert OptimizerState("adam", 1e-3, beta1=0.0, beta2=0.0).beta1 == 0.0

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import build_target_mask, extract_topics, filter_topics
 from topicarg.nn import SeededRng
-from topicarg.topics import (
-    EmbeddingTable,
-    build_target_mask,
-    empty_topics,
-    extract_topics,
-    filter_topics,
-    score_topic,
-)
+from topicarg.topics import EmbeddingTable, empty_topics, score_topic
 
 
 def brute_force_top_n(row, mask_row, n):
