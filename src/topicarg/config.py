@@ -100,7 +100,3 @@ def write_snapshot(cfg: RunConfig, path) -> None:
     Path(path).write_text(
         "".join(f"{k}={v}\n" for k, v in items), encoding="utf-8"
     )
-
-
-def load_snapshot(path) -> RunConfig:
-    return load_config_file(path)

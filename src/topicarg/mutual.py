@@ -29,7 +29,7 @@ from .encoder import (  # perfbench/tracing.py patches _encode_all and encode_ba
     vocabulary_rows,
 )
 from .evaluate import confusion, metric_report
-from .nn import EPS, MlpSpec, SeededRng, init_mlp, mlp_forward, softmax
+from .nn import EPS, MlpSpec, SeededRng, init_mlp, mlp_forward
 from .ntm import NtmParams, infer_topic_distributions, train_ntm_epoch
 from .optim import adam, adamw, OptimizerState, optimizer_step
 from .topics import (
@@ -78,7 +78,7 @@ def project_to_topic(proj_params: dict, h: np.ndarray) -> np.ndarray:
     logits = mlp_forward(
         MlpSpec((d_h, num_topics)), proj_params, np.atleast_2d(h), prefix="proj."
     ).data
-    u = softmax(logits, axis=-1)
+    u = ad.softmax(logits, axis=-1).data
     return u[0] if h.ndim == 1 else u
 
 

@@ -1,8 +1,9 @@
-"""Dense networks, losses, seeded randomness, and finite-difference checking.
+"""Dense networks, seeded randomness, and finite-difference checking.
 
-Array-level functions here implement the numeric contracts (softmax,
-cross-entropy, the two KL divergences); training code builds the same math as
-autodiff graphs via `mlp_forward` and the ops in :mod:`topicarg.autodiff`.
+Training and inference build their math as autodiff graphs via `mlp_forward`
+and the ops in :mod:`topicarg.autodiff`; array-level restatements of the
+numeric contracts (softmax, cross-entropy, the KL divergences) are test
+oracles.
 """
 from __future__ import annotations
 
@@ -118,14 +119,6 @@ def mlp_forward(spec: MlpSpec, params: dict, x, prefix: str = "") -> ad.Tensor:
     if spec.output_activation == "softmax":
         h = ad.softmax(h, axis=-1)
     return h
-
-
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-shifted softmax; positive outputs summing to 1 along `axis`."""
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from scipy import sparse
 from . import autodiff as ad
 from .corpus import Vocabulary
 from .nn import MlpSpec, SeededRng, init_mlp, mlp_forward
-from .optim import OptimizerState, adam, optimizer_step
+from .optim import OptimizerState, optimizer_step
 
 
 @dataclass(frozen=True)
@@ -179,52 +179,6 @@ def train_ntm_epoch(
         kl_weight=kl_weight,
         count=n,
     )
-
-
-def train_ntm(
-    cfg: NtmConfig,
-    log_freq: np.ndarray,
-    corpus_bows,
-    *,
-    epochs: int,
-    rng: SeededRng,
-    learning_rate: float = 2e-3,
-    batch_size: int = 16,
-    restarts: int = 1,
-    probe_epochs: int = 10,
-    kl_warmup_epochs: int = 10,
-) -> tuple[NtmParams, list[NtmEpochStats]]:
-    """Standalone NTM training with deterministic restart selection.
-
-    VAE topic models can leave topics dead depending on the initialization.
-    Each restart trains from its own seeded init for `probe_epochs`; the one
-    with the lowest epoch loss continues to `epochs`. Fully reproducible for a
-    fixed `rng` seed path.
-    """
-    if restarts < 1:
-        raise ValueError("need at least one restart")
-
-    def kl_weight(epoch_index: int) -> float:
-        if kl_warmup_epochs <= 0:
-            return 1.0
-        return min(1.0, (epoch_index + 1) / kl_warmup_epochs)
-
-    candidates = []
-    for r in range(restarts):
-        ntm = init_ntm(cfg, log_freq, rng.child(r, 0))
-        opt = adam(learning_rate)
-        epoch_rng = rng.child(r, 1)
-        stats = [
-            train_ntm_epoch(ntm, corpus_bows, opt, batch_size, epoch_rng, kl_weight(e))
-            for e in range(min(probe_epochs, epochs))
-        ]
-        candidates.append((stats[-1].mean_total, r, ntm, opt, epoch_rng, stats))
-    _, _, ntm, opt, epoch_rng, stats = min(candidates, key=lambda c: (c[0], c[1]))
-    for e in range(len(stats), epochs):
-        stats.append(
-            train_ntm_epoch(ntm, corpus_bows, opt, batch_size, epoch_rng, kl_weight(e))
-        )
-    return ntm, stats
 
 
 def infer_topic_distributions(ntm: NtmParams, corpus_bows) -> np.ndarray:

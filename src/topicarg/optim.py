@@ -1,6 +1,7 @@
 """Adam and AdamW with bias correction; updates are in place."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,14 +34,17 @@ class OptimizerState:
         if self.algorithm not in ("adam", "adamw"):
             raise ValueError(f"unknown optimizer {self.algorithm!r}")
         # `not (x > 0)` also rejects NaN. Untouched rows are skipped exactly
-        # only under these bounds: eps = 0 would make their update 0/0.
+        # only under these bounds: a scaled eps of 0 would make their update 0/0.
         if not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate!r}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be > 0, got {self.eps!r}")
+        # the step adds eps*sqrt(1 - beta2**t) >= eps*sqrt(1 - beta2) to sqrt(v)
+        if not self.eps * math.sqrt(1.0 - self.beta2) > 0.0:
+            raise ValueError(
+                f"eps * sqrt(1 - beta2) must be > 0, got eps={self.eps!r}, beta2={self.beta2!r}"
+            )
         if not self.weight_decay >= 0.0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay!r}")
 
@@ -64,27 +68,29 @@ _CHUNK = 16384
 
 # A block of a row-sparse parameter is updated in place when at least this
 # share of its rows is live, and otherwise has its live rows gathered,
-# updated and scattered back. Per row, the gathered path costs about 1.5x
-# (Adam, 256 wide) to 1.8x (AdamW, 100 wide) an in-place update, and AdamW
-# also decays the dead rows around gathered ones, so gathering pays below
-# about 0.6 (Adam) and 0.43 (AdamW) live rows in standalone timings
-# (CHANGES.md). The shares below sit at or just under those break-evens.
-_IN_PLACE_SHARE = 0.6
-_IN_PLACE_SHARE_DECAY = 0.4
+# updated and scattered back. Per row, the gathered path costs about 1.7x
+# (256 wide) to 1.8x (100 wide) an in-place update, so gathering pays below
+# about 0.58 and 0.56 live rows in interleaved standalone timings
+# (CHANGES.md). The share sits just under both break-evens.
+_IN_PLACE_SHARE = 0.55
 
 
 class _Step:
-    """The constants of one step, its scratch buffers and its block updates."""
+    """The constants of one step, its scratch buffers and its block update."""
 
     def __init__(self, state: OptimizerState):
         t = state.step_count
         self.b1, self.b2 = state.beta1, state.beta2
         self.c1, self.c2 = 1.0 - state.beta1, 1.0 - state.beta2
-        self.bc1 = 1.0 - state.beta1**t
-        self.bc2 = 1.0 - state.beta2**t
-        self.eps, self.lr = state.eps, state.learning_rate
-        self.decay = state.weight_decay if state.algorithm == "adamw" else 0.0
-        self.in_place_share = _IN_PLACE_SHARE_DECAY if self.decay else _IN_PLACE_SHARE
+        bc1 = 1.0 - state.beta1**t
+        bc2 = 1.0 - state.beta2**t
+        # Kingma & Ba (2015, sec. 2): the bias corrections folded into the
+        # step size and into eps, which __post_init__ keeps above 0
+        self.alpha = state.learning_rate * math.sqrt(bc2) / bc1
+        self.eps_hat = state.eps * math.sqrt(bc2)
+        # AdamW's decoupled decay as one multiply (Loshchilov & Hutter 2019)
+        decay = state.weight_decay if state.algorithm == "adamw" else 0.0
+        self.shrink = 1.0 - state.learning_rate * decay if decay else None
         self.a, self.u = np.empty(_CHUNK), np.empty(_CHUNK)
 
     def reserve(self, size: int) -> None:
@@ -92,9 +98,9 @@ class _Step:
             self.a, self.u = np.empty(size), np.empty(size)
 
     def update(self, pc, mc, vc, gc=None, rows=None, values=None) -> None:
-        """The textbook update of flat blocks pc, mc, vc, in place. The
-        gradient is the flat block `gc`, or else zero apart from rows `rows`
-        of the block (viewed as rows of `values`' width), which hold `values`."""
+        """The Adam update of flat blocks pc, mc, vc, in place. The gradient
+        is the flat block `gc`, or else zero apart from rows `rows` of the
+        block (viewed as rows of `values`' width), which hold `values`."""
         b1, b2, c1, c2 = self.b1, self.b2, self.c1, self.c2
         a, u = self.a[: pc.size], self.u[: pc.size]
         np.multiply(mc, b1, out=mc)
@@ -114,29 +120,11 @@ class _Step:
             np.multiply(gc, c2, out=a)
             np.multiply(a, gc, out=a)
         np.add(vc, a, out=vc)
-        np.divide(vc, self.bc2, out=a)
-        np.sqrt(a, out=a)
-        np.add(a, self.eps, out=a)
-        np.divide(mc, self.bc1, out=u)
+        np.sqrt(vc, out=a)
+        np.add(a, self.eps_hat, out=a)
+        np.multiply(mc, self.alpha, out=u)
         np.divide(u, a, out=u)
-        if self.decay != 0.0:
-            np.multiply(pc, self.decay, out=a)
-            np.add(u, a, out=u)
-        np.multiply(u, self.lr, out=u)
         np.subtract(pc, u, out=pc)
-
-    def decay_only(self, flat_p) -> None:
-        """`update` on rows with m = v = 0 and g = 0, where u is exactly 0.0:
-        m and v stay +0.0, and p -= lr*(0.0 + decay*p) (nothing for Adam)."""
-        if self.decay == 0.0:
-            return
-        for lo in range(0, flat_p.size, _CHUNK):
-            pc = flat_p[lo : lo + _CHUNK]
-            a = self.a[: pc.size]
-            np.multiply(pc, self.decay, out=a)
-            np.add(a, 0.0, out=a)
-            np.multiply(a, self.lr, out=a)
-            np.subtract(pc, a, out=pc)
 
 
 def _step_dense(step: _Step, p, m, v, g) -> None:
@@ -149,11 +137,10 @@ def _step_dense(step: _Step, p, m, v, g) -> None:
 
 def _step_row_sparse(step: _Step, p, m, v, g: RowSparse, live) -> None:
     """Walk p in blocks of whole rows (`live` None: every row is live). A
-    block with at least `in_place_share` live rows is updated in place. The
+    block with at least `_IN_PLACE_SHARE` live rows is updated in place. The
     live rows of the other blocks are pooled, up to a block's worth at a
-    time, gathered, updated and scattered back, after the rows around them
-    took `decay_only`. Rows that are not live have m = v = 0 and g = 0, so
-    every path gives each element the same operations."""
+    time, gathered, updated and scattered back. Rows that are not live have
+    m = v = 0 and g = 0, so their update is exactly 0.0 and they are skipped."""
     n_rows, width = p.shape
     per_block = max(1, _CHUNK // max(width, 1))
     step.reserve(per_block * width)
@@ -169,7 +156,6 @@ def _step_row_sparse(step: _Step, p, m, v, g: RowSparse, live) -> None:
     def gathered(b0, b1):
         rows = live_rows[at[b0] : at[b1]]
         pg, mg, vg = p[rows], m[rows], v[rows]
-        step.decay_only(flat_p[edges[b0] * width : edges[b1] * width])
         t0, t1 = touched[b0], touched[b1]
         local = np.searchsorted(rows, g.rows[t0:t1])
         step.update(
@@ -180,7 +166,7 @@ def _step_row_sparse(step: _Step, p, m, v, g: RowSparse, live) -> None:
     pooled = None  # the first block whose live rows wait to be gathered
     for i in range(len(edges) - 1):
         lo, hi = edges[i], edges[i + 1]
-        in_place = at[i + 1] - at[i] >= step.in_place_share * (hi - lo)
+        in_place = at[i + 1] - at[i] >= _IN_PLACE_SHARE * (hi - lo)
         if pooled is not None and (in_place or at[i + 1] - at[pooled] > per_block):
             gathered(pooled, i)
             pooled = None
@@ -205,24 +191,27 @@ def optimizer_step(
     """One Adam/AdamW step over every entry of `params`.
 
     AdamW applies decoupled weight decay against the pre-update values, so a
-    zero gradient still shrinks a parameter by lr * weight_decay * value.
+    zero gradient still shrinks a parameter by the factor 1 - lr*weight_decay.
 
-    The update runs in place, block by block over the flattened arrays, with
-    the textbook operation order kept element for element::
+    The step is evaluated in Kingma & Ba's (2015, sec. 2) efficient order,
+    with the bias corrections bc1 = 1 - b1**t and bc2 = 1 - b2**t folded into
+    a step size and a scaled eps::
 
+        p *= 1 - lr*wd  (AdamW only, over the whole parameter)
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
-        u = (m/bc1) / (sqrt(v/bc2) + eps)  [+ wd*p for AdamW]
-        p -= lr*u
+        p -= (lr*sqrt(bc2)/bc1) * m / (sqrt(v) + eps*sqrt(bc2))
 
-    so results are bitwise-equal to evaluating those expressions on whole
-    arrays. A `RowSparse` gradient is stepped as its dense form would be,
-    without a dense g being built or read. Rows it has never touched (since
-    the optimizer created m and v) still have m = v = +0.0, and with g = 0
-    their update is exactly u = 0.0: for Adam a no-op, which is skipped, and
-    for AdamW p -= lr*(0.0 + wd*p), which is all they are given. Every
-    gradient (a `RowSparse` one through its values) is checked for
-    finiteness, and every stepped parameter for C-contiguity, before
-    anything is mutated.
+    in place, block by block over the flattened arrays, bitwise-equal to
+    evaluating those expressions on whole arrays. In real arithmetic this is
+    the textbook p -= lr*((m/bc1) / (sqrt(v/bc2) + eps) [+ wd*p]); in floats
+    p differs from it by a few ulp per step, while m and v are bitwise equal.
+    A `RowSparse` gradient is stepped as its dense form would be, without a
+    dense g being built or read. Rows it has never touched (since the
+    optimizer created m and v) still have m = v = +0.0, and with g = 0 their
+    Adam update is exactly 0.0/(0.0 + eps_hat) = +0.0, so it is skipped: AdamW
+    gives them the decay multiply alone. Every gradient (a `RowSparse` one
+    through its values) is checked for finiteness, and every stepped
+    parameter for C-contiguity, before anything is mutated.
     """
     finite = np.empty(_CHUNK, dtype=bool)
     for name, g in grads.items():
@@ -255,10 +244,12 @@ def optimizer_step(
             continue
         sparse = isinstance(g, RowSparse)
         if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
+            state.m[name] = np.zeros(p.shape)
+            state.v[name] = np.zeros(p.shape)
             if sparse:
                 state.live[name] = np.zeros(p.shape[0], dtype=bool)
+        if step.shrink is not None:
+            np.multiply(p, step.shrink, out=p)
         if not sparse:
             state.live.pop(name, None)
             _step_dense(step, p, state.m[name], state.v[name], g)

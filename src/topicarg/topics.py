@@ -45,32 +45,6 @@ class EmbeddingTable:
         norms = np.linalg.norm(self.vectors, axis=1, keepdims=True)
         return np.divide(self.vectors, np.where(norms > 0, norms, 1.0))
 
-    @classmethod
-    def from_text_file(cls, path, vocab: Vocabulary) -> "EmbeddingTable":
-        """Load a "word v1 ... vd" text file; missing words get zero vectors."""
-        rows: dict[int, np.ndarray] = {}
-        dim = None
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.rstrip("\n").split(" ")
-                if len(parts) < 2:
-                    continue
-                word = parts[0]
-                if word not in vocab.index_of:
-                    continue
-                vec = np.array([float(x) for x in parts[1:]])
-                if dim is None:
-                    dim = vec.shape[0]
-                elif vec.shape[0] != dim:
-                    raise ValueError(f"inconsistent embedding width for {word!r}")
-                rows[vocab.index_of[word]] = vec
-        if dim is None:
-            raise ValueError(f"no vocabulary word found in embedding file {path}")
-        vectors = np.zeros((vocab.size, dim))
-        for idx, vec in rows.items():
-            vectors[idx] = vec
-        return cls(vectors, vocab)
-
 
 @dataclass
 class ExtractedTopics:

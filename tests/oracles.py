@@ -61,6 +61,14 @@ def softplus_np(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
+def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Max-shifted softmax; positive outputs summing to 1 along `axis`."""
+    logits = np.asarray(logits, dtype=np.float64)
+    shifted = logits - logits.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 # ntm: the posterior of the VAE encoder
 
 
@@ -162,3 +170,41 @@ def extract_topics(
 ) -> ExtractedTopics:
     """Score all K key-term lists against the target; return the argmax list."""
     return best_topic(lists, embeddings.normalized(), embeddings.vocab, target_tokens, p)
+
+
+# optim: Adam/AdamW in the textbook operation order
+
+
+def textbook_step(state, params, grads) -> dict[str, np.ndarray]:
+    """Whole-array Adam/AdamW step with both bias corrections divided out:
+    u = (m/bc1) / (sqrt(v/bc2) + eps) [+ wd*p for AdamW], p -= lr*u.
+    Returns the Adam direction (m/bc1) / (sqrt(v/bc2) + eps) of every
+    stepped parameter."""
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    directions = {}
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            continue
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        m = state.m[name]
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        direction = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        update = direction
+        if state.algorithm == "adamw" and state.weight_decay != 0.0:
+            update = update + state.weight_decay * p
+        p -= state.learning_rate * update
+        directions[name] = direction
+    return directions

@@ -12,7 +12,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import build_target_mask, extract_topics, filter_topics, mutual_loss, similarity_O
+from oracles import (
+    build_target_mask,
+    extract_topics,
+    filter_topics,
+    mutual_loss,
+    similarity_O,
+    softmax,
+)
 from synthdata import (
     greedy_match_overlap,
     planted_top_words,
@@ -55,13 +62,14 @@ from topicarg.mutual import (
     train_alternating,
     train_classifier_epoch,
 )
-from topicarg.nn import EPS, MlpSpec, SeededRng, grad_check, mlp_forward, softmax
+from topicarg.nn import EPS, MlpSpec, SeededRng, grad_check, mlp_forward
 from topicarg.ntm import (
     NtmConfig,
+    NtmEpochStats,
+    NtmParams,
     compute_log_freq,
     elbo_batch_graph,
     init_ntm,
-    train_ntm,
     train_ntm_epoch,
 )
 from topicarg.optim import adam, adamw
@@ -151,6 +159,52 @@ def test_criterion_1_gradient_correctness():
         max(worst.values()) <= 1e-4 and elapsed < 120,
         f"{detail}, {elapsed:.1f}s",
     )
+
+
+def train_ntm(
+    cfg: NtmConfig,
+    log_freq: np.ndarray,
+    corpus_bows,
+    *,
+    epochs: int,
+    rng: SeededRng,
+    learning_rate: float = 2e-3,
+    batch_size: int = 16,
+    restarts: int = 1,
+    probe_epochs: int = 10,
+    kl_warmup_epochs: int = 10,
+) -> tuple[NtmParams, list[NtmEpochStats]]:
+    """Standalone NTM training with deterministic restart selection.
+
+    VAE topic models can leave topics dead depending on the initialization.
+    Each restart trains from its own seeded init for `probe_epochs`; the one
+    with the lowest epoch loss continues to `epochs`. Fully reproducible for a
+    fixed `rng` seed path.
+    """
+    if restarts < 1:
+        raise ValueError("need at least one restart")
+
+    def kl_weight(epoch_index: int) -> float:
+        if kl_warmup_epochs <= 0:
+            return 1.0
+        return min(1.0, (epoch_index + 1) / kl_warmup_epochs)
+
+    candidates = []
+    for r in range(restarts):
+        ntm = init_ntm(cfg, log_freq, rng.child(r, 0))
+        opt = adam(learning_rate)
+        epoch_rng = rng.child(r, 1)
+        stats = [
+            train_ntm_epoch(ntm, corpus_bows, opt, batch_size, epoch_rng, kl_weight(e))
+            for e in range(min(probe_epochs, epochs))
+        ]
+        candidates.append((stats[-1].mean_total, r, ntm, opt, epoch_rng, stats))
+    _, _, ntm, opt, epoch_rng, stats = min(candidates, key=lambda c: (c[0], c[1]))
+    for e in range(len(stats), epochs):
+        stats.append(
+            train_ntm_epoch(ntm, corpus_bows, opt, batch_size, epoch_rng, kl_weight(e))
+        )
+    return ntm, stats
 
 
 def test_criterion_2_planted_topic_recovery():

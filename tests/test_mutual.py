@@ -15,6 +15,7 @@ from oracles import (
     loss_topic_side,
     mutual_loss,
     similarity_O,
+    softmax,
 )
 from synthdata import stance_corpus
 from topicarg import autodiff as ad
@@ -39,7 +40,7 @@ from topicarg.mutual import (
     train_alternating,
     train_classifier_epoch,
 )
-from topicarg.nn import EPS, SeededRng, grad_check, softmax
+from topicarg.nn import EPS, SeededRng, grad_check
 from topicarg.ntm import NtmConfig, compute_log_freq, init_ntm, train_ntm_epoch
 from topicarg.optim import adam, adamw
 from topicarg.topics import (

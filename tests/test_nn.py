@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import cross_entropy, gaussian_kl, kl_categorical
+from oracles import cross_entropy, gaussian_kl, kl_categorical, softmax
 from topicarg import autodiff as ad
 from topicarg.nn import (
     EPS,
@@ -13,7 +13,6 @@ from topicarg.nn import (
     grad_check,
     init_mlp,
     mlp_forward,
-    softmax,
 )
 
 

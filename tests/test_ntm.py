@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from oracles import gaussian_kl, infer, softplus_np
+from oracles import gaussian_kl, infer, softmax, softplus_np
 from synthdata import planted_topic_corpus
 from topicarg import autodiff as ad
-from topicarg.nn import SeededRng, grad_check, mlp_forward, softmax
+from topicarg.nn import SeededRng, grad_check, mlp_forward
 from topicarg.ntm import (
     NtmConfig,
     NtmParams,

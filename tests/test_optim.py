@@ -1,17 +1,20 @@
 import copy
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import textbook_step
 from topicarg.autodiff import RowSparse
 from topicarg.nn import SeededRng
 from topicarg.optim import _CHUNK, OptimizerState, adam, adamw, optimizer_step
 
 
 def reference_step(state, params, grads):
-    """Whole-array Adam/AdamW step: the oracle the fused step must equal bitwise."""
+    """Whole-array Adam/AdamW step in Kingma & Ba's efficient order: the
+    oracle the fused step must equal bitwise."""
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
@@ -19,6 +22,8 @@ def reference_step(state, params, grads):
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
+    alpha = state.learning_rate * math.sqrt(bc2) / bc1
+    eps_hat = state.eps * math.sqrt(bc2)
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -32,10 +37,9 @@ def reference_step(state, params, grads):
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
         if state.algorithm == "adamw" and state.weight_decay != 0.0:
-            update = update + state.weight_decay * p
-        p -= state.learning_rate * update
+            p *= 1.0 - state.learning_rate * state.weight_decay
+        p -= alpha * m / (np.sqrt(v) + eps_hat)
 
 
 def test_zero_gradient_is_fixed_point_for_adam():
@@ -278,17 +282,17 @@ def test_non_finite_row_sparse_values_stop_the_step(bad):
 SPECIAL_P = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.5, -2.5])
 
 
-def _draw_gradient(rng, shape, draw):
+def _draw_gradient(rng, shape, draw, scale=1.0):
     """One gradient for a (rows, width) parameter: a RowSparse over a fresh
     row set, or with "dense" a dense array whose rows are half all-zero."""
     n_rows, width = shape
     if draw == "dense":
-        g = rng.normal(size=shape)
+        g = scale * rng.normal(size=shape)
         g[rng.random(n_rows) < 0.5] = 0.0
         return g
     share = {"none": 0.0, "few": 0.05, "half": 0.5, "most": 0.9}[draw]
     rows = np.flatnonzero(rng.random(n_rows) < share)
-    values = rng.normal(size=(rows.size, width))
+    values = scale * rng.normal(size=(rows.size, width))
     values[rng.random(values.shape) < 0.1] = 0.0
     return RowSparse(rows, values, shape)
 
@@ -333,13 +337,56 @@ def test_live_row_step_equals_reference_from_fresh_state(
         assert fused.v["w"][~touched].tobytes() == untouched.tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    algorithm=st.sampled_from(["adam", "adamw"]),
+    weight_decay=st.sampled_from([0.0, 0.01, 0.7]),
+    shape=st.sampled_from(SPARSE_SHAPES),
+    draws=st.lists(st.sampled_from(["none", "few", "half", "most", "dense"]), min_size=1, max_size=6),
+    scale=st.sampled_from([1e-12, 1.0, 1e6]),
+    lr=st.floats(1e-5, 1.0),
+    beta1=st.floats(0.0, 0.99),
+    beta2=st.floats(0.5, 0.9999),
+    seed=st.integers(0, 2**16),
+)
+def test_step_stays_within_rounding_of_textbook_order(
+    algorithm, weight_decay, shape, draws, scale, lr, beta1, beta2, seed
+):
+    """The folded bias corrections and the multiplicative decay change only
+    rounding. From identical state, m and v equal the textbook order's
+    bitwise, and p lies within a few ulp of it plus a few eps of the terms
+    the step subtracts: lr*|direction| and, for AdamW, lr*wd*|p|. (While
+    the two cancel, |lr*u| is far smaller than what was rounded.)"""
+    rng = np.random.default_rng(seed)
+    fused = OptimizerState(algorithm, lr, beta1, beta2, weight_decay=weight_decay)
+    ref = copy.deepcopy(fused)
+    decay = weight_decay if algorithm == "adamw" else 0.0
+    p = rng.normal(size=shape)
+    special = rng.random(shape) < 0.5
+    p[special] = rng.choice(SPECIAL_P, size=int(special.sum()))
+    p_fused, p_ref = {"w": p}, {"w": p.copy()}
+    for draw in draws:
+        g = _draw_gradient(rng, shape, draw, scale)
+        before = p_ref["w"].copy()
+        optimizer_step(fused, p_fused, {"w": g})
+        direction = textbook_step(ref, p_ref, {"w": np.asarray(g)})["w"]
+        assert fused.step_count == ref.step_count
+        assert fused.m["w"].tobytes() == ref.m["w"].tobytes()
+        assert fused.v["w"].tobytes() == ref.v["w"].tobytes()
+        size = lr * (np.abs(direction) + decay * np.abs(before))
+        bound = 4 * np.spacing(np.abs(p_ref["w"])) + 16 * np.finfo(float).eps * size
+        assert np.all(np.abs(p_fused["w"] - p_ref["w"]) <= bound)
+        # the next step starts from identical state again
+        np.copyto(p_fused["w"], p_ref["w"])
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
         ("learning_rate", 0.0), ("learning_rate", -1e-3), ("learning_rate", np.nan),
         ("beta1", -0.1), ("beta1", 1.0), ("beta1", np.nan),
         ("beta2", -0.1), ("beta2", 1.0), ("beta2", np.nan),
-        ("eps", 0.0), ("eps", -1e-8), ("eps", np.nan),
+        ("eps", 0.0), ("eps", -1e-8), ("eps", np.nan), ("eps", 5e-324),
         ("weight_decay", -0.01), ("weight_decay", np.nan),
     ],
 )
