@@ -10,10 +10,10 @@ import hashlib
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from . import corpus as corpus_mod
 from . import encoder as encoder_mod
@@ -27,6 +27,10 @@ from .nn import SeededRng
 from .topics import write_topic_report
 
 logger = logging.getLogger(__name__)
+
+# The prepared files a checkpoint's parameters index into; `train` records
+# their manifest checksums so `extract-topics` can refuse other vocabularies.
+_VOCAB_FILES = ("vocab.tsv", "encoder_vocab.tsv")
 
 
 def _sha256(path: Path) -> str:
@@ -43,6 +47,8 @@ def _resolve_config(args) -> RunConfig:
     if getattr(args, "no_topics", False):
         overrides["use_topics"] = False
     apply_overrides(cfg, overrides)
+    if not cfg.data:
+        raise ValueError("--data (or a config data= entry) is required")
     cfg.validate()
     return cfg
 
@@ -53,9 +59,6 @@ def _prepare_dir(cfg: RunConfig) -> Path:
 
 def cmd_prepare(args) -> int:
     cfg = _resolve_config(args)
-    if not cfg.data:
-        print("prepare: --data (or a config data= entry) is required", file=sys.stderr)
-        return 2
     out = _prepare_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -68,22 +71,9 @@ def cmd_prepare(args) -> int:
     enc_vocab = encoder_mod.build_encoder_vocab(
         records, cfg.enc_vocab_max_size, ntm_vocab=vocab
     )
-    bows = corpus_mod.vectorize_all([ex.tokens for ex in examples], vocab)
-    log_freq = ntm_mod.compute_log_freq(bows)
 
     vocab.to_tsv(out / "vocab.tsv")
     enc_vocab.to_tsv(out / "encoder_vocab.tsv")
-    save_checkpoint(
-        out / "bows.bin",
-        {
-            "data": bows.data,
-            "indices": bows.indices,
-            "indptr": bows.indptr,
-            "shape": np.array(bows.shape),
-            "log_freq": log_freq,
-        },
-        meta={"kind": "bow-cache"},
-    )
     with open(out / "examples.jsonl", "w", encoding="utf-8") as fh:
         for record, ex in zip(records, examples):
             fh.write(
@@ -109,7 +99,7 @@ def cmd_prepare(args) -> int:
         "encoder_vocab_size": enc_vocab.size,
         "checksums": {
             name: _sha256(out / name)
-            for name in ("vocab.tsv", "encoder_vocab.tsv", "bows.bin", "examples.jsonl")
+            for name in (*_VOCAB_FILES, "examples.jsonl")
         },
     }
     (out / "manifest.json").write_text(
@@ -120,6 +110,7 @@ def cmd_prepare(args) -> int:
 
 
 def _load_prepared(cfg: RunConfig):
+    """Records, both vocabularies and their manifest checksums."""
     out = _prepare_dir(cfg)
     if not (out / "manifest.json").exists():
         raise FileNotFoundError(f"no prepared data under {out}; run `prepare` first")
@@ -131,12 +122,14 @@ def _load_prepared(cfg: RunConfig):
         )
     vocab = Vocabulary.from_tsv(out / "vocab.tsv")
     enc_vocab = Vocabulary.from_tsv(out / "encoder_vocab.tsv")
-    arrays, _ = load_checkpoint(out / "bows.bin")
-    bows = sparse.csr_matrix(
-        (arrays["data"], arrays["indices"], arrays["indptr"]),
-        shape=tuple(arrays["shape"]),
+    vocab_sha = {name: manifest["checksums"][name] for name in _VOCAB_FILES}
+    return records, vocab, enc_vocab, vocab_sha
+
+
+def _log_freq(examples, vocab: Vocabulary) -> np.ndarray:
+    return ntm_mod.compute_log_freq(
+        corpus_mod.vectorize_all([ex.tokens for ex in examples], vocab)
     )
-    return records, vocab, enc_vocab, bows, arrays["log_freq"]
 
 
 def _init_models(cfg: RunConfig, vocab_size: int, enc_vocab_size: int, log_freq, seed: int):
@@ -205,6 +198,14 @@ def _train_one(cfg: RunConfig, split, vocab, enc_vocab, log_freq, seed: int):
     return result
 
 
+def _predict_proba(cfg: RunConfig, result, enc_vocab, examples) -> np.ndarray:
+    """Class probabilities of a trained run on held-out examples."""
+    inputs = mutual_mod.build_inputs(
+        examples, result.topics_by_target, enc_vocab, cfg.max_len, cfg.use_topics
+    )
+    return encoder_mod.predict_proba(result.enc, inputs)
+
+
 def _checkpoint_arrays(result) -> dict[str, np.ndarray]:
     arrays = {f"ntm/{k}": v for k, v in result.ntm.params.items()}
     arrays["ntm/log_freq"] = result.ntm.log_freq
@@ -214,9 +215,28 @@ def _checkpoint_arrays(result) -> dict[str, np.ndarray]:
     return arrays
 
 
+def load_run(path):
+    """The topic model, encoder and projection head (or None) a `train`
+    checkpoint holds, rebuilt from the configs in its metadata, plus that
+    metadata."""
+    arrays, meta = load_checkpoint(path)
+    if "ntm_config" not in meta:
+        raise ValueError(f"{path} stores no model configs; retrain it with `train`")
+    groups: dict[str, dict[str, np.ndarray]] = {"ntm": {}, "enc": {}, "proj": {}}
+    for name, array in arrays.items():
+        group, key = name.split("/", 1)
+        groups[group][key] = array
+    log_freq = groups["ntm"].pop("log_freq")
+    ntm = ntm_mod.NtmParams(ntm_mod.NtmConfig(**meta["ntm_config"]), groups["ntm"], log_freq)
+    enc = encoder_mod.EncoderParams(
+        encoder_mod.EncoderConfig(**meta["encoder_config"]), groups["enc"]
+    )
+    return ntm, enc, groups["proj"] or None, meta
+
+
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    records, vocab, enc_vocab, bows, log_freq = _load_prepared(cfg)
+    records, vocab, enc_vocab, vocab_sha = _load_prepared(cfg)
     examples = corpus_mod.examples_from_records(records)
     split, seed = _split_for_mode(cfg, args, records, examples)
 
@@ -229,7 +249,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_snapshot(cfg, out / "config.resolved")
 
-    result = _train_one(cfg, split, vocab, enc_vocab, log_freq, seed)
+    result = _train_one(cfg, split, vocab, enc_vocab, _log_freq(examples, vocab), seed)
 
     save_checkpoint(
         out / "checkpoint.bin",
@@ -243,9 +263,9 @@ def cmd_train(args) -> int:
                 "ntm": result.ntm_steps,
                 "classifier": result.classifier_steps,
             },
-            "num_topics": cfg.num_topics,
-            "vocab_size": vocab.size,
-            "encoder_vocab_size": enc_vocab.size,
+            "ntm_config": asdict(result.ntm.cfg),
+            "encoder_config": asdict(result.enc.cfg),
+            "vocab_sha256": vocab_sha,
         },
     )
     corpus_mod.write_split_jsonl(split, out / "split.jsonl")
@@ -255,10 +275,7 @@ def cmd_train(args) -> int:
     if topics_rows:
         write_topic_report(out / "topics.tsv", topics_rows)
 
-    test_inputs = mutual_mod.build_inputs(
-        split.test, result.topics_by_target, enc_vocab, cfg.max_len, cfg.use_topics
-    )
-    probs = encoder_mod.predict_proba(result.enc, test_inputs)
+    probs = _predict_proba(cfg, result, enc_vocab, split.test)
     preds = encoder_mod.labels_of(probs)
     encoder_mod.write_predictions(out / "predictions.tsv", split.test, preds, probs)
     report = evaluate_mod.metric_report(
@@ -289,7 +306,7 @@ def _majority_train_fn(split, seed):
 
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
-    records, vocab, enc_vocab, bows, log_freq = _load_prepared(cfg)
+    records, vocab, enc_vocab, _ = _load_prepared(cfg)
     examples = corpus_mod.examples_from_records(records)
     out = Path(cfg.out_dir) / "eval"
     out.mkdir(parents=True, exist_ok=True)
@@ -300,19 +317,15 @@ def cmd_evaluate(args) -> int:
     elif args.predictor == "majority":
         train_fn = _majority_train_fn
     else:
+        log_freq = _log_freq(examples, vocab)
 
         def train_fn(split, seed):
             result = _train_one(cfg, split, vocab, enc_vocab, log_freq, seed)
 
             def predict_fn(test_examples):
-                inputs = mutual_mod.build_inputs(
-                    test_examples,
-                    result.topics_by_target,
-                    enc_vocab,
-                    cfg.max_len,
-                    cfg.use_topics,
+                return encoder_mod.labels_of(
+                    _predict_proba(cfg, result, enc_vocab, test_examples)
                 )
-                return encoder_mod.predict(result.enc, inputs)
 
             return predict_fn
 
@@ -336,30 +349,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_extract_topics(args) -> int:
     cfg = _resolve_config(args)
-    records, vocab, enc_vocab, bows, log_freq = _load_prepared(cfg)
-    arrays, meta = load_checkpoint(args.checkpoint)
-    ntm_cfg = ntm_mod.NtmConfig(
-        vocab_size=vocab.size,
-        num_topics=meta["num_topics"],
-        latent_dim=cfg.latent_dim,
-        hidden_dim=cfg.ntm_hidden_dim,
-    )
-    ntm = ntm_mod.NtmParams(
-        ntm_cfg,
-        {k.split("/", 1)[1]: v for k, v in arrays.items()
-         if k.startswith("ntm/") and k != "ntm/log_freq"},
-        arrays["ntm/log_freq"],
-    )
-    enc_cfg = encoder_mod.EncoderConfig(
-        vocab_size=enc_vocab.size,
-        emb_dim=cfg.emb_dim,
-        hidden_dim=cfg.encoder_hidden_dim,
-        output_dim=cfg.encoder_output_dim,
-    )
-    enc = encoder_mod.EncoderParams(
-        enc_cfg,
-        {k.split("/", 1)[1]: v for k, v in arrays.items() if k.startswith("enc/")},
-    )
+    records, vocab, enc_vocab, vocab_sha = _load_prepared(cfg)
+    ntm, enc, _, meta = load_run(args.checkpoint)
+    if meta.get("vocab_sha256") != vocab_sha:
+        raise ValueError(
+            f"checkpoint {args.checkpoint} was trained on other vocabularies than "
+            f"the prepared data under {_prepare_dir(cfg)}"
+        )
     examples = corpus_mod.examples_from_records(records)
     data = mutual_mod.TrainData(
         examples=examples, bows=None, vocab=vocab, enc_vocab=enc_vocab
@@ -377,7 +373,7 @@ def cmd_extract_topics(args) -> int:
 
 def cmd_coherence(args) -> int:
     cfg = _resolve_config(args)
-    records, vocab, enc_vocab, bows, log_freq = _load_prepared(cfg)
+    records, _, _, _ = _load_prepared(cfg)
     cutoffs = tuple(int(c) for c in args.cutoffs.split(","))
 
     weights: dict[int, list[tuple[float, str]]] = {}
@@ -448,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prepare", help="build vocabularies, BoW cache, and manifests")
+    p = sub.add_parser("prepare", help="build vocabularies and manifests")
     _add_config_flags(p)
     p.set_defaults(fn=cmd_prepare)
 

@@ -110,17 +110,15 @@ def run_in_target(train_fn, examples, k: int = 10, seed: int = 0):
     return mean_report(reports), reports
 
 
-def run_cross_target(train_fn, records, targets=None, seed: int = 0):
-    """Leave-one-target-out protocol over every target (or the given list).
+def run_cross_target(train_fn, records, seed: int = 0):
+    """Leave-one-target-out protocol over every target.
 
-    The run holding out `targets[i]` trains with seed `run_seed(seed, i)`.
-    Asserts on every run that the held-out target is absent from train and
-    val. Returns (averaged report, {target: report}).
+    The run holding out the i-th target in sorted order trains with seed
+    `run_seed(seed, i)`. Asserts on every run that the held-out target is
+    absent from train and val. Returns (averaged report, {target: report}).
     """
-    if targets is None:
-        targets = sorted({r.target for r in records})
     per_target: dict[str, MetricReport] = {}
-    for i, held_out in enumerate(targets):
+    for i, held_out in enumerate(sorted({r.target for r in records})):
         split = make_cross_target_split(records, held_out)
         assert_no_leakage(split)
         predict_fn = train_fn(split, run_seed(seed, i))

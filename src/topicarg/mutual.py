@@ -70,15 +70,16 @@ def init_projection(d_h: int, num_topics: int, rng: SeededRng) -> dict[str, np.n
     return init_mlp(MlpSpec((d_h, num_topics)), rng, prefix="proj.")
 
 
+def _projection_graph(params: dict, h) -> ad.Tensor:
+    """u = softmax(affine(h)) over a batch; `params` may hold ndarrays or leaves."""
+    spec = MlpSpec(params["proj.W0"].shape)
+    return ad.softmax(mlp_forward(spec, params, h, prefix="proj."), axis=-1)
+
+
 def project_to_topic(proj_params: dict, h: np.ndarray) -> np.ndarray:
     """u = softmax(affine(h)); accepts one vector or a batch."""
     h = np.asarray(h, dtype=np.float64)
-    d_h = proj_params["proj.W0"].shape[0]
-    num_topics = proj_params["proj.W0"].shape[1]
-    logits = mlp_forward(
-        MlpSpec((d_h, num_topics)), proj_params, np.atleast_2d(h), prefix="proj."
-    ).data
-    u = ad.softmax(logits, axis=-1).data
+    u = _projection_graph(proj_params, np.atleast_2d(h)).data
     return u[0] if h.ndim == 1 else u
 
 
@@ -147,11 +148,7 @@ def train_classifier_epoch(
         ce_sum = -ad.tensor_sum(ad.constant(onehot) * ad.log(probs + EPS))
         loss = ce_sum
         if mutual_on:
-            d_h = enc.cfg.output_dim
-            k = proj_params["proj.W0"].shape[1]
-            u = ad.softmax(
-                mlp_forward(MlpSpec((d_h, k)), leaves, h, prefix="proj."), axis=-1
-            )
+            u = _projection_graph(leaves, h)
             mut = mutual_sum_graph(u, ad.constant(z_targets[idx]))
             loss = loss + gamma * mut
             sum_mutual += float(mut.data)

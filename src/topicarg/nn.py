@@ -61,11 +61,11 @@ class SeededRng:
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Shape of a dense network: widths [in, h1, ..., out] plus activations."""
+    """Shape of a dense network: widths [in, h1, ..., out], a hidden activation
+    and a linear output layer."""
 
     layer_widths: tuple[int, ...]
     activation: str = "relu"
-    output_activation: str = "identity"
 
     def __post_init__(self):
         if len(self.layer_widths) < 2:
@@ -74,8 +74,6 @@ class MlpSpec:
             raise ValueError("layer widths must be >= 1")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.output_activation not in ("identity", "softmax"):
-            raise ValueError(f"unknown output activation {self.output_activation!r}")
 
     @property
     def n_layers(self) -> int:
@@ -116,8 +114,6 @@ def mlp_forward(spec: MlpSpec, params: dict, x, prefix: str = "") -> ad.Tensor:
         h = (ad.csr_matmul(h, w) if sparse.issparse(h) else ad.matmul(h, w)) + b
         if i < spec.n_layers - 1:
             h = act(h)
-    if spec.output_activation == "softmax":
-        h = ad.softmax(h, axis=-1)
     return h
 
 

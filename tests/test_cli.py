@@ -6,7 +6,18 @@ import pytest
 
 from synthdata import stance_corpus, write_tsv
 from topicarg import autodiff
-from topicarg.cli import main
+from topicarg import corpus as corpus_mod
+from topicarg.checkpoint import load_checkpoint, save_checkpoint
+from topicarg.cli import (
+    _checkpoint_arrays,
+    _resolve_config,
+    _split_for_mode,
+    _train_one,
+    build_parser,
+    load_run,
+    main,
+)
+from topicarg.ntm import compute_log_freq
 
 
 @pytest.fixture
@@ -43,6 +54,14 @@ def prepare(corpus_path, out_dir):
     assert main(["prepare", *small_flags(corpus_path, out_dir)]) == 0
 
 
+def train_fold_0(corpus_path, out_dir):
+    prepare(corpus_path, out_dir)
+    args = ["train", "--mode", "in_target_fold", "--fold", "0",
+            *small_flags(corpus_path, out_dir)]
+    assert main(args) == 0
+    return out_dir / "train" / "fold_0" / "checkpoint.bin"
+
+
 class TestPrepare:
     def test_writes_manifest_with_counts(self, corpus_path, tmp_path):
         out = tmp_path / "run"
@@ -55,6 +74,13 @@ class TestPrepare:
         assert len(jsonl) == 60
         row = json.loads(jsonl[0])
         assert set(row) == {"target", "label", "role", "tokens"}
+        assert sorted(p.name for p in (out / "prepared").iterdir()) == [
+            "config.resolved", "encoder_vocab.tsv", "examples.jsonl", "manifest.json",
+            "vocab.tsv",
+        ]
+        assert sorted(manifest["checksums"]) == [
+            "encoder_vocab.tsv", "examples.jsonl", "vocab.tsv",
+        ]
 
     def test_idempotent_reruns(self, corpus_path, tmp_path):
         out = tmp_path / "run"
@@ -72,7 +98,10 @@ class TestPrepare:
         assert "annotation" in capsys.readouterr().err
 
     def test_missing_data_flag(self, tmp_path, capsys):
-        assert main(["prepare", "--out-dir", str(tmp_path / "o")]) != 0
+        assert main(["prepare", "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: --data (or a config data= entry) is required\n"
+        )
 
 
 class TestPreparedCorpusLink:
@@ -109,6 +138,14 @@ class TestPreparedCorpusLink:
             "corpus; re-run prepare\n"
         )
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_missing_data_is_a_clean_error(self, tmp_path, capsys, command):
+        code = main([*self.COMMANDS[command], "--out-dir", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --data (or a config data= entry) is required\n"
+        )
+
 
 class TestTrain:
     def test_in_target_fold_outputs(self, corpus_path, tmp_path):
@@ -125,8 +162,6 @@ class TestTrain:
             "predictions.tsv", "metrics.csv", "config.resolved", "split.jsonl",
         ):
             assert (run_dir / name).exists(), name
-        from topicarg.checkpoint import load_checkpoint
-
         _, meta = load_checkpoint(run_dir / "checkpoint.bin")
         assert meta["step_counters"]["ntm"] > 0
         assert meta["step_counters"]["classifier"] > 0
@@ -321,6 +356,63 @@ class TestEvaluate:
         assert f"{row},{trained[1].split(',', 1)[1]}" in rows
 
 
+class TestCheckpoint:
+    def test_describes_its_models(self, corpus_path, tmp_path):
+        checkpoint = train_fold_0(corpus_path, tmp_path / "run")
+        ntm, enc, proj, meta = load_run(checkpoint)
+        assert meta["ntm_config"] == {
+            "vocab_size": ntm.cfg.vocab_size, "num_topics": 3, "latent_dim": 6,
+            "hidden_dim": 10,
+        }
+        assert meta["encoder_config"] == {
+            "vocab_size": enc.cfg.vocab_size, "emb_dim": 8, "hidden_dim": 10,
+            "output_dim": 6, "num_classes": 3,
+        }
+        assert not {"num_topics", "vocab_size", "encoder_vocab_size"} & set(meta)
+        assert proj["proj.W0"].shape == (6, 3)
+
+    def test_arrays_match_a_run_from_vectorized_log_freq(self, corpus_path, tmp_path):
+        """log_freq once came from a cached BoW file; recomputing it from the
+        prepared examples must leave every checkpoint array bitwise equal."""
+        out = tmp_path / "run"
+        checkpoint = train_fold_0(corpus_path, out)
+        args = build_parser().parse_args(
+            ["train", "--mode", "in_target_fold", "--fold", "0",
+             *small_flags(corpus_path, out)]
+        )
+        cfg = _resolve_config(args)
+        records = corpus_mod.load_tsv(corpus_path)
+        examples = corpus_mod.examples_from_records(records)
+        vocab = corpus_mod.Vocabulary.from_tsv(out / "prepared" / "vocab.tsv")
+        enc_vocab = corpus_mod.Vocabulary.from_tsv(out / "prepared" / "encoder_vocab.tsv")
+        log_freq = compute_log_freq(
+            corpus_mod.vectorize_all([ex.tokens for ex in examples], vocab)
+        )
+        split, seed = _split_for_mode(cfg, args, records, examples)
+        expected = _checkpoint_arrays(_train_one(cfg, split, vocab, enc_vocab, log_freq, seed))
+        arrays, _ = load_checkpoint(checkpoint)
+        assert arrays["ntm/log_freq"].tobytes() == log_freq.tobytes()
+        assert sorted(arrays) == sorted(expected)
+        for name, array in arrays.items():
+            assert array.dtype == expected[name].dtype, name
+            assert array.tobytes() == expected[name].tobytes(), name
+
+    def test_checkpoint_without_configs_is_refused(self, corpus_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        checkpoint = train_fold_0(corpus_path, out)
+        arrays, meta = load_checkpoint(checkpoint)
+        for key in ("ntm_config", "encoder_config"):
+            del meta[key]
+        save_checkpoint(checkpoint, arrays, meta)
+        capsys.readouterr()
+        code = main(["extract-topics", "--checkpoint", str(checkpoint),
+                     "--data", str(corpus_path), "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {checkpoint} stores no model configs; retrain it with `train`\n"
+        )
+
+
 class TestExtractAndCoherence:
     def test_extract_topics_from_checkpoint(self, corpus_path, tmp_path):
         out = tmp_path / "run"
@@ -337,6 +429,34 @@ class TestExtractAndCoherence:
         lines = (out / "extracted.tsv").read_text().strip().split("\n")
         assert lines[0] == "target\ttopic\tscore\tterms"
         assert len(lines) == 3  # two targets
+
+    def test_model_sizes_come_from_the_checkpoint(self, corpus_path, tmp_path):
+        out = tmp_path / "run"
+        checkpoint = train_fold_0(corpus_path, out)
+        base = ["extract-topics", "--checkpoint", str(checkpoint)]
+        assert main([*base, "--data", str(corpus_path), "--out-dir", str(out),
+                     "--n-top-terms", "4", "--out", str(out / "bare.tsv")]) == 0
+        assert main([*base, *small_flags(corpus_path, out),
+                     "--out", str(out / "flagged.tsv")]) == 0
+        assert (out / "bare.tsv").read_bytes() == (out / "flagged.tsv").read_bytes()
+
+    def test_checkpoint_from_other_vocabularies_is_refused(self, tmp_path, capsys):
+        corpus_a, corpus_b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        write_tsv(stance_corpus(n_per_cell=10, seed=0), corpus_a)
+        write_tsv(stance_corpus(n_per_cell=10, seed=1), corpus_b)
+        checkpoint = train_fold_0(corpus_a, tmp_path / "a")
+        prepare(corpus_b, tmp_path / "b")
+        prepared_a, prepared_b = tmp_path / "a" / "prepared", tmp_path / "b" / "prepared"
+        assert (prepared_a / "vocab.tsv").read_bytes() != (prepared_b / "vocab.tsv").read_bytes()
+        capsys.readouterr()
+        code = main(["extract-topics", "--checkpoint", str(checkpoint),
+                     *small_flags(corpus_b, tmp_path / "b")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {checkpoint} was trained on other vocabularies than "
+            f"the prepared data under {prepared_b}\n"
+        )
+        assert not (tmp_path / "b" / "topics.tsv").exists()
 
     def test_coherence_over_export(self, corpus_path, tmp_path):
         out = tmp_path / "run"

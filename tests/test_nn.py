@@ -86,14 +86,6 @@ class TestMlp:
             MlpSpec((4, 0))
         with pytest.raises(ValueError):
             MlpSpec((4, 2), activation="sigmoid")
-        with pytest.raises(ValueError):
-            MlpSpec((4, 2), output_activation="relu")
-
-    def test_softmax_output_activation(self):
-        spec = MlpSpec((3, 4), output_activation="softmax")
-        params = init_mlp(spec, SeededRng(0))
-        out = mlp_forward(spec, params, np.ones((6, 3)))
-        assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
 
 
 class TestSoftmax:
