@@ -87,9 +87,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def backward(self) -> None:
         """Backpropagate from a scalar output; fills .grad on reachable leaves."""
         if self.data.size != 1:
@@ -139,12 +136,6 @@ class Tensor:
 
     def __rtruediv__(self, other):
         return div(other, self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -224,18 +215,6 @@ def div(a, b) -> Tensor:
     return _result(out, (a, b), backward)
 
 
-def power(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
-    p = float(exponent)
-    out = a.data**p
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad = _accumulate(a.grad, g * p * a.data ** (p - 1.0))
-
-    return _result(out, (a,), backward)
-
-
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -309,17 +288,6 @@ def relu(a) -> Tensor:
     return _result(out, (a,), backward)
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad = _accumulate(a.grad, g * (1.0 - out * out))
-
-    return _result(out, (a,), backward)
-
-
 def softplus(a) -> Tensor:
     a = as_tensor(a)
     out = np.logaddexp(0.0, a.data)
@@ -377,12 +345,6 @@ def tensor_sum(a, axis=None, keepdims=False) -> Tensor:
     return _result(out, (a,), backward)
 
 
-def tensor_mean(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     out = a.data.reshape(shape)
@@ -392,22 +354,6 @@ def reshape(a, shape) -> Tensor:
             a.grad = _accumulate(a.grad, g.reshape(a.data.shape))
 
     return _result(out, (a,), backward)
-
-
-def concat(tensors: Sequence, axis: int = -1) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t.grad = _accumulate(t.grad, g[tuple(idx)])
-
-    return _result(out, tuple(ts), backward)
 
 
 def segment_mean(a, keys, n: int) -> Tensor:

@@ -10,7 +10,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +266,8 @@ def cmd_train(args) -> int:
             "ntm_config": asdict(result.ntm.cfg),
             "encoder_config": asdict(result.enc.cfg),
             "vocab_sha256": vocab_sha,
+            "n_top_terms": cfg.n_top_terms,
+            "ratio_p": cfg.ratio_p,
         },
     )
     corpus_mod.write_split_jsonl(split, out / "split.jsonl")
@@ -286,24 +288,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _oracle_train_fn(split, seed):
-    def predict_fn(examples):
-        return [ex.label for ex in examples]
-
-    return predict_fn
-
-
-def _majority_train_fn(split, seed):
-    from collections import Counter
-
-    majority = Counter(ex.label for ex in split.train).most_common(1)[0][0]
-
-    def predict_fn(examples):
-        return [majority for _ in examples]
-
-    return predict_fn
-
-
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
     records, vocab, enc_vocab, _ = _load_prepared(cfg)
@@ -312,22 +296,17 @@ def cmd_evaluate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_snapshot(cfg, out / "config.resolved")
 
-    if args.predictor == "oracle":
-        train_fn = _oracle_train_fn
-    elif args.predictor == "majority":
-        train_fn = _majority_train_fn
-    else:
-        log_freq = _log_freq(examples, vocab)
+    log_freq = _log_freq(examples, vocab)
 
-        def train_fn(split, seed):
-            result = _train_one(cfg, split, vocab, enc_vocab, log_freq, seed)
+    def train_fn(split, seed):
+        result = _train_one(cfg, split, vocab, enc_vocab, log_freq, seed)
 
-            def predict_fn(test_examples):
-                return encoder_mod.labels_of(
-                    _predict_proba(cfg, result, enc_vocab, test_examples)
-                )
+        def predict_fn(test_examples):
+            return encoder_mod.labels_of(
+                _predict_proba(cfg, result, enc_vocab, test_examples)
+            )
 
-            return predict_fn
+        return predict_fn
 
     if args.protocol == "in_target":
         averaged, reports = evaluate_mod.run_in_target(
@@ -341,7 +320,7 @@ def cmd_evaluate(args) -> int:
         rows = sorted(per_target.items())
     evaluate_mod.report_to_csv(out / f"{args.protocol}_metrics.csv", rows, averaged)
     print(
-        f"{args.protocol} ({args.predictor}): macro F1 {averaged.macro_f1:.4f} "
+        f"{args.protocol}: macro F1 {averaged.macro_f1:.4f} "
         f"over {len(rows)} runs -> {out}"
     )
     return 0
@@ -356,6 +335,9 @@ def cmd_extract_topics(args) -> int:
             f"checkpoint {args.checkpoint} was trained on other vocabularies than "
             f"the prepared data under {_prepare_dir(cfg)}"
         )
+    for key in ("n_top_terms", "ratio_p"):  # the run's settings, unless flagged
+        if getattr(args, key) is None and key in meta:
+            setattr(cfg, key, meta[key])
     examples = corpus_mod.examples_from_records(records)
     data = mutual_mod.TrainData(
         examples=examples, bows=None, vocab=vocab, enc_vocab=enc_vocab
@@ -403,32 +385,11 @@ def cmd_coherence(args) -> int:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """`--config`, then one `--<key>` per RunConfig key, typed by its default."""
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--data", help="corpus TSV path")
-    p.add_argument("--out-dir", dest="out_dir", help="run output directory")
-    p.add_argument("--vocab-max-size", dest="vocab_max_size", type=int)
-    p.add_argument("--enc-vocab-max-size", dest="enc_vocab_max_size", type=int)
-    p.add_argument("--num-topics", dest="num_topics", type=int, help="K")
-    p.add_argument("--gamma", type=float, help="mutual-learning weight")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr-classifier", dest="lr_classifier", type=float)
-    p.add_argument("--lr-ntm", dest="lr_ntm", type=float)
-    p.add_argument("--n-top-terms", dest="n_top_terms", type=int)
-    p.add_argument("--ratio-p", dest="ratio_p", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--ntm-epochs", dest="ntm_epochs", type=int)
-    p.add_argument("--classifier-epochs", dest="classifier_epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--kl-warmup-epochs", dest="kl_warmup_epochs", type=int)
-    p.add_argument("--latent-dim", dest="latent_dim", type=int)
-    p.add_argument("--ntm-hidden-dim", dest="ntm_hidden_dim", type=int)
-    p.add_argument("--emb-dim", dest="emb_dim", type=int)
-    p.add_argument("--encoder-hidden-dim", dest="encoder_hidden_dim", type=int)
-    p.add_argument("--encoder-output-dim", dest="encoder_output_dim", type=int)
-    p.add_argument("--max-len", dest="max_len", type=int)
-    p.add_argument("--npmi-window", dest="npmi_window", type=int)
-    p.add_argument("--folds", type=int)
+    for f in fields(RunConfig):
+        if f.name != "use_topics":
+            p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default))
     p.add_argument(
         "--no-topics",
         dest="no_topics",
@@ -458,12 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="run a full evaluation protocol")
     _add_config_flags(p)
     p.add_argument("--protocol", choices=("in_target", "cross_target"), required=True)
-    p.add_argument(
-        "--predictor",
-        choices=("full", "oracle", "majority"),
-        default="full",
-        help="oracle/majority are harness self-tests",
-    )
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("extract-topics", help="extract topics from a checkpoint")

@@ -74,7 +74,6 @@ class Vocabulary:
 
     index_of: dict[str, int]
     id_to_word: list[str]
-    document_frequency: dict[str, int]
 
     @property
     def size(self) -> int:
@@ -90,20 +89,23 @@ class Vocabulary:
     def to_tsv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for i, word in enumerate(self.id_to_word):
-                fh.write(f"{word}\t{i}\t{self.document_frequency.get(word, 0)}\n")
+                fh.write(f"{word}\t{i}\n")
 
     @classmethod
     def from_tsv(cls, path) -> "Vocabulary":
-        index_of: dict[str, int] = {}
+        """Read `to_tsv`'s lines, `word<TAB>id` with ids 0, 1, 2, ... in order."""
         id_to_word: list[str] = []
-        df: dict[str, int] = {}
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                word, idx, count = line.rstrip("\n").split("\t")
-                index_of[word] = int(idx)
-                id_to_word.append(word)
-                df[word] = int(count)
-        return cls(index_of, id_to_word, df)
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                parts = line.split("\t")
+                if len(parts) != 2 or parts[1] != str(lineno - 1):
+                    raise ValueError(
+                        f"{path}:{lineno}: expected 'word<TAB>{lineno - 1}', got {line!r}; "
+                        "re-run prepare"
+                    )
+                id_to_word.append(parts[0])
+        return cls({w: i for i, w in enumerate(id_to_word)}, id_to_word)
 
 
 @dataclass
@@ -217,17 +219,10 @@ def build_vocabulary(records, max_size: int, stopwords=None) -> Vocabulary:
         raise ValueError("cannot build a vocabulary from zero records")
     stop = DEFAULT_STOPWORDS if stopwords is None else stopwords
     freq: Counter[str] = Counter()
-    df: Counter[str] = Counter()
     for record in records:
-        tokens = tokenize(record.sentence, mode="ntm", stopwords=stop)
-        freq.update(tokens)
-        df.update(set(tokens))
+        freq.update(tokenize(record.sentence, mode="ntm", stopwords=stop))
     ranked = sorted(freq, key=lambda w: (-freq[w], w))[:max_size]
-    return Vocabulary(
-        index_of={w: i for i, w in enumerate(ranked)},
-        id_to_word=ranked,
-        document_frequency={w: df[w] for w in ranked},
-    )
+    return Vocabulary(index_of={w: i for i, w in enumerate(ranked)}, id_to_word=ranked)
 
 
 def vectorize_all(token_seqs, vocab: Vocabulary) -> sparse.csr_matrix:

@@ -52,10 +52,6 @@ class EncoderInput:
         if len(self.token_ids) != len(self.segment_ids):
             raise ValueError("token_ids and segment_ids must have equal length")
 
-    @property
-    def n_segments(self) -> int:
-        return len(set(self.segment_ids))
-
 
 class EncoderParams:
     def __init__(self, cfg: EncoderConfig, params: dict[str, np.ndarray]):
@@ -78,26 +74,18 @@ def build_encoder_vocab(
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
     freq: Counter[str] = Counter()
-    df: Counter[str] = Counter()
     for record in records:
-        tokens = tokenize(record.sentence, mode="encoder")
-        freq.update(tokens)
-        df.update(set(tokens))
+        freq.update(tokenize(record.sentence, mode="encoder"))
     # every record also counts its target's tokens; tokenize each target once
     for target, n in Counter(record.target for record in records).items():
         tokens = tokenize(target, mode="encoder")
         freq.update({t: n * c for t, c in Counter(tokens).items()})
-        df.update(dict.fromkeys(tokens, n))
     ranked = sorted(freq, key=lambda w: (-freq[w], w))[:max_size]
     words = list(MARKERS) + ranked
     if ntm_vocab is not None:
         present = set(words)
         words += [w for w in ntm_vocab.id_to_word if w not in present]
-    return Vocabulary(
-        index_of={w: i for i, w in enumerate(words)},
-        id_to_word=words,
-        document_frequency={w: df.get(w, 0) for w in words},
-    )
+    return Vocabulary(index_of={w: i for i, w in enumerate(words)}, id_to_word=words)
 
 
 def build_input(

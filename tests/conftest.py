@@ -16,7 +16,6 @@ def tiny_vocab():
     return Vocabulary(
         index_of={w: i for i, w in enumerate(words)},
         id_to_word=words,
-        document_frequency={w: 1 for w in words},
     )
 
 

@@ -2,16 +2,18 @@
 
 Each restates a formula directly, for one sentence, pair or target at a
 time, so tests can check the batched code in `topicarg` against it.
+`grad_check` compares autodiff gradients with central finite differences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 
+from topicarg import autodiff as ad
 from topicarg.corpus import Vocabulary
-from topicarg.nn import EPS, mlp_forward
+from topicarg.nn import EPS, SeededRng, mlp_forward
 from topicarg.ntm import NtmParams, normalize_bow
 from topicarg.topics import (
     EmbeddingTable,
@@ -23,7 +25,77 @@ from topicarg.topics import (
 )
 
 
-# nn: losses and activations on plain arrays
+# nn: finite-difference gradient check, losses and activations on plain arrays
+
+
+@dataclass
+class GradCheckEntry:
+    param: str
+    index: tuple
+    analytic: float
+    numeric: float
+    rel_error: float
+
+
+@dataclass
+class GradCheckReport:
+    max_rel_error: float
+    tolerance: float
+    passed: bool
+    entries: list[GradCheckEntry] = field(default_factory=list)
+
+    def worst(self) -> GradCheckEntry:
+        return max(self.entries, key=lambda e: e.rel_error)
+
+
+def grad_check(
+    loss_fn,
+    params: dict[str, np.ndarray],
+    *,
+    samples: int = 200,
+    tolerance: float = 1e-4,
+    rng: SeededRng,
+    step: float = 1e-5,
+) -> GradCheckReport:
+    """Compare analytic gradients against central finite differences.
+
+    `loss_fn` maps a dict of leaf Tensors to a scalar Tensor. `samples`
+    coordinates are probed, drawn uniformly over all parameter entries.
+    """
+    leaves = ad.lift(params)
+    out = loss_fn(leaves)
+    out.backward()
+    analytic = {k: np.asarray(g) for k, g in ad.grads_of(leaves).items()}
+
+    coords = []
+    names = sorted(params)
+    sizes = np.array([params[n].size for n in names])
+    total = int(sizes.sum())
+    for flat in rng.integers(0, total, samples):
+        k = int(np.searchsorted(np.cumsum(sizes), flat, side="right"))
+        offset = int(flat - np.concatenate(([0], np.cumsum(sizes)))[k])
+        coords.append((names[k], np.unravel_index(offset, params[names[k]].shape)))
+
+    def eval_loss() -> float:
+        return float(loss_fn(ad.lift(params, requires_grad=False)).data)
+
+    entries = []
+    for name, index in coords:
+        arr = params[name]
+        x0 = arr[index]
+        h = step * max(1.0, abs(x0))
+        arr[index] = x0 + h
+        f_plus = eval_loss()
+        arr[index] = x0 - h
+        f_minus = eval_loss()
+        arr[index] = x0
+        numeric = (f_plus - f_minus) / (2.0 * h)
+        ana = float(analytic[name][index])
+        rel = abs(ana - numeric) / max(abs(ana) + abs(numeric), 1e-6)
+        entries.append(GradCheckEntry(name, index, ana, numeric, rel))
+
+    max_rel = max((e.rel_error for e in entries), default=0.0)
+    return GradCheckReport(max_rel, tolerance, max_rel <= tolerance, entries)
 
 
 def cross_entropy(predicted: np.ndarray, gold: int) -> float:

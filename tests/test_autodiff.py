@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from scipy import sparse
 
+from oracles import grad_check
 from topicarg import autodiff as ad
-from topicarg.nn import SeededRng, grad_check
+from topicarg.nn import SeededRng
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -52,23 +53,19 @@ OPS = [
     ("exp", lambda t: ad.exp(t), RNG.normal((3, 4)) * 0.5),
     ("log", lambda t: ad.log(t), RNG.uniform(0.5, 2.0, (3, 4))),
     ("relu", lambda t: ad.relu(t), RNG.normal((3, 4)) + 0.05),
-    ("tanh", lambda t: ad.tanh(t), RNG.normal((3, 4))),
     ("softplus", lambda t: ad.softplus(t), RNG.normal((3, 4))),
     ("softmax", lambda t: ad.softmax(t, axis=-1), RNG.normal((3, 4))),
     ("log_softmax", lambda t: ad.log_softmax(t, axis=-1), RNG.normal((3, 4))),
     ("sum_all", lambda t: ad.tensor_sum(t), RNG.normal((3, 4))),
     ("sum_axis0", lambda t: ad.tensor_sum(t, axis=0), RNG.normal((3, 4))),
     ("sum_keepdims", lambda t: ad.tensor_sum(t, axis=1, keepdims=True), RNG.normal((3, 4))),
-    ("mean_axis", lambda t: ad.tensor_mean(t, axis=0, keepdims=True), RNG.normal((4, 3))),
     ("reshape", lambda t: ad.reshape(t, (2, 6)), RNG.normal((3, 4))),
-    ("power", lambda t: ad.power(t, 3.0), RNG.uniform(0.5, 1.5, (3, 4))),
     ("neg_chain", lambda t: -t * 2.0 + 1.5, RNG.normal((3, 4))),
     ("div_const", lambda t: t / 3.0, RNG.normal((3, 4))),
     ("rdiv", lambda t: 2.0 / t, RNG.uniform(0.5, 2.0, (3, 4))),
     ("matmul_left", lambda t: ad.matmul(t, ad.constant(_M_RIGHT)), RNG.normal((3, 4))),
     ("matmul_right", lambda t: ad.matmul(ad.constant(_M_LEFT), t), RNG.normal((3, 4))),
     ("take_rows", lambda t: ad.take_rows(t, [0, 2, 2, 1]), RNG.normal((3, 4))),
-    ("concat", lambda t: ad.concat([t, t * 2.0], axis=1), RNG.normal((3, 4))),
     ("broadcast_add", lambda t: ad.constant(_B_MAT) + t, RNG.normal(3)),
     ("broadcast_mul", lambda t: ad.constant(_B_MAT) * t, RNG.normal(3)),
 ]
@@ -158,9 +155,7 @@ def test_take_rows_gradient_equals_dense_scatter_bitwise(rows, width, ids, gathe
     leaf = ad.Tensor(rng.normal(size=(rows, width)))
     upstream = [rng.normal(size=(idx.size, width)) for _ in range(gathers)]
     outs = [ad.take_rows(leaf, idx) for _ in range(gathers)]
-    ad.tensor_sum(
-        ad.concat([o * ad.constant(u) for o, u in zip(outs, upstream)], axis=0)
-    ).backward()
+    sum(ad.tensor_sum(o * ad.constant(u)) for o, u in zip(outs, upstream)).backward()
     dense = None
     for u in upstream:  # the dense scatter each gather used to accumulate
         buf = np.zeros((rows, width))
@@ -269,7 +264,7 @@ def test_segment_mean_grad_check():
     weights = RNG.normal((7, 4))
 
     def loss(leaves):
-        return ad.tensor_sum(ad.tanh(ad.segment_mean(leaves["x"], keys, 7)) * ad.constant(weights))
+        return ad.tensor_sum(ad.softplus(ad.segment_mean(leaves["x"], keys, 7)) * ad.constant(weights))
 
     report = grad_check(loss, params, samples=28, rng=SeededRng(5))
     assert report.passed, report.max_rel_error

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from topicarg.cli import (
     load_run,
     main,
 )
+from topicarg.config import RunConfig
 from topicarg.ntm import compute_log_freq
 
 
@@ -107,7 +109,7 @@ class TestPrepare:
 class TestPreparedCorpusLink:
     COMMANDS = {
         "train": ["train", "--mode", "in_target_fold", "--fold", "0"],
-        "evaluate": ["evaluate", "--protocol", "in_target", "--predictor", "oracle"],
+        "evaluate": ["evaluate", "--protocol", "in_target"],
         "extract-topics": ["extract-topics", "--checkpoint", "unused.bin"],
         "coherence": ["coherence", "--topics", "unused.tsv"],
     }
@@ -136,6 +138,27 @@ class TestPreparedCorpusLink:
         assert capsys.readouterr().err == (
             f"error: prepared data under {out / 'prepared'} was built from another "
             "corpus; re-run prepare\n"
+        )
+
+    @pytest.mark.parametrize(
+        "line",
+        ["{word}\t1\t7", "{word}", "{word}\t2"],
+        ids=["three_columns", "one_column", "id_out_of_order"],
+    )
+    def test_malformed_vocabulary_line_is_a_clean_error(
+        self, corpus_path, tmp_path, capsys, line
+    ):
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        path = out / "prepared" / "vocab.tsv"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        word = lines[1].split("\t")[0]
+        lines[1] = line.format(word=word)  # the second line, id 1
+        path.write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main([*self.COMMANDS["coherence"], *small_flags(corpus_path, out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: expected 'word<TAB>1', got {lines[1]!r}; re-run prepare\n"
         )
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -260,7 +283,7 @@ class TestTrain:
     @pytest.mark.parametrize(
         "command",
         [["train", "--mode", "in_target_fold", "--fold", "0"],
-         ["evaluate", "--protocol", "in_target", "--predictor", "full"]],
+         ["evaluate", "--protocol", "in_target"]],
     )
     def test_two_folds_is_a_clean_error(self, corpus_path, tmp_path, capsys, command):
         out = tmp_path / "run"
@@ -289,43 +312,11 @@ class TestTrain:
 
 
 class TestEvaluate:
-    def test_oracle_in_target(self, corpus_path, tmp_path, capsys):
-        out = tmp_path / "run"
-        prepare(corpus_path, out)
-        code = main(
-            ["evaluate", "--protocol", "in_target", "--predictor", "oracle",
-             *small_flags(corpus_path, out)]
-        )
-        assert code == 0
-        csv_text = (out / "eval" / "in_target_metrics.csv").read_text()
-        lines = csv_text.strip().split("\n")
-        assert len(lines) == 1 + 5 + 1  # header + folds + mean
-        assert lines[-1].startswith("mean,1.000000")
-
-    def test_oracle_cross_target_rows(self, corpus_path, tmp_path):
-        out = tmp_path / "run"
-        prepare(corpus_path, out)
-        code = main(
-            ["evaluate", "--protocol", "cross_target", "--predictor", "oracle",
-             *small_flags(corpus_path, out)]
-        )
-        assert code == 0
-        lines = (out / "eval" / "cross_target_metrics.csv").read_text().strip().split("\n")
-        assert len(lines) == 1 + 2 + 1  # header + 2 targets + mean
-
-    def test_majority_runs(self, corpus_path, tmp_path):
-        out = tmp_path / "run"
-        prepare(corpus_path, out)
-        assert main(
-            ["evaluate", "--protocol", "in_target", "--predictor", "majority",
-             *small_flags(corpus_path, out)]
-        ) == 0
-
     def test_full_predictor_cross_target(self, corpus_path, tmp_path):
         out = tmp_path / "run"
         prepare(corpus_path, out)
         code = main(
-            ["evaluate", "--protocol", "cross_target", "--predictor", "full",
+            ["evaluate", "--protocol", "cross_target",
              *small_flags(corpus_path, out), "--iterations", "1"]
         )
         assert code == 0
@@ -347,9 +338,11 @@ class TestEvaluate:
         prepare(corpus_path, out)
         flags = [*small_flags(corpus_path, out), "--folds", "3", "--iterations", "1",
                  "--seed", "3"]
-        assert main(["evaluate", "--protocol", protocol, "--predictor", "full",
-                     *flags]) == 0
+        assert main(["evaluate", "--protocol", protocol, *flags]) == 0
         rows = (out / "eval" / f"{protocol}_metrics.csv").read_text().split("\n")
+        runs = 3 if protocol == "in_target" else 2  # folds, or targets
+        assert len(rows) == 1 + runs + 1 + 1  # header, runs, mean, final newline
+        assert rows[-2].startswith("mean,")
         assert main(["train", *run_args, *flags]) == 0
         trained = (out / "train" / run_name / "metrics.csv").read_text().split("\n")
         assert trained[1].startswith(f"{run_name},")
@@ -369,6 +362,7 @@ class TestCheckpoint:
             "output_dim": 6, "num_classes": 3,
         }
         assert not {"num_topics", "vocab_size", "encoder_vocab_size"} & set(meta)
+        assert (meta["n_top_terms"], meta["ratio_p"]) == (4, 0.5)
         assert proj["proj.W0"].shape == (6, 3)
 
     def test_arrays_match_a_run_from_vectorized_log_freq(self, corpus_path, tmp_path):
@@ -440,6 +434,21 @@ class TestExtractAndCoherence:
                      "--out", str(out / "flagged.tsv")]) == 0
         assert (out / "bare.tsv").read_bytes() == (out / "flagged.tsv").read_bytes()
 
+    def test_extraction_settings_come_from_the_checkpoint(self, corpus_path, tmp_path):
+        out = tmp_path / "run"
+        checkpoint = train_fold_0(corpus_path, out)  # --n-top-terms 4, default ratio_p
+        base = ["extract-topics", "--checkpoint", str(checkpoint),
+                "--data", str(corpus_path), "--out-dir", str(out)]
+
+        def extract(name, *flags):
+            assert main([*base, *flags, "--out", str(out / name)]) == 0
+            return (out / name).read_bytes()
+
+        bare = extract("bare.tsv")
+        assert bare == extract("run.tsv", "--n-top-terms", "4", "--ratio-p", "0.5")
+        assert bare != extract("defaults.tsv", "--n-top-terms", "10")  # RunConfig's
+        assert bare != extract("flagged.tsv", "--n-top-terms", "2")  # a flag wins
+
     def test_checkpoint_from_other_vocabularies_is_refused(self, tmp_path, capsys):
         corpus_a, corpus_b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         write_tsv(stance_corpus(n_per_cell=10, seed=0), corpus_a)
@@ -474,6 +483,41 @@ class TestExtractAndCoherence:
         lines = (out / "coherence.csv").read_text().strip().split("\n")
         assert lines[0] == "topic,npmi@5,npmi@10"
         assert lines[-1].startswith("mean,")
+
+
+class TestParser:
+    # each subcommand's own options, next to the config flags every one shares
+    OWN = {
+        "prepare": set(),
+        "train": {"--mode", "--fold", "--held-out"},
+        "evaluate": {"--protocol"},
+        "extract-topics": {"--checkpoint", "--out"},
+        "coherence": {"--topics", "--cutoffs", "--out"},
+    }
+    REQUIRED = {
+        "prepare": [],
+        "train": ["--mode", "cross_target"],
+        "evaluate": ["--protocol", "in_target"],
+        "extract-topics": ["--checkpoint", "c.bin"],
+        "coherence": ["--topics", "t.tsv"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(OWN))
+    def test_options_are_run_config_keys_plus_own(self, command):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        options = {s for a in sub.choices[command]._actions for s in a.option_strings}
+        keys = {f"--{f.name.replace('_', '-')}": f for f in fields(RunConfig)
+                if f.name != "use_topics"}
+        assert options - {"-h", "--help"} == (
+            {"--config", "--no-topics"} | set(keys) | self.OWN[command]
+        )
+        flags = [arg for flag, f in keys.items() for arg in (flag, str(f.default))]
+        args = parser.parse_args([command, *self.REQUIRED[command], *flags])
+        for f in keys.values():
+            value = getattr(args, f.name)
+            assert type(value) is type(f.default) and value == f.default, f.name
+        assert args.no_topics is False
 
 
 class TestConfigFile:

@@ -207,7 +207,7 @@ def _csr_bytes(mat):
 )
 def test_vectorize_all_equals_reference_bytes(seqs, size):
     words = [f"w{i}" for i in range(size)]
-    vocab = Vocabulary({w: i for i, w in enumerate(words)}, words, {w: 1 for w in words})
+    vocab = Vocabulary({w: i for i, w in enumerate(words)}, words)
     assert _csr_bytes(vectorize_all(seqs, vocab)) == _csr_bytes(
         reference_vectorize_all(seqs, vocab)
     )
@@ -237,7 +237,7 @@ class TestVocabulary:
         v2 = build_vocabulary(records, max_size=15)
         assert v1.size == 15
         assert v1.index_of == v2.index_of
-        assert v1.document_frequency == v2.document_frequency
+        assert v1.id_to_word == v2.id_to_word
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -253,7 +253,7 @@ class TestVocabulary:
 
         again = Vocabulary.from_tsv(tmp_path / "vocab.tsv")
         assert again.index_of == vocab.index_of
-        assert again.document_frequency == vocab.document_frequency
+        assert again.id_to_word == vocab.id_to_word
 
 
 def vectorize(tokens, vocab: Vocabulary) -> np.ndarray:

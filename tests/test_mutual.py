@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     MutualLossConfig,
     build_target_mask,
+    grad_check,
     kl_categorical,
     loss_classifier_side,
     loss_topic_side,
@@ -40,7 +41,7 @@ from topicarg.mutual import (
     train_alternating,
     train_classifier_epoch,
 )
-from topicarg.nn import EPS, SeededRng, grad_check
+from topicarg.nn import EPS, SeededRng
 from topicarg.ntm import NtmConfig, compute_log_freq, init_ntm, train_ntm_epoch
 from topicarg.optim import adam, adamw
 from topicarg.topics import (

@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import cross_entropy, gaussian_kl, kl_categorical, softmax
-from topicarg import autodiff as ad
-from topicarg.nn import (
-    EPS,
+from oracles import (
     GradCheckReport,
-    MlpSpec,
-    SeededRng,
+    cross_entropy,
+    gaussian_kl,
     grad_check,
-    init_mlp,
-    mlp_forward,
+    kl_categorical,
+    softmax,
 )
+from topicarg import autodiff as ad
+from topicarg.nn import EPS, MlpSpec, SeededRng, init_mlp, mlp_forward
 
 
 class TestSeededRng:
@@ -54,7 +53,7 @@ class TestMlp:
             mlp_forward(spec, params, np.ones((1, 4)))
 
     def test_two_layer_gradients_vs_finite_differences(self):
-        spec = MlpSpec((4, 6, 3), "tanh")
+        spec = MlpSpec((4, 6, 3), "softplus")
         params = init_mlp(spec, SeededRng(5))
         x = SeededRng(6).normal((7, 4))
 
@@ -84,8 +83,9 @@ class TestMlp:
             MlpSpec((4,))
         with pytest.raises(ValueError):
             MlpSpec((4, 0))
-        with pytest.raises(ValueError):
-            MlpSpec((4, 2), activation="sigmoid")
+        for activation in ("sigmoid", "tanh", "identity"):  # relu and softplus only
+            with pytest.raises(ValueError):
+                MlpSpec((4, 2), activation=activation)
 
 
 class TestSoftmax:
