@@ -21,7 +21,7 @@ from . import evaluate as evaluate_mod
 from . import mutual as mutual_mod
 from . import ntm as ntm_mod
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, apply_overrides, load_config_file, write_snapshot
+from .config import RunConfig, load_config_file, write_snapshot
 from .corpus import Vocabulary
 from .nn import SeededRng
 from .topics import write_topic_report
@@ -38,15 +38,14 @@ def _sha256(path: Path) -> str:
 
 
 def _resolve_config(args) -> RunConfig:
+    """The `--config` file (or the defaults) with every given flag set on top."""
     cfg = load_config_file(args.config) if args.config else RunConfig()
-    overrides = {
-        key: getattr(args, key)
-        for key in vars(args)
-        if hasattr(cfg, key) and getattr(args, key) is not None
-    }
-    if getattr(args, "no_topics", False):
-        overrides["use_topics"] = False
-    apply_overrides(cfg, overrides)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)  # use_topics has no flag of its own
+        if value is not None:
+            setattr(cfg, f.name, value)
+    if args.no_topics:
+        cfg.use_topics = False
     if not cfg.data:
         raise ValueError("--data (or a config data= entry) is required")
     cfg.validate()
@@ -74,20 +73,9 @@ def cmd_prepare(args) -> int:
 
     vocab.to_tsv(out / "vocab.tsv")
     enc_vocab.to_tsv(out / "encoder_vocab.tsv")
-    with open(out / "examples.jsonl", "w", encoding="utf-8") as fh:
-        for record, ex in zip(records, examples):
-            fh.write(
-                json.dumps(
-                    {
-                        "target": ex.target,
-                        "label": ex.label,
-                        "role": record.split_tag,
-                        "tokens": list(ex.tokens),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    corpus_mod.write_examples_jsonl(
+        out / "examples.jsonl", zip((r.split_tag for r in records), examples)
+    )
     write_snapshot(cfg, out / "config.resolved")
 
     manifest = {
@@ -163,20 +151,6 @@ def _schedule(cfg: RunConfig, seed: int) -> mutual_mod.TrainSchedule:
     )
 
 
-def _split_for_mode(cfg: RunConfig, args, records, examples):
-    """The run's split and its training seed, as `evaluate` derives them."""
-    if args.mode == "cross_target":
-        if not args.held_out:
-            raise ValueError("--held-out TARGET is required in cross_target mode")
-        split = corpus_mod.make_cross_target_split(records, args.held_out)
-        index = sorted({r.target for r in records}).index(args.held_out)
-        return split, evaluate_mod.run_seed(cfg.seed, index)
-    folds = corpus_mod.make_in_target_folds(examples, cfg.folds, cfg.seed)
-    if not 0 <= args.fold < cfg.folds:
-        raise ValueError(f"--fold must be in [0, {cfg.folds})")
-    return folds[args.fold], evaluate_mod.run_seed(cfg.seed, args.fold)
-
-
 def _train_one(cfg: RunConfig, split, vocab, enc_vocab, log_freq, seed: int):
     data = mutual_mod.TrainData.from_split(
         split, vocab, enc_vocab, corpus_mod.vectorize_all
@@ -235,56 +209,67 @@ def load_run(path):
 
 
 def cmd_train(args) -> int:
+    """Train, save and score the one run of the matching protocol that
+    `--fold` or `--held-out` names."""
     cfg = _resolve_config(args)
     records, vocab, enc_vocab, vocab_sha = _load_prepared(cfg)
     examples = corpus_mod.examples_from_records(records)
-    split, seed = _split_for_mode(cfg, args, records, examples)
-
-    run_name = (
-        f"cross_{args.held_out.replace(' ', '_')}"
-        if args.mode == "cross_target"
-        else f"fold_{args.fold}"
+    cross = args.mode == "cross_target"
+    if cross and not args.held_out:
+        raise ValueError("--held-out TARGET is required in cross_target mode")
+    runs = evaluate_mod.protocol_runs(
+        "cross_target" if cross else "in_target", records, examples, cfg.folds, cfg.seed
     )
+    names = [name for name, _, _ in runs]
+    if cross and args.held_out not in names:
+        raise ValueError(f"unknown target {args.held_out!r}; corpus has {names}")
+    if not cross and not 0 <= args.fold < len(runs):
+        raise ValueError(f"--fold must be in [0, {len(runs)})")
+    _, split, seed = runs[names.index(args.held_out) if cross else args.fold]
+
+    run_name = f"cross_{args.held_out.replace(' ', '_')}" if cross else f"fold_{args.fold}"
     out = Path(cfg.out_dir) / "train" / run_name
     out.mkdir(parents=True, exist_ok=True)
     write_snapshot(cfg, out / "config.resolved")
 
-    result = _train_one(cfg, split, vocab, enc_vocab, _log_freq(examples, vocab), seed)
-
-    save_checkpoint(
-        out / "checkpoint.bin",
-        _checkpoint_arrays(result),
-        meta={
-            "seed": seed,
-            "mode": args.mode,
-            "run": run_name,
-            "iterations_run": result.stopped_at_iteration,
-            "step_counters": {
-                "ntm": result.ntm_steps,
-                "classifier": result.classifier_steps,
+    def fit_predict(split, seed):
+        result = _train_one(cfg, split, vocab, enc_vocab, _log_freq(examples, vocab), seed)
+        save_checkpoint(
+            out / "checkpoint.bin",
+            _checkpoint_arrays(result),
+            meta={
+                "seed": seed,
+                "mode": args.mode,
+                "run": run_name,
+                "iterations_run": result.stopped_at_iteration,
+                "step_counters": {
+                    "ntm": result.ntm_steps,
+                    "classifier": result.classifier_steps,
+                },
+                "ntm_config": asdict(result.ntm.cfg),
+                "encoder_config": asdict(result.enc.cfg),
+                "vocab_sha256": vocab_sha,
+                "n_top_terms": cfg.n_top_terms,
+                "ratio_p": cfg.ratio_p,
             },
-            "ntm_config": asdict(result.ntm.cfg),
-            "encoder_config": asdict(result.enc.cfg),
-            "vocab_sha256": vocab_sha,
-            "n_top_terms": cfg.n_top_terms,
-            "ratio_p": cfg.ratio_p,
-        },
-    )
-    corpus_mod.write_split_jsonl(split, out / "split.jsonl")
-    mutual_mod.history_to_csv(result.history, out / "history.csv")
-    ntm_mod.export_topic_word_tsv(result.ntm, vocab, out / "topic_word.tsv")
-    topics_rows = sorted(result.topics_by_target.items())
-    if topics_rows:
-        write_topic_report(out / "topics.tsv", topics_rows)
+        )
+        corpus_mod.write_examples_jsonl(
+            out / "split.jsonl",
+            ((role, ex) for role in corpus_mod.SPLIT_TAGS for ex in getattr(split, role)),
+        )
+        mutual_mod.history_to_csv(result.history, out / "history.csv")
+        ntm_mod.export_topic_word_tsv(result.ntm, vocab, out / "topic_word.tsv")
+        topics_rows = sorted(result.topics_by_target.items())
+        if topics_rows:
+            write_topic_report(out / "topics.tsv", topics_rows)
+        probs = _predict_proba(cfg, result, enc_vocab, split.test)
+        preds = encoder_mod.labels_of(probs)
+        encoder_mod.write_predictions(out / "predictions.tsv", split.test, preds, probs)
+        return preds
 
-    probs = _predict_proba(cfg, result, enc_vocab, split.test)
-    preds = encoder_mod.labels_of(probs)
-    encoder_mod.write_predictions(out / "predictions.tsv", split.test, preds, probs)
-    report = evaluate_mod.metric_report(
-        evaluate_mod.confusion([ex.label for ex in split.test], preds)
-    )
-    evaluate_mod.report_to_csv(out / "metrics.csv", [(run_name, report)])
-    print(f"trained {run_name}: test macro F1 {report.macro_f1:.4f} -> {out}")
+    _, rows = evaluate_mod.run_protocol(fit_predict, [(run_name, split, seed)])
+    evaluate_mod.report_to_csv(out / "metrics.csv", rows)
+    print(f"trained {run_name}: test macro F1 {rows[0][1].macro_f1:.4f} -> {out}")
     return 0
 
 
@@ -298,26 +283,14 @@ def cmd_evaluate(args) -> int:
 
     log_freq = _log_freq(examples, vocab)
 
-    def train_fn(split, seed):
+    def fit_predict(split, seed):
         result = _train_one(cfg, split, vocab, enc_vocab, log_freq, seed)
+        return encoder_mod.labels_of(_predict_proba(cfg, result, enc_vocab, split.test))
 
-        def predict_fn(test_examples):
-            return encoder_mod.labels_of(
-                _predict_proba(cfg, result, enc_vocab, test_examples)
-            )
-
-        return predict_fn
-
-    if args.protocol == "in_target":
-        averaged, reports = evaluate_mod.run_in_target(
-            train_fn, examples, k=cfg.folds, seed=cfg.seed
-        )
-        rows = [(f"fold_{i}", rep) for i, rep in enumerate(reports)]
-    else:
-        averaged, per_target = evaluate_mod.run_cross_target(
-            train_fn, records, seed=cfg.seed
-        )
-        rows = sorted(per_target.items())
+    averaged, rows = evaluate_mod.run_protocol(
+        fit_predict,
+        evaluate_mod.protocol_runs(args.protocol, records, examples, cfg.folds, cfg.seed),
+    )
     evaluate_mod.report_to_csv(out / f"{args.protocol}_metrics.csv", rows, averaged)
     print(
         f"{args.protocol}: macro F1 {averaged.macro_f1:.4f} "
@@ -363,9 +336,19 @@ def cmd_coherence(args) -> int:
         header = fh.readline()
         if header.strip() != "topic\tword\tweight":
             raise ValueError(f"{args.topics}: not a topic_word.tsv export")
-        for line in fh:
-            topic, word, weight = line.rstrip("\n").split("\t")
-            weights.setdefault(int(topic), []).append((float(weight), word))
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            parts = line.split("\t")
+            try:
+                if len(parts) != 3:
+                    raise ValueError
+                topic, word, weight = int(parts[0]), parts[1], float(parts[2])
+            except ValueError:
+                raise ValueError(
+                    f"{args.topics}:{lineno}: expected 'topic<TAB>word<TAB>weight' "
+                    f"(an int, a word, a float), got {line!r}"
+                ) from None
+            weights.setdefault(topic, []).append((weight, word))
     top_words = {
         topic: [w for _, w in sorted(rows, key=lambda t: (-t[0], t[1]))[: max(cutoffs)]]
         for topic, rows in weights.items()

@@ -83,17 +83,6 @@ def load_config_file(path) -> RunConfig:
     return cfg
 
 
-def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
-    """Set non-None override values onto the config (flags win over the file)."""
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if not hasattr(cfg, key):
-            raise ValueError(f"unknown config key {key!r}")
-        setattr(cfg, key, value)
-    return cfg
-
-
 def write_snapshot(cfg: RunConfig, path) -> None:
     """Resolved config as sorted key=value lines; reruns are diff-able."""
     items = sorted(asdict(cfg).items())

@@ -278,42 +278,45 @@ def make_in_target_folds(examples, k: int, seed: int) -> list[DatasetSplit]:
     return splits
 
 
-def make_cross_target_split(records, held_out: str) -> DatasetSplit:
-    """Leave-one-target-out split driven by the corpus's own split tags."""
-    targets = {r.target for r in records}
-    if held_out not in targets:
-        raise ValueError(f"unknown target {held_out!r}; corpus has {sorted(targets)}")
-    bad = [r for r in records if r.split_tag not in SPLIT_TAGS]
+def make_cross_target_splits(records, examples) -> list[DatasetSplit]:
+    """Leave-one-target-out splits, one per target in sorted order.
+
+    `examples[i]` is `records[i]` tokenized. Each split trains and validates
+    on the other targets' `train`/`val` rows and tests on the held-out
+    target's `test` rows, as the corpus's own split tags say.
+    """
+    if len(records) != len(examples):
+        raise ValueError(f"{len(records)} records but {len(examples)} examples")
+    bad = sorted({r.split_tag for r in records} - set(SPLIT_TAGS))
     if bad:
-        raise CorpusFormatError(
-            f"records carry unknown split tag(s): {sorted({r.split_tag for r in bad})}"
-        )
-    train = [example_from_record(r) for r in records
-             if r.target != held_out and r.split_tag == "train"]
-    val = [example_from_record(r) for r in records
-           if r.target != held_out and r.split_tag == "val"]
-    test = [example_from_record(r) for r in records
-            if r.target == held_out and r.split_tag == "test"]
-    return DatasetSplit(train=train, val=val, test=test, held_out_target=held_out)
+        raise CorpusFormatError(f"records carry unknown split tag(s): {bad}")
+    splits = []
+    for held_out in sorted({r.target for r in records}):
+        roles = {tag: [] for tag in SPLIT_TAGS}
+        for record, ex in zip(records, examples):
+            # the held-out target's test rows, every other target's train/val rows
+            if (record.target == held_out) == (record.split_tag == "test"):
+                roles[record.split_tag].append(ex)
+        splits.append(DatasetSplit(**roles, held_out_target=held_out))
+    return splits
 
 
-def write_split_jsonl(split: DatasetSplit, path) -> None:
-    """Audit export: one line per example (target, label, role, tokens)."""
+def write_examples_jsonl(path, rows) -> None:
+    """Audit export: one line (label, role, target, tokens) per (role, example)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for role in ("train", "val", "test"):
-            for ex in getattr(split, role):
-                fh.write(
-                    json.dumps(
-                        {
-                            "target": ex.target,
-                            "label": ex.label,
-                            "role": role,
-                            "tokens": list(ex.tokens),
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
+        for role, ex in rows:
+            fh.write(
+                json.dumps(
+                    {
+                        "target": ex.target,
+                        "label": ex.label,
+                        "role": role,
+                        "tokens": list(ex.tokens),
+                    },
+                    sort_keys=True,
                 )
+                + "\n"
+            )
 
 
 def label_counts(records) -> dict[str, int]:

@@ -1,4 +1,4 @@
-"""Classification metrics, protocol runners, and NPMI topic coherence.
+"""Classification metrics, the evaluation protocols, and NPMI topic coherence.
 
 Macro F1 averages the per-class F1 of all three labels (support, oppose,
 none); P+/R+ and P-/R- report precision/recall for support and oppose.
@@ -16,7 +16,7 @@ from .corpus import (
     LABELS,
     LABEL_TO_INDEX,
     DatasetSplit,
-    make_cross_target_split,
+    make_cross_target_splits,
     make_in_target_folds,
 )
 
@@ -83,49 +83,39 @@ def mean_report(reports) -> MetricReport:
     return MetricReport(*[float(x) for x in rows.mean(axis=0)])
 
 
-def run_seed(seed: int, index: int) -> int:
-    """Training seed of protocol run `index` under the run-level `seed`.
+def protocol_runs(protocol: str, records, examples, k: int, seed: int):
+    """Every run of `protocol` as (name, split, training seed), in report order.
 
-    `index` is the fold number in-target, or the held-out target's position
-    in sorted target order cross-target. The protocol runners and a single
-    `train` run both derive their seed here, so they train identical models.
+    In-target run i is fold i of the seeded k-fold split, named `fold_i`;
+    cross-target run i holds out the i-th target in sorted order and is named
+    after it. Run i trains with seed `seed + i`, so `evaluate`, which runs
+    every row, and `train`, which picks one, train identical models.
     """
-    return seed + index
+    if protocol == "in_target":
+        splits = make_in_target_folds(examples, k, seed)
+        names = [f"fold_{i}" for i in range(len(splits))]
+    elif protocol == "cross_target":
+        splits = make_cross_target_splits(records, examples)
+        names = [split.held_out_target for split in splits]
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    return [(name, split, seed + i) for i, (name, split) in enumerate(zip(names, splits))]
 
 
-def run_in_target(train_fn, examples, k: int = 10, seed: int = 0):
-    """k-fold protocol: train per fold via `train_fn(split, seed) -> predict`.
+def run_protocol(fit_predict, runs):
+    """Train and score each (name, split, seed) run.
 
-    Returns (averaged report, per-fold reports). Each fold's model is trained
-    from scratch, with seed `run_seed(seed, fold)`, and evaluated on that
-    fold's test slice.
+    `fit_predict(split, seed)` trains from scratch and returns labels for
+    `split.test`. Asserts before each run that its held-out target (if any)
+    is absent from train and val. Returns (averaged report, [(name, report)]).
     """
-    folds = make_in_target_folds(examples, k, seed)
-    reports = []
-    for i, split in enumerate(folds):
-        predict_fn = train_fn(split, run_seed(seed, i))
-        preds = predict_fn(split.test)
-        golds = [ex.label for ex in split.test]
-        reports.append(metric_report(confusion(golds, preds)))
-    return mean_report(reports), reports
-
-
-def run_cross_target(train_fn, records, seed: int = 0):
-    """Leave-one-target-out protocol over every target.
-
-    The run holding out the i-th target in sorted order trains with seed
-    `run_seed(seed, i)`. Asserts on every run that the held-out target is
-    absent from train and val. Returns (averaged report, {target: report}).
-    """
-    per_target: dict[str, MetricReport] = {}
-    for i, held_out in enumerate(sorted({r.target for r in records})):
-        split = make_cross_target_split(records, held_out)
+    rows = []
+    for name, split, seed in runs:
         assert_no_leakage(split)
-        predict_fn = train_fn(split, run_seed(seed, i))
-        preds = predict_fn(split.test)
+        preds = fit_predict(split, seed)
         golds = [ex.label for ex in split.test]
-        per_target[held_out] = metric_report(confusion(golds, preds))
-    return mean_report(per_target.values()), per_target
+        rows.append((name, metric_report(confusion(golds, preds))))
+    return mean_report(report for _, report in rows), rows
 
 
 def assert_no_leakage(split: DatasetSplit) -> None:

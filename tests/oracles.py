@@ -12,7 +12,13 @@ import numpy as np
 from scipy import sparse
 
 from topicarg import autodiff as ad
-from topicarg.corpus import Vocabulary
+from topicarg.corpus import (
+    SPLIT_TAGS,
+    CorpusFormatError,
+    DatasetSplit,
+    Vocabulary,
+    example_from_record,
+)
 from topicarg.nn import EPS, SeededRng, mlp_forward
 from topicarg.ntm import NtmParams, normalize_bow
 from topicarg.topics import (
@@ -196,6 +202,28 @@ def loss_topic_side(elbo_total: float, l_m: float, gamma: float) -> float:
 
 def loss_classifier_side(ce_sum: float, l_m: float, gamma: float) -> float:
     return gamma * l_m + ce_sum
+
+
+# corpus: one leave-one-target-out split, tokenized afresh from the records
+
+
+def make_cross_target_split(records, held_out: str) -> DatasetSplit:
+    """Leave-one-target-out split driven by the corpus's own split tags."""
+    targets = {r.target for r in records}
+    if held_out not in targets:
+        raise ValueError(f"unknown target {held_out!r}; corpus has {sorted(targets)}")
+    bad = [r for r in records if r.split_tag not in SPLIT_TAGS]
+    if bad:
+        raise CorpusFormatError(
+            f"records carry unknown split tag(s): {sorted({r.split_tag for r in bad})}"
+        )
+    train = [example_from_record(r) for r in records
+             if r.target != held_out and r.split_tag == "train"]
+    val = [example_from_record(r) for r in records
+           if r.target != held_out and r.split_tag == "val"]
+    test = [example_from_record(r) for r in records
+            if r.target == held_out and r.split_tag == "test"]
+    return DatasetSplit(train=train, val=val, test=test, held_out_target=held_out)
 
 
 # topics: extraction through an explicit target mask

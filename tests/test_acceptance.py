@@ -50,9 +50,9 @@ from topicarg.evaluate import (
     confusion,
     metric_report,
     npmi,
+    protocol_runs,
     report_to_csv,
-    run_cross_target,
-    run_in_target,
+    run_protocol,
 )
 from topicarg.mutual import (
     TrainData,
@@ -514,43 +514,43 @@ def test_criterion_8_protocol_integrity(tmp_path):
         id(ex) for ex in examples
     }
 
-    # the cross-target runner asserts no leakage on every split
+    # the runner asserts no leakage on every cross-target split
+    cross_runs = protocol_runs("cross_target", records, examples, 10, 0)
+
     def oracle(split, seed):
         assert split.held_out_target not in {ex.target for ex in split.train}
-        return lambda exs: [ex.label for ex in exs]
+        return [ex.label for ex in split.test]
 
-    averaged, per_target = run_cross_target(oracle, records)
-    leakage_ok = averaged.macro_f1 == 1.0 and len(per_target) == 2
+    averaged, rows = run_protocol(oracle, cross_runs)
+    leakage_ok = averaged.macro_f1 == 1.0 and [name for name, _ in rows] == [
+        "river dams", "space mining"
+    ]
 
-    import topicarg.evaluate as ev
     from topicarg.corpus import DatasetSplit
 
     sabotage_caught = False
-    original = ev.make_cross_target_split
+    leaking = [
+        (name, DatasetSplit(train=examples, val=[], test=examples, held_out_target=name), seed)
+        for name, _, seed in cross_runs
+    ]
     try:
-        ev.make_cross_target_split = lambda records, held_out: DatasetSplit(
-            train=examples, val=[], test=examples, held_out_target=held_out
-        )
-        try:
-            run_cross_target(oracle, records)
-        except AssertionError:
-            sabotage_caught = True
-    finally:
-        ev.make_cross_target_split = original
+        run_protocol(oracle, leaking)
+    except AssertionError:
+        sabotage_caught = True
 
     # byte-identical seeded reruns of both protocol reports
     def majority(split, seed):
         top = Counter(ex.label for ex in split.train).most_common(1)[0][0]
-        return lambda exs: [top] * len(exs)
+        return [top] * len(split.test)
 
     def in_target_bytes(path):
-        avg, reps = run_in_target(majority, examples, k=5, seed=17)
-        report_to_csv(path, [(f"fold_{i}", r) for i, r in enumerate(reps)], avg)
+        avg, rows = run_protocol(majority, protocol_runs("in_target", records, examples, 5, 17))
+        report_to_csv(path, rows, avg)
         return path.read_bytes()
 
     def cross_bytes(path):
-        avg, per = run_cross_target(majority, records)
-        report_to_csv(path, sorted(per.items()), avg)
+        avg, rows = run_protocol(majority, protocol_runs("cross_target", records, examples, 10, 0))
+        report_to_csv(path, rows, avg)
         return path.read_bytes()
 
     rerun_ok = in_target_bytes(tmp_path / "a.csv") == in_target_bytes(

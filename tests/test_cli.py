@@ -8,11 +8,11 @@ import pytest
 from synthdata import stance_corpus, write_tsv
 from topicarg import autodiff
 from topicarg import corpus as corpus_mod
+from topicarg import evaluate as evaluate_mod
 from topicarg.checkpoint import load_checkpoint, save_checkpoint
 from topicarg.cli import (
     _checkpoint_arrays,
     _resolve_config,
-    _split_for_mode,
     _train_one,
     build_parser,
     load_run,
@@ -232,7 +232,30 @@ class TestTrain:
             ["train", "--mode", "cross_target", "--held-out", "flat earth",
              *small_flags(corpus_path, out)]
         )
-        assert code != 0
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: unknown target 'flat earth'; corpus has ['river dams', 'space mining']\n"
+        )
+        assert not (out / "train").exists()
+
+    @pytest.mark.parametrize(
+        "run_args, err",
+        [
+            (["--mode", "in_target_fold", "--fold", "5"], "error: --fold must be in [0, 5)\n"),
+            (["--mode", "in_target_fold", "--fold", "-1"], "error: --fold must be in [0, 5)\n"),
+            (["--mode", "cross_target"],
+             "error: --held-out TARGET is required in cross_target mode\n"),
+        ],
+    )
+    def test_run_outside_the_protocol_fails(self, corpus_path, tmp_path, capsys,
+                                            run_args, err):
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        capsys.readouterr()
+        code = main(["train", *run_args, *small_flags(corpus_path, out)])
+        assert code == 1
+        assert capsys.readouterr().err == err
+        assert not (out / "train").exists()
 
     def test_non_finite_gradient_is_a_clean_error(self, corpus_path, tmp_path, capsys,
                                                   monkeypatch):
@@ -382,7 +405,9 @@ class TestCheckpoint:
         log_freq = compute_log_freq(
             corpus_mod.vectorize_all([ex.tokens for ex in examples], vocab)
         )
-        split, seed = _split_for_mode(cfg, args, records, examples)
+        _, split, seed = evaluate_mod.protocol_runs(
+            "in_target", records, examples, cfg.folds, cfg.seed
+        )[0]
         expected = _checkpoint_arrays(_train_one(cfg, split, vocab, enc_vocab, log_freq, seed))
         arrays, _ = load_checkpoint(checkpoint)
         assert arrays["ntm/log_freq"].tobytes() == log_freq.tobytes()
@@ -483,6 +508,26 @@ class TestExtractAndCoherence:
         lines = (out / "coherence.csv").read_text().strip().split("\n")
         assert lines[0] == "topic,npmi@5,npmi@10"
         assert lines[-1].startswith("mean,")
+
+    @pytest.mark.parametrize(
+        "row",
+        ["0\triver", "0\triver\t0.5\textra", "x\triver\t0.5", "0\triver\theavy"],
+        ids=["too-few-fields", "too-many-fields", "non-int-topic", "non-float-weight"],
+    )
+    def test_malformed_topic_word_line_is_a_clean_error(self, corpus_path, tmp_path,
+                                                        capsys, row):
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        topics = tmp_path / "topic_word.tsv"
+        topics.write_text(f"topic\tword\tweight\n1\tdams\t0.25\n{row}\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(["coherence", "--topics", str(topics), *small_flags(corpus_path, out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {topics}:3: expected 'topic<TAB>word<TAB>weight' "
+            f"(an int, a word, a float), got {row!r}\n"
+        )
+        assert not (out / "coherence.csv").exists()
 
 
 class TestParser:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from oracles import make_cross_target_split
 from synthdata import stance_corpus, write_tsv
 from topicarg.corpus import (
     ANNOTATION_TO_LABEL,
@@ -19,7 +20,8 @@ from topicarg.corpus import (
     examples_from_records,
     label_counts,
     load_tsv,
-    make_cross_target_split,
+    SPLIT_TAGS,
+    make_cross_target_splits,
     make_in_target_folds,
     target_counts,
     tokenize,
@@ -370,10 +372,17 @@ class TestInTargetFolds:
         assert all(s.train for s in make_in_target_folds(self._examples(10), k=3, seed=0))
 
 
+def cross_target_split(records, held_out):
+    """The split of `make_cross_target_splits` that holds out `held_out`."""
+    splits = make_cross_target_splits(records, examples_from_records(records))
+    (split,) = [s for s in splits if s.held_out_target == held_out]
+    return split
+
+
 class TestCrossTargetSplit:
     def test_held_out_excluded_from_train_and_val(self):
         records = stance_corpus(n_per_cell=10, seed=0)
-        split = make_cross_target_split(records, "river dams")
+        split = cross_target_split(records, "river dams")
         assert split.held_out_target == "river dams"
         assert all(ex.target != "river dams" for ex in split.train)
         assert all(ex.target != "river dams" for ex in split.val)
@@ -382,7 +391,7 @@ class TestCrossTargetSplit:
 
     def test_split_tags_respected(self):
         records = stance_corpus(n_per_cell=10, seed=0)
-        split = make_cross_target_split(records, "space mining")
+        split = cross_target_split(records, "space mining")
         n_other_train = sum(
             1 for r in records if r.target != "space mining" and r.split_tag == "train"
         )
@@ -395,37 +404,60 @@ class TestCrossTargetSplit:
     def test_all_targets_covered_once(self):
         records = stance_corpus(n_per_cell=10, seed=0)
         targets = sorted({r.target for r in records})
-        test_targets = []
-        for t in targets:
-            split = make_cross_target_split(records, t)
-            test_targets.extend({ex.target for ex in split.test})
-        assert sorted(test_targets) == targets
-
-    def test_unknown_target(self):
-        records = stance_corpus(n_per_cell=5, seed=0)
-        with pytest.raises(ValueError, match="unknown target"):
-            make_cross_target_split(records, "flat earth")
+        splits = make_cross_target_splits(records, examples_from_records(records))
+        assert [s.held_out_target for s in splits] == targets
+        test_targets = [t for s in splits for t in {ex.target for ex in s.test}]
+        assert test_targets == targets
 
     def test_bad_split_tag_raises(self):
-        records = [rec(split="holdout")]
-        with pytest.raises(CorpusFormatError, match="holdout"):
-            make_cross_target_split(records, "guns")
+        records = [rec(split="holdout"), rec(split="train")]
+        with pytest.raises(CorpusFormatError, match=r"\['holdout'\]"):
+            make_cross_target_splits(records, examples_from_records(records))
+
+    def test_length_mismatch_raises(self):
+        records = stance_corpus(n_per_cell=2, seed=0)
+        examples = examples_from_records(records)
+        with pytest.raises(ValueError, match="records but"):
+            make_cross_target_splits(records, examples[:-1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["guns", "nuclear energy", "abortion"]),
+                st.sampled_from(SPLIT_TAGS),
+                st.sampled_from(sorted(ANNOTATION_TO_LABEL)),
+                st.sampled_from(["Guns kill.", "Energy is cheap!", "a b c", "ok"]),
+            ),
+            max_size=30,
+        )
+    )
+    def test_equals_reference_for_every_sorted_target(self, rows):
+        records = [rec(target, sentence, annotation, tag)
+                   for target, tag, annotation, sentence in rows]
+        splits = make_cross_target_splits(records, examples_from_records(records))
+        targets = sorted({r.target for r in records})
+        assert len(splits) == len(targets)
+        for target, split in zip(targets, splits):
+            assert split == make_cross_target_split(records, target)
 
 
 def test_write_split_jsonl(tmp_path):
     import json
 
-    from topicarg.corpus import write_split_jsonl
+    from topicarg.corpus import write_examples_jsonl
 
     records = stance_corpus(n_per_cell=10, seed=0)
-    split = make_cross_target_split(records, "river dams")
+    split = cross_target_split(records, "river dams")
     path = tmp_path / "split.jsonl"
-    write_split_jsonl(split, path)
-    rows = [json.loads(line) for line in path.read_text().strip().split("\n")]
-    assert len(rows) == len(split.train) + len(split.val) + len(split.test)
-    assert {r["role"] for r in rows} == {"train", "val", "test"}
-    assert all(set(r) == {"target", "label", "role", "tokens"} for r in rows)
-    test_rows = [r for r in rows if r["role"] == "test"]
+    rows = [(role, ex) for role in SPLIT_TAGS for ex in getattr(split, role)]
+    write_examples_jsonl(path, rows)
+    lines = [json.loads(line) for line in path.read_text().strip().split("\n")]
+    assert len(lines) == len(split.train) + len(split.val) + len(split.test)
+    assert [r["role"] for r in lines] == [role for role, _ in rows]
+    assert all(set(r) == {"target", "label", "role", "tokens"} for r in lines)
+    assert all(r["tokens"] == list(ex.tokens) for r, (_, ex) in zip(lines, rows))
+    test_rows = [r for r in lines if r["role"] == "test"]
     assert all(r["target"] == "river dams" for r in test_rows)
 
 

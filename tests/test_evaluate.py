@@ -19,9 +19,9 @@ from topicarg.evaluate import (
     mean_report,
     metric_report,
     npmi,
+    protocol_runs,
     report_to_csv,
-    run_cross_target,
-    run_in_target,
+    run_protocol,
 )
 from topicarg.nn import SeededRng
 
@@ -164,13 +164,13 @@ class TestMetricReport:
             mean_report([])
 
 
-def oracle_train_fn(split, seed):
-    return lambda examples: [ex.label for ex in examples]
+def oracle_fit_predict(split, seed):
+    return [ex.label for ex in split.test]
 
 
-def majority_train_fn(split, seed):
+def majority_fit_predict(split, seed):
     majority = Counter(ex.label for ex in split.train).most_common(1)[0][0]
-    return lambda examples: [majority] * len(examples)
+    return [majority] * len(split.test)
 
 
 def imbalanced_examples(n=90):
@@ -181,34 +181,65 @@ def imbalanced_examples(n=90):
     return (examples + extra * 3)[:n]
 
 
+def in_target_runs(examples, k, seed):
+    return protocol_runs("in_target", None, examples, k, seed)
+
+
+def cross_target_runs(records, seed=0):
+    return protocol_runs("cross_target", records, examples_from_records(records), 10, seed)
+
+
+class TestProtocolRuns:
+    def test_in_target_rows_are_the_folds_in_order(self):
+        from topicarg.corpus import make_in_target_folds
+
+        examples = imbalanced_examples()
+        runs = in_target_runs(examples, 5, 3)
+        assert [(name, seed) for name, _, seed in runs] == [
+            (f"fold_{i}", 3 + i) for i in range(5)
+        ]
+        assert [split for _, split, _ in runs] == make_in_target_folds(examples, 5, seed=3)
+
+    def test_cross_target_rows_are_the_sorted_targets(self):
+        records = stance_corpus(n_per_cell=5, seed=1)
+        runs = cross_target_runs(records, seed=7)
+        assert [(name, split.held_out_target, seed) for name, split, seed in runs] == [
+            ("river dams", "river dams", 7), ("space mining", "space mining", 8)
+        ]
+
+    def test_unknown_protocol(self):
+        with pytest.raises(ValueError, match="unknown protocol"):
+            protocol_runs("in_target_fold", [], [], 3, 0)
+
+
 class TestInTargetRunner:
     def test_oracle_predictor_scores_one(self):
         # balanced corpus so every test fold contains all three classes
         examples = examples_from_records(stance_corpus(n_per_cell=20, seed=2))
-        averaged, reports = run_in_target(oracle_train_fn, examples, k=5, seed=3)
+        averaged, rows = run_protocol(oracle_fit_predict, in_target_runs(examples, 5, 3))
         assert averaged.macro_f1 == 1.0
-        assert len(reports) == 5
+        assert [name for name, _ in rows] == [f"fold_{i}" for i in range(5)]
 
     def test_majority_predictor_hand_computed(self):
         examples = imbalanced_examples()
-        averaged, reports = run_in_target(majority_train_fn, examples, k=5, seed=3)
+        averaged, rows = run_protocol(majority_fit_predict, in_target_runs(examples, 5, 3))
         from topicarg.corpus import make_in_target_folds
 
         folds = make_in_target_folds(examples, 5, seed=3)
-        for split, rep in zip(folds, reports):
+        for split, (_, rep) in zip(folds, rows):
             majority = Counter(ex.label for ex in split.train).most_common(1)[0][0]
             assert majority == "none"
             n_none = sum(1 for ex in split.test if ex.label == "none")
             p = n_none / len(split.test)
             expected = (2 * p * 1.0 / (p + 1.0)) / 3 if n_none else 0.0
             assert rep.macro_f1 == pytest.approx(expected, abs=1e-12)
+        assert averaged == mean_report(rep for _, rep in rows)
 
     def test_seeded_rerun_identical(self, tmp_path):
         examples = imbalanced_examples()
 
         def run(path):
-            averaged, reports = run_in_target(majority_train_fn, examples, k=5, seed=7)
-            rows = [(f"fold_{i}", r) for i, r in enumerate(reports)]
+            averaged, rows = run_protocol(majority_fit_predict, in_target_runs(examples, 5, 7))
             report_to_csv(path, rows, averaged)
             return path.read_bytes()
 
@@ -218,9 +249,9 @@ class TestInTargetRunner:
 class TestCrossTargetRunner:
     def test_oracle_scores_one_and_covers_targets(self):
         records = stance_corpus(n_per_cell=10, seed=1)
-        averaged, per_target = run_cross_target(oracle_train_fn, records)
+        averaged, rows = run_protocol(oracle_fit_predict, cross_target_runs(records))
         assert averaged.macro_f1 == 1.0
-        assert sorted(per_target) == ["river dams", "space mining"]
+        assert [name for name, _ in rows] == ["river dams", "space mining"]
 
     def test_leakage_assertion_fires(self):
         records = stance_corpus(n_per_cell=5, seed=1)
@@ -231,20 +262,21 @@ class TestCrossTargetRunner:
         with pytest.raises(AssertionError, match="leaked"):
             assert_no_leakage(bad)
 
-    def test_runner_checks_every_split(self, monkeypatch):
-        # sabotage the split builder; the runner must notice
+    def test_runner_checks_every_split(self):
+        # a leaking run after a clean one: the runner must stop before fitting it
         records = stance_corpus(n_per_cell=5, seed=1)
         examples = examples_from_records(records)
-        import topicarg.evaluate as ev
+        clean = cross_target_runs(records)[0]
+        bad = DatasetSplit(train=examples, val=[], test=examples, held_out_target="space mining")
+        fitted = []
 
-        def bad_split(records, held_out):
-            return DatasetSplit(
-                train=examples, val=[], test=examples, held_out_target=held_out
-            )
+        def fit_predict(split, seed):
+            fitted.append(split.held_out_target)
+            return oracle_fit_predict(split, seed)
 
-        monkeypatch.setattr(ev, "make_cross_target_split", bad_split)
-        with pytest.raises(AssertionError):
-            run_cross_target(oracle_train_fn, records)
+        with pytest.raises(AssertionError, match="'space mining' leaked"):
+            run_protocol(fit_predict, [clean, ("space mining", bad, 1)])
+        assert fitted == ["river dams"]
 
 
 class TestNpmi:
