@@ -215,19 +215,23 @@ def cmd_train(args) -> int:
     records, vocab, enc_vocab, vocab_sha = _load_prepared(cfg)
     examples = corpus_mod.examples_from_records(records)
     cross = args.mode == "cross_target"
+    if (args.fold if cross else args.held_out) is not None:
+        other = "--fold" if cross else "--held-out"
+        raise ValueError(f"{other} does not apply in {args.mode} mode")
     if cross and not args.held_out:
         raise ValueError("--held-out TARGET is required in cross_target mode")
+    fold = 0 if args.fold is None else args.fold
     runs = evaluate_mod.protocol_runs(
         "cross_target" if cross else "in_target", records, examples, cfg.folds, cfg.seed
     )
     names = [name for name, _, _ in runs]
     if cross and args.held_out not in names:
         raise ValueError(f"unknown target {args.held_out!r}; corpus has {names}")
-    if not cross and not 0 <= args.fold < len(runs):
+    if not cross and not 0 <= fold < len(runs):
         raise ValueError(f"--fold must be in [0, {len(runs)})")
-    _, split, seed = runs[names.index(args.held_out) if cross else args.fold]
+    _, split, seed = runs[names.index(args.held_out) if cross else fold]
 
-    run_name = f"cross_{args.held_out.replace(' ', '_')}" if cross else f"fold_{args.fold}"
+    run_name = f"cross_{args.held_out.replace(' ', '_')}" if cross else f"fold_{fold}"
     out = Path(cfg.out_dir) / "train" / run_name
     out.mkdir(parents=True, exist_ok=True)
     write_snapshot(cfg, out / "config.resolved")
@@ -328,8 +332,15 @@ def cmd_extract_topics(args) -> int:
 
 def cmd_coherence(args) -> int:
     cfg = _resolve_config(args)
+    try:
+        cutoffs = tuple(int(c) for c in args.cutoffs.split(","))
+        if min(cutoffs) < 2:
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"--cutoffs takes comma-separated integers >= 2, got {args.cutoffs!r}"
+        ) from None
     records, _, _, _ = _load_prepared(cfg)
-    cutoffs = tuple(int(c) for c in args.cutoffs.split(","))
 
     weights: dict[int, list[tuple[float, str]]] = {}
     with open(args.topics, encoding="utf-8") as fh:
@@ -395,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run the alternating trainer on one split")
     _add_config_flags(p)
     p.add_argument("--mode", choices=("in_target_fold", "cross_target"), required=True)
-    p.add_argument("--fold", type=int, default=0, help="fold index (in_target_fold)")
+    p.add_argument("--fold", type=int, help="fold index (in_target_fold; default 0)")
     p.add_argument("--held-out", dest="held_out", help="held-out target (cross_target)")
     p.set_defaults(fn=cmd_train)
 

@@ -133,7 +133,7 @@ def _scored_words(topic_words, cutoff: int) -> list[str]:
     words = list(topic_words)[:cutoff]
     if cutoff > len(topic_words):
         raise ValueError(f"cutoff {cutoff} exceeds the {len(topic_words)} topic words")
-    if len(words) < 2:
+    if cutoff < 2:
         raise ValueError("need at least two words for pairwise NPMI")
     seen = set()
     for w in words:
@@ -196,25 +196,6 @@ def _mean_npmi(cols, total: int, counts: np.ndarray) -> float:
     return float(np.mean(np.log(p12 / (p[i] * p[j])) / -np.log(p12)))
 
 
-def _warn_absent(vocab: list[str], counts: np.ndarray) -> None:
-    for w, c in zip(vocab, np.diagonal(counts)):
-        if c == 0:
-            logger.warning("npmi: word %r never occurs in the corpus", w)
-
-
-def npmi(topic_words, corpus_docs, window: int = 10, cutoff: int = 10) -> float:
-    """Mean pairwise NPMI of the top-`cutoff` words under sliding windows.
-
-    Probabilities are window frequencies with additive smoothing; a word that
-    never occurs is scored at the smoothing floor and flagged via logging.
-    The top words must be distinct.
-    """
-    words = _scored_words(topic_words, cutoff)
-    total, counts = _window_counts(words, corpus_docs, window)
-    _warn_absent(words, counts)
-    return _mean_npmi(np.arange(len(words)), total, counts)
-
-
 @dataclass
 class CoherenceReport:
     """Per-topic NPMI at each cutoff plus the per-cutoff averages."""
@@ -241,14 +222,16 @@ def coherence_report(
     window: int = 10,
     cutoffs: tuple[int, ...] = (5, 10, 15, 20),
 ) -> CoherenceReport:
-    """`npmi` of every topic at every cutoff, from one pass over the windows."""
+    """Mean pairwise NPMI of every topic at every cutoff, from one pass over the windows."""
     scored = {
         topic: {c: _scored_words(words, c) for c in cutoffs}
         for topic, words in topic_word_lists.items()
     }
     vocab = list(dict.fromkeys(w for row in scored.values() for ws in row.values() for w in ws))
     total, counts = _window_counts(vocab, corpus_docs, window)
-    _warn_absent(vocab, counts)
+    for w, c in zip(vocab, np.diagonal(counts)):
+        if c == 0:
+            logger.warning("npmi: word %r never occurs in the corpus", w)
     column = {w: i for i, w in enumerate(vocab)}
     per_topic = {
         topic: {c: _mean_npmi([column[w] for w in ws], total, counts) for c, ws in row.items()}
@@ -258,6 +241,16 @@ def coherence_report(
         c: float(np.mean([row[c] for row in per_topic.values()])) for c in cutoffs
     }
     return CoherenceReport(tuple(cutoffs), per_topic, averaged)
+
+
+def npmi(topic_words, corpus_docs, window: int = 10, cutoff: int = 10) -> float:
+    """Mean pairwise NPMI of the top-`cutoff` words under sliding windows.
+
+    Probabilities are window frequencies with additive smoothing; a word that
+    never occurs is scored at the smoothing floor and flagged via logging.
+    The top words must be distinct. One topic at one cutoff of `coherence_report`.
+    """
+    return coherence_report({0: topic_words}, corpus_docs, window, (cutoff,)).per_topic[0][cutoff]
 
 
 def report_to_csv(path, rows: list[tuple[str, MetricReport]], mean_row: MetricReport | None = None) -> None:

@@ -266,6 +266,93 @@ def _phase(name: str):
         raise FloatingPointError(f"{name} phase: {err}") from err
 
 
+@dataclass
+class IterationRecord:
+    """What one alternating iteration did: its rows, score, topics and step counts."""
+
+    iteration: int
+    rows: list[HistoryRow]
+    val_macro_f1: float | None
+    topics: dict[str, ExtractedTopics]
+    ntm_steps: int
+    classifier_steps: int
+
+
+def _iterations(ntm, enc, proj_params, data: TrainData, schedule: TrainSchedule, *,
+                gamma, lr_ntm, lr_classifier, n_top_terms, ratio_p, use_topics, max_len):
+    """Yield the record of each alternating iteration, 1..max_iterations.
+
+    Per iteration: (a) NTM epochs against frozen u targets, (b) refresh the
+    per-sentence z, (c) re-extract explainable topics, (d) classifier epochs
+    against the frozen z, (e) score validation. A caller that stops iterating
+    leaves the models as the last record describes them.
+    """
+    root = SeededRng(schedule.seed)
+    rng_ntm, rng_cls = root.child(1), root.child(2)
+    opt_ntm, opt_cls = adam(lr_ntm), adamw(lr_classifier)
+    mutual_on = proj_params is not None
+    targets = sorted({ex.target for ex in data.examples})
+    gold = [ex.label_index() for ex in data.examples]
+
+    def topics():
+        if not use_topics:
+            return {}
+        return extract_topics_for_targets(ntm, enc, data, targets, n_top_terms, ratio_p)
+
+    def inputs(examples, topics_now):
+        return build_inputs(examples, topics_now, data.enc_vocab, max_len, use_topics)
+
+    for iteration in range(1, schedule.max_iterations + 1):
+        rows: list[HistoryRow] = []
+        mutual_term = None
+        if mutual_on:
+            h_all = _encode_all(enc, inputs(data.examples, topics()))
+            u_targets = project_to_topic(proj_params, h_all)
+
+            def mutual_term(z_tensor, idx, _u=u_targets):
+                return mutual_sum_graph(z_tensor, ad.constant(_u[idx]))
+
+        for epoch in range(1, schedule.ntm_epochs + 1):
+            global_ntm_epoch = (iteration - 1) * schedule.ntm_epochs + epoch
+            kl_w = (
+                min(1.0, global_ntm_epoch / schedule.kl_warmup_epochs)
+                if schedule.kl_warmup_epochs > 0
+                else 1.0
+            )
+            with _phase("ntm"):
+                stats = train_ntm_epoch(
+                    ntm, data.bows, opt_ntm, schedule.batch_size, rng_ntm,
+                    kl_weight=kl_w, mutual_term=mutual_term, gamma=gamma,
+                )
+            rows.append(HistoryRow(
+                iteration, "ntm", epoch, elbo=stats.mean_total, kl=stats.mean_kl,
+                mutual=stats.mean_mutual if mutual_on else None,
+            ))
+
+        z_targets = infer_topic_distributions(ntm, data.bows) if mutual_on else None
+        topics_now = topics()
+        train_inputs = inputs(data.examples, topics_now)
+        for epoch in range(1, schedule.classifier_epochs + 1):
+            with _phase("classifier"):
+                stats = train_classifier_epoch(
+                    enc, train_inputs, gold, opt_cls, schedule.batch_size, rng_cls,
+                    proj_params=proj_params, z_targets=z_targets, gamma=gamma,
+                )
+            rows.append(HistoryRow(
+                iteration, "classifier", epoch, cross_entropy=stats.mean_ce,
+                mutual=stats.mean_mutual if mutual_on else None,
+            ))
+
+        val_f1 = None
+        if data.val_examples:
+            preds = predict(enc, inputs(data.val_examples, topics_now))
+            golds = [ex.label for ex in data.val_examples]
+            val_f1 = rows[-1].val_macro_f1 = metric_report(confusion(golds, preds)).macro_f1
+        yield IterationRecord(
+            iteration, rows, val_f1, topics_now, opt_ntm.step_count, opt_cls.step_count
+        )
+
+
 def train_alternating(
     ntm: NtmParams,
     enc: EncoderParams,
@@ -282,137 +369,37 @@ def train_alternating(
 ) -> TrainResult:
     """Alternating optimization of the topic model and the classifier.
 
-    Per iteration: (a) NTM epochs against frozen u targets, (b) refresh the
-    per-sentence z, (c) re-extract explainable topics, (d) classifier epochs
-    against the frozen z. With gamma=0 the mutual terms and the projection
-    head are structurally absent and no extra randomness is consumed, so the
-    two models train exactly as they would independently.
+    Runs `_iterations` until `max_iterations`, or until `patience` validation
+    rounds in a row bring no strict rise in macro F1. With gamma=0 the mutual
+    terms and the projection head are structurally absent and no extra
+    randomness is consumed, so the two models train exactly as they would
+    independently.
     """
-    root = SeededRng(schedule.seed)
-    rng_ntm = root.child(1)
-    rng_cls = root.child(2)
-    mutual_on = gamma > 0.0
     proj_params = (
-        init_projection(enc.cfg.output_dim, ntm.cfg.num_topics, root.child(3))
-        if mutual_on
+        init_projection(enc.cfg.output_dim, ntm.cfg.num_topics, SeededRng(schedule.seed).child(3))
+        if gamma > 0.0
         else None
     )
-    opt_ntm = adam(lr_ntm)
-    opt_cls = adamw(lr_classifier)
-
-    targets = sorted({ex.target for ex in data.examples})
-    gold = [ex.label_index() for ex in data.examples]
     history: list[HistoryRow] = []
     best_f1: float | None = None
     bad_rounds = 0
-    stopped_at = schedule.max_iterations
-    topics_now: dict[str, ExtractedTopics] = {}
-    global_ntm_epoch = 0
-
-    for iteration in range(1, schedule.max_iterations + 1):
-        mutual_term = None
-        if mutual_on:
-            topics_now = (
-                extract_topics_for_targets(ntm, enc, data, targets, n_top_terms, ratio_p)
-                if use_topics
-                else {}
-            )
-            inputs_now = build_inputs(
-                data.examples, topics_now, data.enc_vocab, max_len, use_topics
-            )
-            h_all = _encode_all(enc, inputs_now)
-            u_targets = project_to_topic(proj_params, h_all)
-
-            def mutual_term(z_tensor, idx, _u=u_targets):
-                return mutual_sum_graph(z_tensor, ad.constant(_u[idx]))
-
-        for epoch in range(1, schedule.ntm_epochs + 1):
-            global_ntm_epoch += 1
-            kl_w = (
-                min(1.0, global_ntm_epoch / schedule.kl_warmup_epochs)
-                if schedule.kl_warmup_epochs > 0
-                else 1.0
-            )
-            with _phase("ntm"):
-                stats = train_ntm_epoch(
-                    ntm,
-                    data.bows,
-                    opt_ntm,
-                    schedule.batch_size,
-                    rng_ntm,
-                    kl_weight=kl_w,
-                    mutual_term=mutual_term,
-                    gamma=gamma,
-                )
-            history.append(
-                HistoryRow(
-                    iteration,
-                    "ntm",
-                    epoch,
-                    elbo=stats.mean_total,
-                    kl=stats.mean_kl,
-                    mutual=stats.mean_mutual if mutual_on else None,
-                )
-            )
-
-        z_targets = infer_topic_distributions(ntm, data.bows) if mutual_on else None
-        topics_now = (
-            extract_topics_for_targets(ntm, enc, data, targets, n_top_terms, ratio_p)
-            if use_topics
-            else {}
-        )
-        inputs = build_inputs(data.examples, topics_now, data.enc_vocab, max_len, use_topics)
-
-        for epoch in range(1, schedule.classifier_epochs + 1):
-            with _phase("classifier"):
-                stats = train_classifier_epoch(
-                    enc,
-                    inputs,
-                    gold,
-                    opt_cls,
-                    schedule.batch_size,
-                    rng_cls,
-                    proj_params=proj_params,
-                    z_targets=z_targets,
-                    gamma=gamma,
-                )
-            history.append(
-                HistoryRow(
-                    iteration,
-                    "classifier",
-                    epoch,
-                    mutual=stats.mean_mutual if mutual_on else None,
-                    cross_entropy=stats.mean_ce,
-                )
-            )
-        if data.val_examples:
-            val_inputs = build_inputs(
-                data.val_examples, topics_now, data.enc_vocab, max_len, use_topics
-            )
-            preds = predict(enc, val_inputs)
-            golds = [ex.label for ex in data.val_examples]
-            val_f1 = metric_report(confusion(golds, preds)).macro_f1
-            history[-1].val_macro_f1 = val_f1
-            if best_f1 is None or val_f1 > best_f1:
-                best_f1 = val_f1
-                bad_rounds = 0
-            else:
-                bad_rounds += 1
-                if schedule.patience and bad_rounds >= schedule.patience:
-                    stopped_at = iteration
-                    break
-        stopped_at = iteration
-
+    for record in _iterations(
+        ntm, enc, proj_params, data, schedule,
+        gamma=gamma, lr_ntm=lr_ntm, lr_classifier=lr_classifier, n_top_terms=n_top_terms,
+        ratio_p=ratio_p, use_topics=use_topics, max_len=max_len,
+    ):
+        history += record.rows
+        if record.val_macro_f1 is None:
+            continue
+        if best_f1 is None or record.val_macro_f1 > best_f1:
+            best_f1, bad_rounds = record.val_macro_f1, 0
+        else:
+            bad_rounds += 1
+            if schedule.patience and bad_rounds >= schedule.patience:
+                break
     return TrainResult(
-        ntm=ntm,
-        enc=enc,
-        proj_params=proj_params,
-        history=history,
-        topics_by_target=topics_now,
-        best_val_macro_f1=best_f1,
-        stopped_at_iteration=stopped_at,
-        ntm_steps=opt_ntm.step_count,
-        classifier_steps=opt_cls.step_count,
+        ntm, enc, proj_params, history, record.topics, best_f1, record.iteration,
+        ntm_steps=record.ntm_steps, classifier_steps=record.classifier_steps,
     )
 
 

@@ -77,21 +77,15 @@ def init_ntm(cfg: NtmConfig, log_freq: np.ndarray, rng: SeededRng) -> NtmParams:
 
 
 def compute_log_freq(corpus_bows) -> np.ndarray:
-    """Add-one smoothed log unigram frequencies: ln((c_i + 1) / (total + V))."""
-    counts = _total_counts(corpus_bows)
+    """Add-one smoothed log unigram frequencies: ln((c_i + 1) / (total + V)).
+
+    `corpus_bows` is an (N, V) count matrix, dense or CSR.
+    """
+    counts = np.asarray(corpus_bows.sum(axis=0), dtype=np.float64).ravel()
     total = counts.sum()
     if total <= 0:
         raise ValueError("corpus has no in-vocabulary tokens")
     return np.log((counts + 1.0) / (total + counts.shape[0]))
-
-
-def _total_counts(corpus_bows) -> np.ndarray:
-    if sparse.issparse(corpus_bows):
-        return np.asarray(corpus_bows.sum(axis=0), dtype=np.float64).ravel()
-    arr = np.asarray(corpus_bows, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr
-    return arr.sum(axis=0)
 
 
 def normalize_bow(counts) -> sparse.csr_matrix:

@@ -245,6 +245,10 @@ class TestTrain:
             (["--mode", "in_target_fold", "--fold", "-1"], "error: --fold must be in [0, 5)\n"),
             (["--mode", "cross_target"],
              "error: --held-out TARGET is required in cross_target mode\n"),
+            (["--mode", "in_target_fold", "--held-out", "space mining"],
+             "error: --held-out does not apply in in_target_fold mode\n"),
+            (["--mode", "cross_target", "--held-out", "space mining", "--fold", "3"],
+             "error: --fold does not apply in cross_target mode\n"),
         ],
     )
     def test_run_outside_the_protocol_fails(self, corpus_path, tmp_path, capsys,
@@ -526,6 +530,23 @@ class TestExtractAndCoherence:
         assert capsys.readouterr().err == (
             f"error: {topics}:3: expected 'topic<TAB>word<TAB>weight' "
             f"(an int, a word, a float), got {row!r}\n"
+        )
+        assert not (out / "coherence.csv").exists()
+
+    @pytest.mark.parametrize("cutoffs", ["5,x", "5,-1", "1", ""])
+    def test_malformed_cutoffs_are_a_clean_error(self, corpus_path, tmp_path, capsys,
+                                                 cutoffs):
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        topics = tmp_path / "topic_word.tsv"
+        topics.write_text("topic\tword\tweight\n0\triver\t0.5\n0\tdams\t0.25\n",
+                          encoding="utf-8")
+        capsys.readouterr()
+        code = main(["coherence", "--topics", str(topics), "--cutoffs", cutoffs,
+                     *small_flags(corpus_path, out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --cutoffs takes comma-separated integers >= 2, got {cutoffs!r}\n"
         )
         assert not (out / "coherence.csv").exists()
 

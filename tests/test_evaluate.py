@@ -354,6 +354,8 @@ class TestNpmi:
             npmi(["a", "b"], docs, window=2, cutoff=3)
         with pytest.raises(ValueError):
             npmi(["a", "b"], [], window=2, cutoff=2)
+        with pytest.raises(ValueError, match="need at least two words"):
+            npmi(["a", "b", "c"], docs, window=2, cutoff=-1)
 
     def test_repeated_topic_word_rejected(self):
         docs = [["a", "b", "c", "a"], ["b", "a"], ["c", "d", "a"]]

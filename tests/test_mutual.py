@@ -573,3 +573,49 @@ def test_train_alternating_twice_gives_identical_bytes(tmp_path):
     for k in first:
         assert first[k].tobytes() == second[k].tobytes(), k
     assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
+
+
+def _stopping_run(seed, gamma, max_iterations, patience):
+    ntm, enc, data = _training_setup()
+    schedule = TrainSchedule(
+        max_iterations=max_iterations, ntm_epochs=1, classifier_epochs=1, batch_size=8,
+        seed=seed, patience=patience,
+    )
+    return train_alternating(
+        ntm, enc, data, schedule, gamma=gamma,
+        lr_ntm=2e-3, lr_classifier=5e-3, n_top_terms=4, ratio_p=0.5, max_len=64,
+    )
+
+
+def _trained_state(result):
+    params = {**result.ntm.params, **result.enc.params, **(result.proj_params or {})}
+    return (
+        {k: v.tobytes() for k, v in params.items()},
+        repr(result.history),
+        repr(sorted(result.topics_by_target.items())),
+        result.best_val_macro_f1,
+        result.stopped_at_iteration,
+        result.ntm_steps,
+        result.classifier_steps,
+    )
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+@pytest.mark.parametrize("patience", [1, 2])
+@pytest.mark.parametrize("seed", range(6))
+def test_early_stop_equals_the_run_cut_at_its_stop(seed, patience, gamma):
+    stopped = _stopping_run(seed, gamma, max_iterations=8, patience=patience)
+    k = stopped.stopped_at_iteration
+    f1s = [row.val_macro_f1 for row in stopped.history if row.val_macro_f1 is not None]
+    assert len(f1s) == k < 8
+    # a round is bad unless it strictly beats every earlier round (a tie is bad);
+    # the run stops at the first iteration that ends `patience` bad rounds in a row
+    bad = [i > 0 and f1s[i] <= max(f1s[:i]) for i in range(len(f1s))]
+    assert k == next(
+        i + 1 for i in range(patience, len(bad)) if all(bad[i - patience + 1 : i + 1])
+    )
+    assert stopped.best_val_macro_f1 == max(f1s)
+    # the RNG streams do not depend on max_iterations, so the stopped run is
+    # bitwise the run that was only ever given k iterations
+    cut = _stopping_run(seed, gamma, max_iterations=k, patience=0)
+    assert _trained_state(stopped) == _trained_state(cut)
