@@ -360,6 +360,8 @@ def cmd_coherence(args) -> int:
                     f"(an int, a word, a float), got {line!r}"
                 ) from None
             weights.setdefault(topic, []).append((weight, word))
+    if not weights:
+        raise ValueError(f"{args.topics}: no topic lines")
     top_words = {
         topic: [w for _, w in sorted(rows, key=lambda t: (-t[0], t[1]))[: max(cutoffs)]]
         for topic, rows in weights.items()

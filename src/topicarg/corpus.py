@@ -41,13 +41,15 @@ _ASCII_PUNCT = bytes(c for c in range(128) if _PUNCT_RE.match(chr(c)))
 # What default ntm mode drops from ASCII text: an ASCII token holds only
 # [a-z0-9_], so it is shorter than 2 characters iff it is one ASCII character.
 _NTM_ASCII_DROP = DEFAULT_STOPWORDS | {chr(c) for c in range(128)}
+# Sentences per tokenize call in `count_tokens`: ~1 MB of tokens, not ~40 MB for a whole corpus.
+_COUNT_CHUNK = 1024
 
 
 class CorpusFormatError(ValueError):
     """Raised for missing columns or malformed rows (includes line numbers)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawRecord:
     target: str
     sentence: str
@@ -55,7 +57,7 @@ class RawRecord:
     split_tag: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArgumentExample:
     """One sentence paired with its target and gold label."""
 
@@ -195,33 +197,45 @@ def label_of(record: RawRecord) -> str:
     return ANNOTATION_TO_LABEL[record.annotation]
 
 
-def example_from_record(record: RawRecord) -> ArgumentExample:
-    return ArgumentExample(
-        target=record.target,
-        tokens=tuple(tokenize(record.sentence, mode="encoder")),
-        label=label_of(record),
-        text=record.sentence,
-    )
-
-
 def examples_from_records(records) -> list[ArgumentExample]:
-    return [example_from_record(r) for r in records]
+    """Encoder-mode examples; equal tokens are one `str` object within one call."""
+    share = {}.setdefault
+    out = []
+    for r in records:
+        tokens = tokenize(r.sentence, mode="encoder")
+        shared = tuple(map(share, tokens, tokens))
+        out.append(ArgumentExample(r.target, shared, label_of(r), r.sentence))
+    return out
+
+
+def count_tokens(texts) -> Counter[str]:
+    """Encoder-mode token counts; texts joined by a space tokenize to their tokens chained."""
+    texts = list(texts)
+    freq: Counter[str] = Counter()
+    for start in range(0, len(texts), _COUNT_CHUNK):
+        freq.update(tokenize(" ".join(texts[start:start + _COUNT_CHUNK])))
+    return freq
+
+
+def rank_by_count(freq: dict[str, int]) -> list[str]:
+    """Words by descending count, ties lexicographic (a stable sort)."""
+    return sorted(sorted(freq), key=freq.__getitem__, reverse=True)
 
 
 def build_vocabulary(records, max_size: int, stopwords=None) -> Vocabulary:
     """Frequency-ranked NTM vocabulary over all record sentences.
 
-    Ties broken lexicographically; deterministic for fixed input.
+    Ties broken lexicographically. NTM-mode tokens are the encoder-mode ones of
+    length >= 2 that are not stopwords.
     """
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
     if not records:
         raise ValueError("cannot build a vocabulary from zero records")
     stop = DEFAULT_STOPWORDS if stopwords is None else stopwords
-    freq: Counter[str] = Counter()
-    for record in records:
-        freq.update(tokenize(record.sentence, mode="ntm", stopwords=stop))
-    ranked = sorted(freq, key=lambda w: (-freq[w], w))[:max_size]
+    freq = count_tokens(r.sentence for r in records)
+    kept = {w: c for w, c in freq.items() if len(w) >= 2 and w not in stop}
+    ranked = rank_by_count(kept)[:max_size]
     return Vocabulary(index_of={w: i for i, w in enumerate(ranked)}, id_to_word=ranked)
 
 
@@ -268,11 +282,12 @@ def make_in_target_folds(examples, k: int, seed: int) -> list[DatasetSplit]:
         held = np.zeros(n, dtype=bool)
         held[test_idx] = held[val_idx] = True
         train_idx = order[~held[order]]
+        # Python ints index a list faster than numpy int64 scalars
         splits.append(
             DatasetSplit(
-                train=[examples[j] for j in train_idx],
-                val=[examples[j] for j in val_idx],
-                test=[examples[j] for j in test_idx],
+                train=[examples[j] for j in train_idx.tolist()],
+                val=[examples[j] for j in val_idx.tolist()],
+                test=[examples[j] for j in test_idx.tolist()],
             )
         )
     return splits

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import LABELS, Vocabulary, tokenize
+from .corpus import LABELS, Vocabulary, count_tokens, rank_by_count, tokenize
 from .nn import MlpSpec, SeededRng, init_mlp, mlp_forward
 from .topics import ExtractedTopics
 
@@ -73,15 +73,12 @@ def build_encoder_vocab(
     """
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
-    freq: Counter[str] = Counter()
-    for record in records:
-        freq.update(tokenize(record.sentence, mode="encoder"))
+    freq = count_tokens(record.sentence for record in records)
     # every record also counts its target's tokens; tokenize each target once
     for target, n in Counter(record.target for record in records).items():
         tokens = tokenize(target, mode="encoder")
         freq.update({t: n * c for t, c in Counter(tokens).items()})
-    ranked = sorted(freq, key=lambda w: (-freq[w], w))[:max_size]
-    words = list(MARKERS) + ranked
+    words = list(MARKERS) + rank_by_count(freq)[:max_size]
     if ntm_vocab is not None:
         present = set(words)
         words += [w for w in ntm_vocab.id_to_word if w not in present]

@@ -223,6 +223,8 @@ def coherence_report(
     cutoffs: tuple[int, ...] = (5, 10, 15, 20),
 ) -> CoherenceReport:
     """Mean pairwise NPMI of every topic at every cutoff, from one pass over the windows."""
+    if not topic_word_lists:
+        raise ValueError("coherence needs at least one topic")
     scored = {
         topic: {c: _scored_words(words, c) for c in cutoffs}
         for topic, words in topic_word_lists.items()

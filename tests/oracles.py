@@ -6,6 +6,7 @@ time, so tests can check the batched code in `topicarg` against it.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,11 +15,15 @@ from scipy import sparse
 from topicarg import autodiff as ad
 from topicarg.corpus import (
     SPLIT_TAGS,
+    ArgumentExample,
     CorpusFormatError,
     DatasetSplit,
+    RawRecord,
     Vocabulary,
-    example_from_record,
+    label_of,
+    tokenize,
 )
+from topicarg.encoder import MARKERS
 from topicarg.nn import EPS, SeededRng, mlp_forward
 from topicarg.ntm import NtmParams, normalize_bow
 from topicarg.topics import (
@@ -204,7 +209,45 @@ def loss_classifier_side(ce_sum: float, l_m: float, gamma: float) -> float:
     return gamma * l_m + ce_sum
 
 
-# corpus: one leave-one-target-out split, tokenized afresh from the records
+# corpus: examples and vocabularies one record at a time, and one
+# leave-one-target-out split, tokenized afresh from the records
+
+
+def example_from_record(record: RawRecord) -> ArgumentExample:
+    return ArgumentExample(
+        target=record.target,
+        tokens=tuple(tokenize(record.sentence, mode="encoder")),
+        label=label_of(record),
+        text=record.sentence,
+    )
+
+
+def build_vocabulary(records, max_size: int, stopwords=None) -> Vocabulary:
+    """NTM vocabulary from one ntm-mode `tokenize` call per record."""
+    if max_size < 1:
+        raise ValueError(f"max_size must be >= 1, got {max_size}")
+    if not records:
+        raise ValueError("cannot build a vocabulary from zero records")
+    freq: Counter[str] = Counter()
+    for record in records:
+        freq.update(tokenize(record.sentence, mode="ntm", stopwords=stopwords))
+    ranked = sorted(freq, key=lambda w: (-freq[w], w))[:max_size]
+    return Vocabulary({w: i for i, w in enumerate(ranked)}, ranked)
+
+
+def build_encoder_vocab(records, max_size: int, ntm_vocab: Vocabulary | None = None) -> Vocabulary:
+    """Encoder vocabulary from one encoder-mode `tokenize` call per record and target."""
+    if max_size < 1:
+        raise ValueError(f"max_size must be >= 1, got {max_size}")
+    freq: Counter[str] = Counter()
+    for record in records:
+        freq.update(tokenize(record.sentence, mode="encoder"))
+        freq.update(tokenize(record.target, mode="encoder"))
+    ranked = sorted(freq, key=lambda w: (-freq[w], w))[:max_size]
+    words = list(MARKERS) + ranked
+    if ntm_vocab is not None:
+        words += [w for w in ntm_vocab.id_to_word if w not in words]
+    return Vocabulary({w: i for i, w in enumerate(words)}, words)
 
 
 def make_cross_target_split(records, held_out: str) -> DatasetSplit:

@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -91,6 +91,23 @@ class TestPrepare:
         prepare(corpus_path, out)
         second = json.loads((out / "prepared" / "manifest.json").read_text())
         assert first["checksums"] == second["checksums"]
+
+    def test_vocabularies_are_built_from_every_record(self, tmp_path):
+        """Transductive scope: words seen only in `test` rows are in both vocabularies."""
+        records = stance_corpus(n_per_cell=10, seed=0)
+        only_in_test = [r for r in records if r.split_tag == "test"][:2]
+        records = [
+            replace(r, sentence=f"{r.sentence} quokkas wombats") if r in only_in_test else r
+            for r in records
+        ]
+        path = tmp_path / "corpus.tsv"
+        write_tsv(records, path)
+        out = tmp_path / "run"
+        assert main(["prepare", *small_flags(path, out)]) == 0
+        for name in ("vocab.tsv", "encoder_vocab.tsv"):
+            words = {line.split("\t")[0] for line in
+                     (out / "prepared" / name).read_text(encoding="utf-8").splitlines()}
+            assert {"quokkas", "wombats"} <= words, name
 
     def test_missing_column_diagnostic(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
@@ -531,6 +548,17 @@ class TestExtractAndCoherence:
             f"error: {topics}:3: expected 'topic<TAB>word<TAB>weight' "
             f"(an int, a word, a float), got {row!r}\n"
         )
+        assert not (out / "coherence.csv").exists()
+
+    def test_export_without_topic_lines_is_a_clean_error(self, corpus_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        topics = tmp_path / "topic_word.tsv"
+        topics.write_text("topic\tword\tweight\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(["coherence", "--topics", str(topics), *small_flags(corpus_path, out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {topics}: no topic lines\n"
         assert not (out / "coherence.csv").exists()
 
     @pytest.mark.parametrize("cutoffs", ["5,x", "5,-1", "1", ""])

@@ -1,6 +1,8 @@
 import logging
 import re
 from collections import Counter
+from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from oracles import make_cross_target_split
+import oracles
+from oracles import example_from_record, make_cross_target_split
 from synthdata import stance_corpus, write_tsv
+from topicarg import corpus
 from topicarg.corpus import (
     ANNOTATION_TO_LABEL,
     CorpusFormatError,
@@ -27,6 +31,7 @@ from topicarg.corpus import (
     tokenize,
     vectorize_all,
 )
+from topicarg.encoder import build_encoder_vocab
 from topicarg.nn import SeededRng
 from topicarg.stopwords import DEFAULT_STOPWORDS
 
@@ -190,6 +195,100 @@ def test_tokenize_equals_reference(text, mode, stopwords):
     tokens = tokenize(text, mode=mode, stopwords=stopwords)
     assert type(tokens) is list
     assert tokens == reference_tokenize(text, mode=mode, stopwords=stopwords)
+
+
+# Pieces a sentence is glued from, so that texts meet at every kind of edge:
+# 'Σ' lowercases to final 'ς' only after a cased letter (case-ignorable
+# characters such as the apostrophe in between) and before no cased letter.
+JOIN_PIECES = TOKENIZE_WORDS + ["", "Σ", "ΑΣ", "ΟΔΟΣ", "Α'Σ", "ΣΑ", "Σ.", ".Σ", "'", "--"]
+JOIN_CHARS = TOKENIZE_CHARS + ["Σ", "Α"]
+sentence_strategy = st.lists(
+    st.one_of(
+        st.sampled_from(JOIN_PIECES),
+        st.text(alphabet=st.sampled_from(JOIN_CHARS), max_size=4),
+    ),
+    max_size=4,
+).map("".join)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    texts=st.lists(sentence_strategy, max_size=6),
+    mode=st.sampled_from(["encoder", "ntm"]),
+    stopwords=st.sampled_from(STOPWORD_SETS),
+)
+@example(texts=["ΑΣ", "Β"], mode="encoder", stopwords=None)
+@example(texts=["Α", "ΣΑ"], mode="encoder", stopwords=None)
+@example(texts=["Α'", "Σ", "'Σ", "ΑΣ'"], mode="encoder", stopwords=None)
+@example(texts=["a\x1c", "\x1fb", "", "\xa0c\u2028", "\u212aİ"], mode="ntm", stopwords=None)
+def test_tokenize_of_joined_texts_is_their_tokens_chained(texts, mode, stopwords):
+    assert tokenize(" ".join(texts), mode=mode, stopwords=stopwords) == list(
+        chain.from_iterable(tokenize(t, mode=mode, stopwords=stopwords) for t in texts)
+    )
+
+
+TARGETS = ["guns", "Nuclear Energy", "İstanbul dams", "ΟΔΟΣ", "the, a"]
+records_strategy = st.lists(
+    st.tuples(st.sampled_from(TARGETS), sentence_strategy), max_size=8
+).map(lambda rows: [rec(target=t, sentence=s) for t, s in rows])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    records=records_strategy,
+    max_size=st.integers(1, 40),
+    stopwords=st.sampled_from(STOPWORD_SETS),
+    chunk=st.sampled_from([1, 2, 3, corpus._COUNT_CHUNK]),
+    with_ntm=st.booleans(),
+)
+@example(records=[rec(sentence="bb aa cc bb aa")], max_size=1, stopwords=frozenset(),
+         chunk=1, with_ntm=True)
+@example(records=[rec(sentence="bb aa cc bb aa")], max_size=9, stopwords=frozenset(),
+         chunk=1, with_ntm=False)
+def test_vocabularies_equal_the_per_record_references(
+    records, max_size, stopwords, chunk, with_ntm
+):
+    with mock.patch.object(corpus, "_COUNT_CHUNK", chunk):
+        if not records:
+            with pytest.raises(ValueError, match="zero records"):
+                build_vocabulary(records, max_size, stopwords)
+            ntm_vocab = None
+        else:
+            ntm_vocab = build_vocabulary(records, max_size, stopwords)
+            expected = oracles.build_vocabulary(records, max_size, stopwords)
+            assert ntm_vocab.id_to_word == expected.id_to_word
+            assert ntm_vocab.index_of == expected.index_of
+        forced = ntm_vocab if with_ntm else None
+        enc_vocab = build_encoder_vocab(records, max_size, ntm_vocab=forced)
+        expected = oracles.build_encoder_vocab(records, max_size, ntm_vocab=forced)
+        assert enc_vocab.id_to_word == expected.id_to_word
+        assert enc_vocab.index_of == expected.index_of
+
+
+def test_vocabularies_over_several_chunks_equal_the_references():
+    records = stance_corpus(n_per_cell=180, seed=4)
+    assert len(records) > corpus._COUNT_CHUNK
+    for max_size in (25, 10_000):
+        assert (build_vocabulary(records, max_size).id_to_word
+                == oracles.build_vocabulary(records, max_size).id_to_word)
+        assert (build_encoder_vocab(records, max_size).id_to_word
+                == oracles.build_encoder_vocab(records, max_size).id_to_word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=records_strategy)
+def test_examples_equal_the_reference_and_share_equal_tokens(records):
+    examples = examples_from_records(records)
+    assert examples == [example_from_record(r) for r in records]
+    first = {}
+    for ex in examples:
+        for token in ex.tokens:
+            assert first.setdefault(token, token) is token
+
+
+def test_records_and_examples_hold_no_instance_dict():
+    assert not hasattr(rec(), "__dict__")
+    assert not hasattr(examples_from_records([rec()])[0], "__dict__")
 
 
 def _csr_bytes(mat):
@@ -362,9 +461,12 @@ class TestInTargetFolds:
     def test_equals_set_membership_oracle(self, n, k, seed):
         k = min(k, n)
         examples = self._examples(n)
-        assert make_in_target_folds(examples, k, seed) == reference_in_target_folds(
-            examples, k, seed
-        )
+        splits = make_in_target_folds(examples, k, seed)
+        expected = reference_in_target_folds(examples, k, seed)
+        assert splits == expected
+        for got, want in zip(splits, expected):
+            for role in ("train", "val", "test"):
+                assert list(map(id, getattr(got, role))) == list(map(id, getattr(want, role)))
 
     def test_two_folds_rejected_for_an_empty_train_set(self):
         with pytest.raises(ValueError, match="k must be >= 3 .*training fold"):

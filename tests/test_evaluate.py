@@ -396,6 +396,12 @@ class TestCoherenceReport:
                 {0: ["a", "b", "d"], 1: ["c", "d", "c"]}, docs, window=3, cutoffs=(2, 3)
             )
 
+    def test_no_topics_is_refused_before_any_window_is_counted(self):
+        docs = iter([["a", "b", "c"]])
+        with pytest.raises(ValueError, match="at least one topic"):
+            coherence_report({}, docs, window=3, cutoffs=(2, 3))
+        assert next(docs) == ["a", "b", "c"]
+
     def test_missing_word_flagged_once_per_call(self, caplog):
         docs = [["a", "b", "c"]] * 5
         lists = {0: ["a", "ghost", "b"], 1: ["ghost", "c", "b"]}
