@@ -189,8 +189,13 @@ def tokenize(text: str, mode: str = "encoder", stopwords=None) -> list[str]:
         stop = DEFAULT_STOPWORDS if stopwords is None else stopwords
         if ascii_text and stop is DEFAULT_STOPWORDS:
             return list(filterfalse(_NTM_ASCII_DROP.__contains__, tokens))
-        tokens = [t for t in tokens if len(t) >= 2 and t not in stop]
+        tokens = [t for t in tokens if _ntm_keeps(t, stop)]
     return tokens
+
+
+def _ntm_keeps(token: str, stop) -> bool:
+    """The ntm-mode rule: a token of at least 2 characters that is not a stopword."""
+    return len(token) >= 2 and token not in stop
 
 
 def label_of(record: RawRecord) -> str:
@@ -209,11 +214,18 @@ def examples_from_records(records) -> list[ArgumentExample]:
 
 
 def count_tokens(texts) -> Counter[str]:
-    """Encoder-mode token counts; texts joined by a space tokenize to their tokens chained."""
-    texts = list(texts)
+    """Encoder-mode token counts; texts joined by a space tokenize to their tokens chained.
+
+    ASCII texts are joined apart from the others, so that no non-ASCII text
+    sends a chunk of them down tokenize's regex path.
+    """
+    groups = ([], [])
+    for text in texts:
+        groups[text.isascii()].append(text)
     freq: Counter[str] = Counter()
-    for start in range(0, len(texts), _COUNT_CHUNK):
-        freq.update(tokenize(" ".join(texts[start:start + _COUNT_CHUNK])))
+    for group in groups:
+        for start in range(0, len(group), _COUNT_CHUNK):
+            freq.update(tokenize(" ".join(group[start:start + _COUNT_CHUNK])))
     return freq
 
 
@@ -225,8 +237,8 @@ def rank_by_count(freq: dict[str, int]) -> list[str]:
 def build_vocabulary(records, max_size: int, stopwords=None) -> Vocabulary:
     """Frequency-ranked NTM vocabulary over all record sentences.
 
-    Ties broken lexicographically. NTM-mode tokens are the encoder-mode ones of
-    length >= 2 that are not stopwords.
+    Ties broken lexicographically. NTM-mode tokens are the encoder-mode ones
+    that `_ntm_keeps`.
     """
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
@@ -234,7 +246,7 @@ def build_vocabulary(records, max_size: int, stopwords=None) -> Vocabulary:
         raise ValueError("cannot build a vocabulary from zero records")
     stop = DEFAULT_STOPWORDS if stopwords is None else stopwords
     freq = count_tokens(r.sentence for r in records)
-    kept = {w: c for w, c in freq.items() if len(w) >= 2 and w not in stop}
+    kept = {w: c for w, c in freq.items() if _ntm_keeps(w, stop)}
     ranked = rank_by_count(kept)[:max_size]
     return Vocabulary(index_of={w: i for i, w in enumerate(ranked)}, id_to_word=ranked)
 

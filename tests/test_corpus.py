@@ -245,6 +245,8 @@ records_strategy = st.lists(
          chunk=1, with_ntm=True)
 @example(records=[rec(sentence="bb aa cc bb aa")], max_size=9, stopwords=frozenset(),
          chunk=1, with_ntm=False)
+@example(records=[rec(sentence=s) for s in ["bb aa", "ΟΔΟΣ aa", "cc, bb", "the é", "aa"]],
+         max_size=40, stopwords=None, chunk=2, with_ntm=True)
 def test_vocabularies_equal_the_per_record_references(
     records, max_size, stopwords, chunk, with_ntm
 ):
@@ -265,14 +267,13 @@ def test_vocabularies_equal_the_per_record_references(
         assert enc_vocab.index_of == expected.index_of
 
 
-def test_vocabularies_over_several_chunks_equal_the_references():
-    records = stance_corpus(n_per_cell=180, seed=4)
-    assert len(records) > corpus._COUNT_CHUNK
-    for max_size in (25, 10_000):
-        assert (build_vocabulary(records, max_size).id_to_word
-                == oracles.build_vocabulary(records, max_size).id_to_word)
-        assert (build_encoder_vocab(records, max_size).id_to_word
-                == oracles.build_encoder_vocab(records, max_size).id_to_word)
+def test_count_tokens_joins_ascii_texts_apart_from_the_others():
+    texts = ["a b", "é c", "d", "ΑΣ", "e, f", "g"]
+    with mock.patch.object(corpus, "_COUNT_CHUNK", 2), \
+            mock.patch.object(corpus, "tokenize", wraps=corpus.tokenize) as spy:
+        freq = corpus.count_tokens(iter(texts))
+    assert [c.args for c in spy.call_args_list] == [("é c ΑΣ",), ("a b d",), ("e, f g",)]
+    assert freq == Counter(chain.from_iterable(map(tokenize, texts)))
 
 
 @settings(max_examples=200, deadline=None)
