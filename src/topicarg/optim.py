@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,13 +11,33 @@ from .autodiff import RowSparse
 
 
 @dataclass
+class PackedRows:
+    """The layout of a packed parameter's moments: m[:n] and v[:n] hold rows
+    `rows` of the row layout (n = rows.size, in the order they first became
+    live), slot[r] is row r's index among them (-1 while r is dead), and the
+    rows past n that m and v have room for are +0.0."""
+
+    rows: np.ndarray
+    slot: np.ndarray
+
+    def make_live(self, rows: np.ndarray) -> None:
+        new = rows[self.slot[rows] < 0]
+        self.slot[new] = np.arange(self.rows.size, self.rows.size + new.size)
+        self.rows = np.concatenate([self.rows, new])
+
+
+@dataclass
 class OptimizerState:
     """Hyper-parameters, the step count and the moments of one optimizer.
 
-    `live[name]`, for a parameter whose moments a `RowSparse` step created,
-    marks the rows any gradient has touched since: only those rows can hold
-    nonzero moments. A dense gradient drops the entry, and a name without
-    one has every row live.
+    A row is live once a gradient has touched it since its parameter's
+    moments were created: only live rows can hold nonzero moments. A
+    `RowSparse` step creates m and v packed, with `packed[name]` as their
+    layout, and they stay packed while fewer than `_PACKED_SHARE` of the rows
+    are live. Past that, or when a dense gradient arrives, they are unpacked
+    into row layout once. `live[name]` then marks the live rows of a
+    parameter whose moments a `RowSparse` step created; a dense gradient
+    drops the entry, and a name with neither entry has every row live.
     """
 
     algorithm: str  # "adam" | "adamw"
@@ -29,6 +50,7 @@ class OptimizerState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     live: dict[str, np.ndarray] = field(default_factory=dict)
+    packed: dict[str, PackedRows] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.algorithm not in ("adam", "adamw"):
@@ -73,6 +95,19 @@ _CHUNK = 16384
 # about 0.58 and 0.56 live rows in interleaved standalone timings
 # (CHANGES.md). The share sits just under both break-evens.
 _IN_PLACE_SHARE = 0.55
+
+# A row-sparse parameter's moments stay packed while fewer than this share of
+# its rows are live. Packed, m and v hold the live rows alone, whereas numpy
+# backs full-size arrays of 4 MiB or more with 2 MiB huge pages, each made
+# resident whole by one scattered row write; and a packed step skips the m
+# and v gathers of the block walk. In steady-state sweeps (CHANGES.md: rows
+# going live in random order, 300 or 200 of them touched per step) packed
+# steps took 0.73-0.78x the walk's time from 0.1 to 0.5 live, 0.89x (30003x100
+# AdamW) and 0.81x (4888x256 Adam) at 0.6, and 1.14-1.32x and 1.04-1.12x at
+# 0.8. The share sits at half, below that break-even, so a packed buffer
+# never outgrows half its table, and the full fold, whose tables end 91-100%
+# live, runs the walk for most of its steps.
+_PACKED_SHARE = 0.5
 
 
 class _Step:
@@ -183,6 +218,80 @@ def _step_row_sparse(step: _Step, p, m, v, g: RowSparse, live) -> None:
         gathered(pooled, len(edges) - 1)
 
 
+def _step_packed(step: _Step, p, m, v, g: RowSparse, packed: PackedRows) -> None:
+    """Walk the n packed rows of m and v in blocks, updating each block in
+    place against p's rows gathered and scattered back. The dead rows are
+    skipped, as in `_step_row_sparse`."""
+    width = p.shape[1]
+    n = packed.rows.size
+    per_block = max(1, _CHUNK // max(width, 1))
+    step.reserve(per_block * width)
+    local = packed.slot[g.rows]
+    by_slot = np.argsort(local, kind="stable")
+    local, values = local[by_slot], g.values[by_slot]
+    edges = range(0, n + per_block, per_block)
+    # local[touched[i]:touched[i + 1]] are the touched slots of block i
+    touched = np.searchsorted(local, edges).tolist()
+    for i, lo in enumerate(edges[:-1]):
+        hi = min(lo + per_block, n)
+        rows = packed.rows[lo:hi]
+        pg = p[rows]
+        t0, t1 = touched[i], touched[i + 1]
+        step.update(
+            pg.reshape(-1), m[lo:hi].reshape(-1), v[lo:hi].reshape(-1),
+            rows=local[t0:t1] - lo, values=values[t0:t1],
+        )
+        p[rows] = pg
+
+
+def _reserve_packed(state: OptimizerState, name: str, n: int, n_rows: int) -> None:
+    """Room for n packed rows in m and v, doubled whenever it runs short, up
+    to the most rows a packed parameter of n_rows rows can have live."""
+    most = math.ceil(_PACKED_SHARE * n_rows)
+    for moments in (state.m, state.v):
+        held = moments[name]
+        if held.shape[0] < n:
+            grown = _mapped_zeros((min(max(n, 2 * held.shape[0]), most), held.shape[1]))
+            grown[: held.shape[0]] = held
+            moments[name] = grown
+
+
+def _mapped_zeros(shape: tuple) -> np.ndarray:
+    """Zeros in an anonymous mapping of their own. Untouched pages take no
+    memory, and the mapping goes back to the system when the array is freed,
+    so a packed buffer outgrown or unpacked leaves no hole in the heap. (With
+    `np.zeros` buffers, which the heap served, a full-fold iteration peaked
+    24-28 MiB higher; CHANGES.md.)"""
+    size = math.prod(shape)
+    buffer = mmap.mmap(-1, max(size * 8, 1))
+    return np.frombuffer(buffer, dtype=np.float64, count=size).reshape(shape)
+
+
+def _unpack(state: OptimizerState, name: str, rows: np.ndarray, shape: tuple) -> None:
+    """Move the packed rows `rows` of m and v to row layout, one array at a
+    time. Rows past the room m and v have are new, so their moments are 0."""
+    for moments in (state.m, state.v):
+        held = moments[name][: rows.size]
+        full = np.zeros(shape)
+        full[rows[: held.shape[0]]] = held
+        moments[name] = full
+
+
+def _check_row_sparse(name: str, g: RowSparse, n_rows: int, width: int) -> None:
+    rows = g.rows
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise ValueError(f"RowSparse rows for parameter {name!r} are not a 1-D integer array")
+    if g.values.shape != (rows.size, width):
+        raise ValueError(
+            f"RowSparse values for parameter {name!r} have shape {g.values.shape},"
+            f" not {(rows.size, width)}"
+        )
+    if rows.size and not (rows[0] >= 0 and rows[-1] < n_rows and np.all(rows[1:] > rows[:-1])):
+        raise ValueError(
+            f"RowSparse rows for parameter {name!r} are not sorted, unique and in [0, {n_rows})"
+        )
+
+
 def optimizer_step(
     state: OptimizerState,
     params: dict[str, np.ndarray],
@@ -210,8 +319,9 @@ def optimizer_step(
     optimizer created m and v) still have m = v = +0.0, and with g = 0 their
     Adam update is exactly 0.0/(0.0 + eps_hat) = +0.0, so it is skipped: AdamW
     gives them the decay multiply alone. Every gradient (a `RowSparse` one
-    through its values) is checked for finiteness, and every stepped
-    parameter for C-contiguity, before anything is mutated.
+    through its values) is checked for finiteness, every `RowSparse` for
+    sorted, unique, in-range rows and values of their shape, and every
+    stepped parameter for C-contiguity, before anything is mutated.
     """
     finite = np.empty(_CHUNK, dtype=bool)
     for name, g in grads.items():
@@ -236,6 +346,8 @@ def optimizer_step(
             raise ValueError(
                 f"gradient shape {g.shape} does not match parameter {name!r} {p.shape}"
             )
+        if isinstance(g, RowSparse):
+            _check_row_sparse(name, g, *p.shape)
     state.step_count += 1
     step = _Step(state)
     for name, p in params.items():
@@ -244,17 +356,32 @@ def optimizer_step(
             continue
         sparse = isinstance(g, RowSparse)
         if name not in state.m:
-            state.m[name] = np.zeros(p.shape)
-            state.v[name] = np.zeros(p.shape)
+            # a RowSparse step creates them packed, with room for no row yet
+            shape = (0, p.shape[1]) if sparse else p.shape
+            state.m[name], state.v[name] = np.zeros(shape), np.zeros(shape)
             if sparse:
-                state.live[name] = np.zeros(p.shape[0], dtype=bool)
+                state.packed[name] = PackedRows(
+                    np.zeros(0, dtype=np.intp), np.full(p.shape[0], -1, dtype=np.intp)
+                )
         if step.shrink is not None:
             np.multiply(p, step.shrink, out=p)
+        packed = state.packed.get(name)
+        if packed is not None:
+            if sparse:
+                packed.make_live(g.rows)
+                if packed.rows.size < _PACKED_SHARE * p.shape[0]:
+                    _reserve_packed(state, name, packed.rows.size, p.shape[0])
+                    _step_packed(step, p, state.m[name], state.v[name], g, packed)
+                    continue
+                state.live[name] = packed.slot >= 0
+            _unpack(state, name, packed.rows, p.shape)
+            del state.packed[name]
+        m, v = state.m[name], state.v[name]
         if not sparse:
             state.live.pop(name, None)
-            _step_dense(step, p, state.m[name], state.v[name], g)
+            _step_dense(step, p, m, v, g)
             continue
         live = state.live.get(name)
         if live is not None:
             live[g.rows] = True
-        _step_row_sparse(step, p, state.m[name], state.v[name], g, live)
+        _step_row_sparse(step, p, m, v, g, live)

@@ -351,3 +351,18 @@ def textbook_step(state, params, grads) -> dict[str, np.ndarray]:
         p -= state.learning_rate * update
         directions[name] = direction
     return directions
+
+
+def row_layout_moments(state, name) -> tuple[np.ndarray, np.ndarray]:
+    """m and v of parameter `name` in row layout: row r of each holds row r's
+    moments, whether the optimizer keeps them packed or not."""
+    m, v = state.m[name], state.v[name]
+    packed = state.packed.get(name)
+    if packed is None:
+        return m, v
+    n = packed.rows.size
+    shape = (packed.slot.size, m.shape[1])
+    unpacked = np.zeros(shape), np.zeros(shape)
+    for out, a in zip(unpacked, (m, v)):
+        out[packed.rows] = a[:n]
+    return unpacked

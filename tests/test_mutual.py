@@ -21,6 +21,7 @@ from oracles import (
 from synthdata import stance_corpus
 from topicarg import autodiff as ad
 from topicarg import mutual as mutual_mod
+from topicarg import ntm as ntm_mod
 from topicarg.corpus import build_vocabulary, examples_from_records, tokenize, vectorize_all
 from topicarg.encoder import (
     EncoderConfig,
@@ -522,12 +523,27 @@ def test_extraction_refuses_an_encoder_vocabulary_missing_ntm_words():
 
 
 def test_row_sparse_gradients_train_as_their_dense_form(monkeypatch, tmp_path):
+    # batches of 2 leave both tables under half live after their first step
     schedule = TrainSchedule(
-        max_iterations=2, ntm_epochs=2, classifier_epochs=1, batch_size=8,
+        max_iterations=2, ntm_epochs=2, classifier_epochs=1, batch_size=2,
         seed=33, patience=0,
     )
     grads_of = ad.grads_of
     kinds = set()
+    unpacked = set()  # tables whose moments a RowSparse step unpacked
+
+    def watched(step):
+        def call(state, params, grads):
+            packed = set(state.packed)
+            step(state, params, grads)
+            unpacked.update(
+                k for k in packed - set(state.packed) if isinstance(grads[k], ad.RowSparse)
+            )
+
+        return call
+
+    for module in (mutual_mod, ntm_mod):
+        monkeypatch.setattr(module, "optimizer_step", watched(module.optimizer_step))
 
     def run(tag, densify):
         def collect(leaves):
@@ -546,6 +562,8 @@ def test_row_sparse_gradients_train_as_their_dense_form(monkeypatch, tmp_path):
 
     sparse = run("sparse", densify=False)
     assert "RowSparse" in kinds
+    # the sparse run crosses the packing bound of both tables' moments
+    assert {"word_emb", "enc_mu.W0"} <= unpacked, unpacked
     dense = run("dense", densify=True)
     assert sparse.keys() == dense.keys()
     for k in sparse:

@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import textbook_step
+from oracles import row_layout_moments, textbook_step
 from topicarg.autodiff import RowSparse
 from topicarg.nn import SeededRng
-from topicarg.optim import _CHUNK, OptimizerState, adam, adamw, optimizer_step
+from topicarg.optim import _CHUNK, _PACKED_SHARE, OptimizerState, adam, adamw, optimizer_step
 
 
 def reference_step(state, params, grads):
@@ -170,21 +170,33 @@ def test_gradient_shape_mismatch_rejected():
         optimizer_step(adam(0.1), {"w": np.ones(3)}, {"w": np.ones((1, 3))})
 
 
+def _snapshot(state, params):
+    """Everything a step may mutate, as bytes."""
+    arrays = [{k: a.tobytes() for k, a in d.items()} for d in (params, state.m, state.v, state.live)]
+    packed = {k: (s.rows.tobytes(), s.slot.tobytes()) for k, s in state.packed.items()}
+    return arrays, packed, state.step_count
+
+
 def test_failed_step_leaves_state_untouched():
     rng = np.random.default_rng(0)
-    params = {"a": rng.normal(size=(5, 4)), "z": rng.normal(size=7)}
+    params = {"a": rng.normal(size=(5, 4)), "e": rng.normal(size=(8, 3)), "z": rng.normal(size=7)}
     state = adamw(0.1, weight_decay=0.1)
-    optimizer_step(state, params, {k: rng.normal(size=v.shape) for k, v in params.items()})
-    before = copy.deepcopy((params, state.m, state.v, state.step_count))
-    # "a" comes first, so a step that mutated while it checked would touch it
-    grads = {"a": rng.normal(size=(5, 4)), "z": np.full(7, np.inf)}
+    grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+    grads["e"] = RowSparse(np.array([2, 5]), rng.normal(size=(2, 3)), (8, 3))
+    optimizer_step(state, params, grads)
+    assert set(state.packed) == {"e"}
+    before = _snapshot(state, params)
+    # "a" and "e" come first, so a step that mutated while it checked would
+    # touch them, and rows 0, 1 would take "e" to half live and unpack it
+    grads = {
+        "a": rng.normal(size=(5, 4)),
+        "e": RowSparse(np.array([0, 1]), rng.normal(size=(2, 3)), (8, 3)),
+        "z": np.full(7, np.inf),
+    }
     with pytest.raises(FloatingPointError, match="'z' at step 2"):
         optimizer_step(state, params, grads)
-    after = (params, state.m, state.v, state.step_count)
-    for b, a in zip(before[:3], after[:3]):
-        assert b.keys() == a.keys()
-        assert all(np.array_equal(b[k], a[k]) for k in b)
-    assert after[3] == before[3] == 1
+    assert _snapshot(state, params) == before
+    assert state.step_count == 1
 
 
 @pytest.mark.parametrize("strided", [False, True])
@@ -255,25 +267,57 @@ def test_row_sparse_step_equals_reference_on_dense_form_bytewise(
         reference_step(ref, p_ref, {"w": np.asarray(sparse), "b": b_grad})
         assert fused.step_count == ref.step_count
         for k in p_ref:
+            m, v = row_layout_moments(fused, k)
             assert p_fused[k].tobytes() == p_ref[k].tobytes()
-            assert fused.m[k].tobytes() == ref.m[k].tobytes()
-            assert fused.v[k].tobytes() == ref.v[k].tobytes()
+            assert m.tobytes() == ref.m[k].tobytes()
+            assert v.tobytes() == ref.v[k].tobytes()
+
+
+def _packed_setup():
+    """A dense parameter, then a 6-row one whose moments are packed with
+    rows 0 and 3 live, after one AdamW step."""
+    rng = np.random.default_rng(1)
+    params = {"a": rng.normal(size=4), "w": rng.normal(size=(6, 3))}
+    state = adamw(0.1, weight_decay=0.1)
+    grads = {"a": rng.normal(size=4), "w": RowSparse(np.array([0, 3]), rng.normal(size=(2, 3)), (6, 3))}
+    optimizer_step(state, params, grads)
+    assert set(state.packed) == {"w"}
+    return rng, params, state
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_row_sparse_values_stop_the_step(bad):
-    rng = np.random.default_rng(1)
-    params = {"a": rng.normal(size=4), "w": rng.normal(size=(6, 3))}
-    state = adam(0.1)
-    optimizer_step(state, params, {"a": rng.normal(size=4), "w": rng.normal(size=(6, 3))})
-    before = copy.deepcopy((params, state.m, state.v))
+    rng, params, state = _packed_setup()
+    before = _snapshot(state, params)
     values = rng.normal(size=(2, 3))
     values[1, 2] = bad
     grads = {"a": rng.normal(size=4), "w": RowSparse(np.array([1, 4]), values, (6, 3))}
     with pytest.raises(FloatingPointError, match="'w' at step 2"):
         optimizer_step(state, params, grads)
-    for b, a in zip(before, (params, state.m, state.v)):
-        assert all(b[k].tobytes() == a[k].tobytes() for k in b)
+    assert _snapshot(state, params) == before
+    assert state.step_count == 1
+
+
+@pytest.mark.parametrize(
+    "rows, values_shape, match",
+    [
+        ([4, 1], (2, 3), "sorted"),
+        ([1, 1], (2, 3), "unique"),
+        ([-1, 2], (2, 3), "in \\[0, 6\\)"),
+        ([2, 6], (2, 3), "in \\[0, 6\\)"),
+        ([1, 4], (3, 3), "shape \\(3, 3\\)"),
+        ([1, 4], (2, 4), "shape \\(2, 4\\)"),
+        ([1.0, 4.0], (2, 3), "integer"),
+        ([[1, 4]], (2, 3), "integer"),
+    ],
+)
+def test_malformed_row_sparse_stops_the_step(rows, values_shape, match):
+    rng, params, state = _packed_setup()
+    before = _snapshot(state, params)
+    g = RowSparse(np.array(rows), rng.normal(size=values_shape), (6, 3))
+    with pytest.raises(ValueError, match=f"'w'.*{match}"):
+        optimizer_step(state, params, {"a": rng.normal(size=4), "w": g})
+    assert _snapshot(state, params) == before
     assert state.step_count == 1
 
 
@@ -327,14 +371,15 @@ def test_live_row_step_equals_reference_from_fresh_state(
             touched |= np.any(g != 0.0, axis=1)
         optimizer_step(fused, p_fused, {"w": g})
         reference_step(ref, p_ref, {"w": np.asarray(g)})
+        m, v = row_layout_moments(fused, "w")
         assert fused.step_count == ref.step_count
         assert p_fused["w"].tobytes() == p_ref["w"].tobytes()
-        assert fused.m["w"].tobytes() == ref.m["w"].tobytes()
-        assert fused.v["w"].tobytes() == ref.v["w"].tobytes()
+        assert m.tobytes() == ref.m["w"].tobytes()
+        assert v.tobytes() == ref.v["w"].tobytes()
         # the moments of never-touched rows are still all +0.0 bits
         untouched = np.zeros((int((~touched).sum()), shape[1]))
-        assert fused.m["w"][~touched].tobytes() == untouched.tobytes()
-        assert fused.v["w"][~touched].tobytes() == untouched.tobytes()
+        assert m[~touched].tobytes() == untouched.tobytes()
+        assert v[~touched].tobytes() == untouched.tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -370,14 +415,94 @@ def test_step_stays_within_rounding_of_textbook_order(
         before = p_ref["w"].copy()
         optimizer_step(fused, p_fused, {"w": g})
         direction = textbook_step(ref, p_ref, {"w": np.asarray(g)})["w"]
+        m, v = row_layout_moments(fused, "w")
         assert fused.step_count == ref.step_count
-        assert fused.m["w"].tobytes() == ref.m["w"].tobytes()
-        assert fused.v["w"].tobytes() == ref.v["w"].tobytes()
+        assert m.tobytes() == ref.m["w"].tobytes()
+        assert v.tobytes() == ref.v["w"].tobytes()
         size = lr * (np.abs(direction) + decay * np.abs(before))
         bound = 4 * np.spacing(np.abs(p_ref["w"])) + 16 * np.finfo(float).eps * size
         assert np.all(np.abs(p_fused["w"] - p_ref["w"]) <= bound)
         # the next step starts from identical state again
         np.copyto(p_fused["w"], p_ref["w"])
+
+
+# a zero-row table, tables with an odd and an even row count (which a step
+# can take exactly to half live), and two tables of several blocks
+LAYOUT_SHAPES = [(0, 3), (1, 5), (7, 3), (8, 3), (2 * (_CHUNK // 7) + 9, 7), (40, 1024)]
+
+
+def _layout_gradient(rng, shape, draw, live):
+    """A gradient that takes a table with live mask `live` to the live count
+    `draw` names: "below" ends one row short of the packing bound, "at" on
+    it; "empty" touches no row and "dense" is a dense array."""
+    n_rows, width = shape
+    if draw == "dense":
+        g = rng.normal(size=shape)
+        g[rng.random(n_rows) < 0.5] = 0.0
+        return g
+    bound = math.ceil(_PACKED_SHARE * n_rows)
+    target = {"empty": 0, "few": 1, "below": bound - 1, "at": bound, "most": n_rows}[draw]
+    dead = np.flatnonzero(~live)
+    new = rng.permutation(dead)[: max(0, target - (n_rows - dead.size))]
+    old = np.flatnonzero(live & (rng.random(n_rows) < 0.5)) if draw != "empty" else []
+    rows = np.union1d(new, old).astype(np.intp)
+    return RowSparse(rows, rng.normal(size=(rows.size, width)), shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    algorithm=st.sampled_from(["adam", "adamw"]),
+    shape=st.sampled_from(LAYOUT_SHAPES),
+    draws=st.lists(
+        st.sampled_from(["empty", "few", "below", "at", "most", "dense"]), min_size=1, max_size=6
+    ),
+    lr=st.floats(1e-5, 1.0),
+    seed=st.integers(0, 2**16),
+)
+@example("adamw", (8, 3), ["few", "below", "at", "most"], 0.1, 0)
+@example("adamw", (2 * (_CHUNK // 7) + 9, 7), ["few", "below", "few", "most"], 0.1, 1)
+@example("adam", (40, 1024), ["few", "dense", "few"], 0.1, 2)
+@example("adamw", (0, 3), ["empty", "few", "dense", "empty"], 0.1, 3)
+@example("adamw", (7, 3), ["empty", "below", "empty", "at"], 0.1, 4)
+def test_layout_switch_equals_reference_bytewise(algorithm, shape, draws, lr, seed):
+    """Moments stay packed, in first-touch order, exactly while fewer than
+    `_PACKED_SHARE` of the rows are live and no dense gradient has come;
+    stepping equals `reference_step` bytewise across every switch."""
+    rng = np.random.default_rng(seed)
+    fused = OptimizerState(algorithm, lr, weight_decay=0.7)
+    ref = copy.deepcopy(fused)
+    p_fused = {"w": rng.normal(size=shape)}
+    p_ref = copy.deepcopy(p_fused)
+    live = np.zeros(shape[0], dtype=bool)
+    first_touch = []
+    dense_seen = False
+    for draw in draws:
+        g = _layout_gradient(rng, shape, draw, live)
+        if isinstance(g, RowSparse):
+            first_touch += [r for r in g.rows.tolist() if not live[r]]
+            live[g.rows] = True
+        else:
+            dense_seen = True
+        optimizer_step(fused, p_fused, {"w": g})
+        reference_step(ref, p_ref, {"w": np.asarray(g)})
+        m, v = row_layout_moments(fused, "w")
+        assert p_fused["w"].tobytes() == p_ref["w"].tobytes()
+        assert m.tobytes() == ref.m["w"].tobytes()
+        assert v.tobytes() == ref.v["w"].tobytes()
+        packed = fused.packed.get("w")
+        stays_packed = not dense_seen and live.sum() < _PACKED_SHARE * shape[0]
+        assert (packed is not None) == stays_packed
+        if packed is None:
+            continue
+        n = len(first_touch)
+        assert packed.rows.tolist() == first_touch
+        assert np.array_equal(packed.slot[first_touch], np.arange(n))
+        assert np.all(packed.slot[~live] == -1)
+        for a, full in ((fused.m["w"], m), (fused.v["w"], v)):
+            # room for the live rows, and never for more than can be packed
+            assert n <= a.shape[0] <= math.ceil(_PACKED_SHARE * shape[0])
+            assert a[:n].tobytes() == full[first_touch].tobytes()
+            assert a[n:].tobytes() == np.zeros_like(a[n:]).tobytes()
 
 
 @pytest.mark.parametrize(
