@@ -35,9 +35,7 @@ class OptimizerState:
     `RowSparse` step creates m and v packed, with `packed[name]` as their
     layout, and they stay packed while fewer than `_PACKED_SHARE` of the rows
     are live. Past that, or when a dense gradient arrives, they are unpacked
-    into row layout once. `live[name]` then marks the live rows of a
-    parameter whose moments a `RowSparse` step created; a dense gradient
-    drops the entry, and a name with neither entry has every row live.
+    into row layout once, and every row is stepped in place from then on.
     """
 
     algorithm: str  # "adam" | "adamw"
@@ -49,7 +47,6 @@ class OptimizerState:
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
-    live: dict[str, np.ndarray] = field(default_factory=dict)
     packed: dict[str, PackedRows] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -88,25 +85,18 @@ def adamw(
 # two scratch buffers stays in L2 while all of its ufuncs run over it.
 _CHUNK = 16384
 
-# A block of a row-sparse parameter is updated in place when at least this
-# share of its rows is live, and otherwise has its live rows gathered,
-# updated and scattered back. Per row, the gathered path costs about 1.7x
-# (256 wide) to 1.8x (100 wide) an in-place update, so gathering pays below
-# about 0.58 and 0.56 live rows in interleaved standalone timings
-# (CHANGES.md). The share sits just under both break-evens.
-_IN_PLACE_SHARE = 0.55
-
 # A row-sparse parameter's moments stay packed while fewer than this share of
 # its rows are live. Packed, m and v hold the live rows alone, whereas numpy
 # backs full-size arrays of 4 MiB or more with 2 MiB huge pages, each made
-# resident whole by one scattered row write; and a packed step skips the m
-# and v gathers of the block walk. In steady-state sweeps (CHANGES.md: rows
-# going live in random order, 300 or 200 of them touched per step) packed
-# steps took 0.73-0.78x the walk's time from 0.1 to 0.5 live, 0.89x (30003x100
-# AdamW) and 0.81x (4888x256 Adam) at 0.6, and 1.14-1.32x and 1.04-1.12x at
-# 0.8. The share sits at half, below that break-even, so a packed buffer
-# never outgrows half its table, and the full fold, whose tables end 91-100%
-# live, runs the walk for most of its steps.
+# resident whole by one scattered row write; and a packed step visits only
+# the live rows. In steady-state timings (CHANGES.md: rows live in random
+# order, 300 or 200 of them touched per step) a packed step is as fast as
+# the in-place walk at 0.6 live for 30003x100 AdamW and at 0.7 for 4888x256
+# Adam, and slower past that. The share sits at half, below both, so a
+# packed buffer never outgrows half its table, and the full fold, whose
+# tables end 91-100% live, walks whole tables for most of its steps. Packed
+# m and v are mapped once with room for the most rows a packed parameter can
+# have live, ceil(_PACKED_SHARE * rows).
 _PACKED_SHARE = 0.5
 
 
@@ -132,29 +122,26 @@ class _Step:
         if size > self.a.size:
             self.a, self.u = np.empty(size), np.empty(size)
 
-    def update(self, pc, mc, vc, gc=None, rows=None, values=None) -> None:
-        """The Adam update of flat blocks pc, mc, vc, in place. The gradient
-        is the flat block `gc`, or else zero apart from rows `rows` of the
-        block (viewed as rows of `values`' width), which hold `values`."""
-        b1, b2, c1, c2 = self.b1, self.b2, self.c1, self.c2
+    def update(self, pc, mc, vc, gc=None, decay=True) -> None:
+        """The Adam update of flat blocks pc, mc, vc, in place, after AdamW's
+        decay of pc unless `decay` is False, with the gradient block `gc`, or
+        with g = 0 when `gc` is None."""
         a, u = self.a[: pc.size], self.u[: pc.size]
-        np.multiply(mc, b1, out=mc)
+        if decay and self.shrink is not None:
+            # exact block by block, as the update term below never reads p
+            np.multiply(pc, self.shrink, out=pc)
+        np.multiply(mc, self.b1, out=mc)
+        np.multiply(vc, self.b2, out=vc)
         if gc is None:
-            # a = g*c1 over the block: +0.0, as 0.0*c1 is, on untouched rows
-            a_rows = a.reshape(-1, values.shape[1])
-            a.fill(0.0)
-            a_rows[rows] = values * c1
+            # g's terms are +0.0: m + 0.0 turns -0.0 into +0.0, while v + 0.0
+            # is v, as v holds no -0.0
+            np.add(mc, 0.0, out=mc)
         else:
-            np.multiply(gc, c1, out=a)
-        np.add(mc, a, out=mc)
-        np.multiply(vc, b2, out=vc)
-        if gc is None:
-            # untouched rows still hold 0.0, which (0.0*c2)*0.0 also is
-            a_rows[rows] = (values * c2) * values
-        else:
-            np.multiply(gc, c2, out=a)
+            np.multiply(gc, self.c1, out=a)
+            np.add(mc, a, out=mc)
+            np.multiply(gc, self.c2, out=a)
             np.multiply(a, gc, out=a)
-        np.add(vc, a, out=vc)
+            np.add(vc, a, out=vc)
         np.sqrt(vc, out=a)
         np.add(a, self.eps_hat, out=a)
         np.multiply(mc, self.alpha, out=u)
@@ -170,96 +157,42 @@ def _step_dense(step: _Step, p, m, v, g) -> None:
         step.update(flat_p[lo:hi], flat_m[lo:hi], flat_v[lo:hi], gc=flat_g[lo:hi])
 
 
-def _step_row_sparse(step: _Step, p, m, v, g: RowSparse, live) -> None:
-    """Walk p in blocks of whole rows (`live` None: every row is live). A
-    block with at least `_IN_PLACE_SHARE` live rows is updated in place. The
-    live rows of the other blocks are pooled, up to a block's worth at a
-    time, gathered, updated and scattered back. Rows that are not live have
-    m = v = 0 and g = 0, so their update is exactly 0.0 and they are skipped."""
-    n_rows, width = p.shape
+def _step_row_sparse(step: _Step, p, m, v, g: RowSparse, packed: PackedRows | None) -> None:
+    """Walk m and v in blocks of whole rows, updating each block in place
+    with g = 0, against p's matching rows: row i of m and v is row i of p,
+    or with `packed` row packed.rows[i], gathered and scattered back. The
+    touched rows are gathered before the walk, stepped with their gradient
+    rows and scattered back over what the walk made of them. While packed,
+    AdamW decays the whole of p first, as the walk skips the dead rows."""
+    slots = g.rows if packed is None else packed.slot[g.rows]
+    touched = p[g.rows], m[slots], v[slots]
+    if packed is not None and step.shrink is not None:
+        np.multiply(p, step.shrink, out=p)
+    n, width = p.shape if packed is None else (packed.rows.size, p.shape[1])
     per_block = max(1, _CHUNK // max(width, 1))
     step.reserve(per_block * width)
-    flat_p, flat_m, flat_v = p.reshape(-1), m.reshape(-1), v.reshape(-1)
-    live_rows = np.arange(n_rows) if live is None else np.flatnonzero(live)
-    edges = np.arange(0, n_rows + per_block, per_block)
-    # g.rows[touched[i]:touched[i + 1]] are the touched rows of block i, and
-    # live_rows[at[i]:at[i + 1]] its live rows
-    touched = np.searchsorted(g.rows, edges).tolist()
-    at = np.searchsorted(live_rows, edges).tolist()
-    edges = [min(e, n_rows) for e in edges.tolist()]
-
-    def gathered(b0, b1):
-        rows = live_rows[at[b0] : at[b1]]
-        pg, mg, vg = p[rows], m[rows], v[rows]
-        t0, t1 = touched[b0], touched[b1]
-        local = np.searchsorted(rows, g.rows[t0:t1])
-        step.update(
-            pg.reshape(-1), mg.reshape(-1), vg.reshape(-1), rows=local, values=g.values[t0:t1]
-        )
-        p[rows], m[rows], v[rows] = pg, mg, vg
-
-    pooled = None  # the first block whose live rows wait to be gathered
-    for i in range(len(edges) - 1):
-        lo, hi = edges[i], edges[i + 1]
-        in_place = at[i + 1] - at[i] >= _IN_PLACE_SHARE * (hi - lo)
-        if pooled is not None and (in_place or at[i + 1] - at[pooled] > per_block):
-            gathered(pooled, i)
-            pooled = None
-        if in_place:
-            t0, t1 = touched[i], touched[i + 1]
-            block = slice(lo * width, hi * width)
-            local = g.rows[t0:t1] - lo
-            step.update(
-                flat_p[block], flat_m[block], flat_v[block], rows=local, values=g.values[t0:t1]
-            )
-        elif pooled is None:
-            pooled = i
-    if pooled is not None:
-        gathered(pooled, len(edges) - 1)
-
-
-def _step_packed(step: _Step, p, m, v, g: RowSparse, packed: PackedRows) -> None:
-    """Walk the n packed rows of m and v in blocks, updating each block in
-    place against p's rows gathered and scattered back. The dead rows are
-    skipped, as in `_step_row_sparse`."""
-    width = p.shape[1]
-    n = packed.rows.size
-    per_block = max(1, _CHUNK // max(width, 1))
-    step.reserve(per_block * width)
-    local = packed.slot[g.rows]
-    by_slot = np.argsort(local, kind="stable")
-    local, values = local[by_slot], g.values[by_slot]
-    edges = range(0, n + per_block, per_block)
-    # local[touched[i]:touched[i + 1]] are the touched slots of block i
-    touched = np.searchsorted(local, edges).tolist()
-    for i, lo in enumerate(edges[:-1]):
+    for lo in range(0, n, per_block):
         hi = min(lo + per_block, n)
-        rows = packed.rows[lo:hi]
-        pg = p[rows]
-        t0, t1 = touched[i], touched[i + 1]
+        pb = p[lo:hi] if packed is None else p[packed.rows[lo:hi]]
         step.update(
-            pg.reshape(-1), m[lo:hi].reshape(-1), v[lo:hi].reshape(-1),
-            rows=local[t0:t1] - lo, values=values[t0:t1],
+            pb.reshape(-1), m[lo:hi].reshape(-1), v[lo:hi].reshape(-1), decay=packed is None
         )
-        p[rows] = pg
+        if packed is not None:
+            p[packed.rows[lo:hi]] = pb
+    _step_dense(step, *touched, g.values)
+    p[g.rows], m[slots], v[slots] = touched
 
 
-def _reserve_packed(state: OptimizerState, name: str, n: int, n_rows: int) -> None:
-    """Room for n packed rows in m and v, doubled whenever it runs short, up
-    to the most rows a packed parameter of n_rows rows can have live."""
-    most = math.ceil(_PACKED_SHARE * n_rows)
-    for moments in (state.m, state.v):
-        held = moments[name]
-        if held.shape[0] < n:
-            grown = _mapped_zeros((min(max(n, 2 * held.shape[0]), most), held.shape[1]))
-            grown[: held.shape[0]] = held
-            moments[name] = grown
+def _packed_shape(shape: tuple) -> tuple:
+    """The shape of packed m and v: room for the most rows a packed parameter
+    of this shape can have live."""
+    return math.ceil(_PACKED_SHARE * shape[0]), shape[1]
 
 
 def _mapped_zeros(shape: tuple) -> np.ndarray:
     """Zeros in an anonymous mapping of their own. Untouched pages take no
     memory, and the mapping goes back to the system when the array is freed,
-    so a packed buffer outgrown or unpacked leaves no hole in the heap. (With
+    so a packed buffer, once unpacked, leaves no hole in the heap. (With
     `np.zeros` buffers, which the heap served, a full-fold iteration peaked
     24-28 MiB higher; CHANGES.md.)"""
     size = math.prod(shape)
@@ -306,7 +239,7 @@ def optimizer_step(
     with the bias corrections bc1 = 1 - b1**t and bc2 = 1 - b2**t folded into
     a step size and a scaled eps::
 
-        p *= 1 - lr*wd  (AdamW only, over the whole parameter)
+        p *= 1 - lr*wd  (AdamW only)
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         p -= (lr*sqrt(bc2)/bc1) * m / (sqrt(v) + eps*sqrt(bc2))
 
@@ -315,13 +248,17 @@ def optimizer_step(
     the textbook p -= lr*((m/bc1) / (sqrt(v/bc2) + eps) [+ wd*p]); in floats
     p differs from it by a few ulp per step, while m and v are bitwise equal.
     A `RowSparse` gradient is stepped as its dense form would be, without a
-    dense g being built or read. Rows it has never touched (since the
-    optimizer created m and v) still have m = v = +0.0, and with g = 0 their
-    Adam update is exactly 0.0/(0.0 + eps_hat) = +0.0, so it is skipped: AdamW
-    gives them the decay multiply alone. Every gradient (a `RowSparse` one
-    through its values) is checked for finiteness, every `RowSparse` for
-    sorted, unique, in-range rows and values of their shape, and every
-    stepped parameter for C-contiguity, before anything is mutated.
+    dense g being built or read: on the rows it does not touch, m = b1*m + 0.0
+    and v = b2*v. That is exact because v never holds -0.0: the optimizer's
+    own v never does, and a caller-set v must not. Rows it has never touched
+    (since the optimizer created m and v) still have m = v = +0.0, and with
+    g = 0 their Adam update is exactly 0.0/(0.0 + eps_hat) = +0.0; while the
+    moments are packed such rows are skipped, and AdamW gives them the decay
+    multiply alone. Every gradient (a `RowSparse` one through its values) is
+    checked for finiteness, every `RowSparse` for sorted, unique, in-range
+    rows and values of their shape, every stepped parameter for
+    C-contiguity, and its m and v, when it has them, for being C-contiguous
+    float64 arrays of the shape the step expects, before anything is mutated.
     """
     finite = np.empty(_CHUNK, dtype=bool)
     for name, g in grads.items():
@@ -348,6 +285,17 @@ def optimizer_step(
             )
         if isinstance(g, RowSparse):
             _check_row_sparse(name, g, *p.shape)
+        if name in state.m or name in state.v:
+            shape = _packed_shape(p.shape) if name in state.packed else p.shape
+            for moment, held in (("m", state.m.get(name)), ("v", state.v.get(name))):
+                if not (
+                    isinstance(held, np.ndarray) and held.dtype == np.float64
+                    and held.shape == shape and held.flags.c_contiguous
+                ):
+                    raise ValueError(
+                        f"{moment} of parameter {name!r} is not a C-contiguous float64"
+                        f" array of shape {shape}"
+                    )
     state.step_count += 1
     step = _Step(state)
     for name, p in params.items():
@@ -356,32 +304,23 @@ def optimizer_step(
             continue
         sparse = isinstance(g, RowSparse)
         if name not in state.m:
-            # a RowSparse step creates them packed, with room for no row yet
-            shape = (0, p.shape[1]) if sparse else p.shape
-            state.m[name], state.v[name] = np.zeros(shape), np.zeros(shape)
             if sparse:
+                shape = _packed_shape(p.shape)
+                state.m[name], state.v[name] = _mapped_zeros(shape), _mapped_zeros(shape)
                 state.packed[name] = PackedRows(
                     np.zeros(0, dtype=np.intp), np.full(p.shape[0], -1, dtype=np.intp)
                 )
-        if step.shrink is not None:
-            np.multiply(p, step.shrink, out=p)
+            else:
+                state.m[name], state.v[name] = np.zeros(p.shape), np.zeros(p.shape)
         packed = state.packed.get(name)
         if packed is not None:
             if sparse:
                 packed.make_live(g.rows)
-                if packed.rows.size < _PACKED_SHARE * p.shape[0]:
-                    _reserve_packed(state, name, packed.rows.size, p.shape[0])
-                    _step_packed(step, p, state.m[name], state.v[name], g, packed)
-                    continue
-                state.live[name] = packed.slot >= 0
-            _unpack(state, name, packed.rows, p.shape)
-            del state.packed[name]
-        m, v = state.m[name], state.v[name]
-        if not sparse:
-            state.live.pop(name, None)
-            _step_dense(step, p, m, v, g)
-            continue
-        live = state.live.get(name)
-        if live is not None:
-            live[g.rows] = True
-        _step_row_sparse(step, p, m, v, g, live)
+            if not sparse or packed.rows.size >= _PACKED_SHARE * p.shape[0]:
+                _unpack(state, name, packed.rows, p.shape)
+                del state.packed[name]
+                packed = None
+        if sparse:
+            _step_row_sparse(step, p, state.m[name], state.v[name], g, packed)
+        else:
+            _step_dense(step, p, state.m[name], state.v[name], g)

@@ -172,7 +172,7 @@ def test_gradient_shape_mismatch_rejected():
 
 def _snapshot(state, params):
     """Everything a step may mutate, as bytes."""
-    arrays = [{k: a.tobytes() for k, a in d.items()} for d in (params, state.m, state.v, state.live)]
+    arrays = [{k: a.tobytes() for k, a in d.items()} for d in (params, state.m, state.v)]
     packed = {k: (s.rows.tobytes(), s.slot.tobytes()) for k, s in state.packed.items()}
     return arrays, packed, state.step_count
 
@@ -230,29 +230,38 @@ def _touched_rows(rng, n_rows: int, width: int, touched: str) -> np.ndarray:
     return np.unique(np.concatenate([edges, extra, [0, n_rows - 1]]).astype(np.int64))
 
 
+# the values a caller-set m draws from: -0.0 stays -0.0 times any b1, and
+# -5e-324 times b1 <= 0.5 rounds to -0.0, which an untouched row's m*b1 + 0.0
+# makes +0.0, while a touched row's m*b1 + (-0.0*c1) keeps it
+CALLER_M = {"none": None, "signed_zero": [0.0, -0.0], "negative_subnormal": [0.0, -5e-324]}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     algorithm=st.sampled_from(["adam", "adamw"]),
     weight_decay=st.sampled_from([0.0, 0.01, 0.7]),
     shape=st.sampled_from(SPARSE_SHAPES),
     touched=st.sampled_from(["none", "some", "all"]),
-    signed_zero_m=st.booleans(),
+    caller_m=st.sampled_from(list(CALLER_M)),
     steps=st.integers(1, 3),
     lr=st.floats(1e-5, 1.0),
     beta1=st.floats(0.0, 0.99),
     beta2=st.floats(0.5, 0.9999),
     seed=st.integers(0, 2**16),
 )
+@example("adam", 0.0, (6, 3), "some", "negative_subnormal", 3, 0.1, 0.0, 0.999, 0)
+@example("adamw", 0.01, (2 * (_CHUNK // 7) + 9, 7), "some", "negative_subnormal", 2, 0.1, 0.5, 0.999, 1)
+@example("adam", 0.0, (40, 1024), "all", "signed_zero", 2, 0.1, 0.9, 0.999, 2)
+@example("adamw", 0.7, (40, 1024), "some", "signed_zero", 3, 0.1, 0.0, 0.5, 3)
 def test_row_sparse_step_equals_reference_on_dense_form_bytewise(
-    algorithm, weight_decay, shape, touched, signed_zero_m, steps, lr, beta1, beta2, seed
+    algorithm, weight_decay, shape, touched, caller_m, steps, lr, beta1, beta2, seed
 ):
     rng = np.random.default_rng(seed)
     fused = OptimizerState(algorithm, lr, beta1, beta2, weight_decay=weight_decay)
     ref = copy.deepcopy(fused)
     p_fused = {"w": rng.normal(size=shape), "b": rng.normal(size=3)}
-    if signed_zero_m:
-        # moments of +0.0 and -0.0: an untouched row's m*b1 + 0.0 makes both +0.0
-        fused.m["w"] = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    if CALLER_M[caller_m] is not None:
+        fused.m["w"] = rng.choice(CALLER_M[caller_m], size=shape)
         fused.v["w"] = np.zeros(shape)
         fused.m["b"], fused.v["b"] = np.zeros(3), np.zeros(3)
         ref.m, ref.v = copy.deepcopy(fused.m), copy.deepcopy(fused.v)
@@ -260,7 +269,8 @@ def test_row_sparse_step_equals_reference_on_dense_form_bytewise(
     for _ in range(steps):
         rows = _touched_rows(rng, shape[0], shape[1], touched)
         values = rng.normal(size=(rows.size, shape[1]))
-        values[rng.random(values.shape) < 0.1] = 0.0
+        zeros = rng.random(values.shape) < 0.1
+        values[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
         sparse = RowSparse(rows, values, shape)
         b_grad = rng.normal(size=3)
         optimizer_step(fused, p_fused, {"w": sparse, "b": b_grad})
@@ -499,10 +509,70 @@ def test_layout_switch_equals_reference_bytewise(algorithm, shape, draws, lr, se
         assert np.array_equal(packed.slot[first_touch], np.arange(n))
         assert np.all(packed.slot[~live] == -1)
         for a, full in ((fused.m["w"], m), (fused.v["w"], v)):
-            # room for the live rows, and never for more than can be packed
-            assert n <= a.shape[0] <= math.ceil(_PACKED_SHARE * shape[0])
+            # room, from the first step, for the most rows that can be packed
+            assert a.shape[0] == math.ceil(_PACKED_SHARE * shape[0])
             assert a[:n].tobytes() == full[first_touch].tobytes()
             assert a[n:].tobytes() == np.zeros_like(a[n:]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    algorithm=st.sampled_from(["adam", "adamw"]),
+    shape=st.sampled_from(LAYOUT_SHAPES),
+    draws=st.lists(
+        st.sampled_from(["empty", "few", "below", "at", "most", "dense"]), min_size=1, max_size=6
+    ),
+    scale=st.sampled_from([1.0, 1e-170]),
+    beta1=st.sampled_from([0.0, 0.5, 0.9]),
+    beta2=st.sampled_from([0.0, 0.5, 0.999]),
+    seed=st.integers(0, 2**16),
+)
+def test_v_never_holds_negative_zero(algorithm, shape, draws, scale, beta1, beta2, seed):
+    """An untouched row's v*b2 + 0.0 equals v*b2 only while v holds no -0.0,
+    so the step adds no + 0.0 to v. Its own v never holds one, whatever the
+    signs of the zeros in g and however small g's squares underflow."""
+    rng = np.random.default_rng(seed)
+    state = OptimizerState(algorithm, 0.1, beta1, beta2, weight_decay=0.7)
+    params = {"w": rng.normal(size=shape)}
+    live = np.zeros(shape[0], dtype=bool)
+    for draw in draws:
+        g = _layout_gradient(rng, shape, draw, live)
+        values = g.values if isinstance(g, RowSparse) else g
+        values *= scale
+        zeros = rng.random(values.shape) < 0.3
+        values[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        if isinstance(g, RowSparse):
+            live[g.rows] = True
+        optimizer_step(state, params, {"w": g})
+        assert not np.signbit(state.v["w"]).any()
+
+
+@pytest.mark.parametrize(
+    "moment, bad, match",
+    [
+        ("m", np.zeros((2, 2)), "m of parameter 'w'.*shape \\(3, 2\\)"),
+        ("v", np.zeros((3, 4))[:, ::2], "v of parameter 'w'.*C-contiguous"),
+        ("m", np.zeros((3, 2), dtype=np.float32), "m of parameter 'w'.*float64"),
+        ("v", None, "v of parameter 'w'"),
+    ],
+    ids=["shape", "strided", "float32", "missing"],
+)
+def test_malformed_moment_stops_the_step(moment, bad, match):
+    """A caller-set m or v that the step could not update in place is refused
+    before "a", which comes first, or the step count changes."""
+    params = {"a": np.ones(4), "w": np.ones((3, 2))}
+    state = adam(0.1)
+    state.m["w"], state.v["w"] = np.zeros((3, 2)), np.zeros((3, 2))
+    moments = getattr(state, moment)
+    if bad is None:
+        del moments["w"]
+    else:
+        moments["w"] = bad
+    before = _snapshot(state, params)
+    with pytest.raises(ValueError, match=match):
+        optimizer_step(state, params, {"a": np.ones(4), "w": np.ones((3, 2))})
+    assert _snapshot(state, params) == before
+    assert state.step_count == 0
 
 
 @pytest.mark.parametrize(
