@@ -237,9 +237,11 @@ def csr_matmul(x, b) -> Tensor:
 
     b's gradient is `x.T @ g`, which is zero outside x's stored columns (a
     bag-of-words batch touches few words): it is computed over those columns
-    only and, for a leaf, handed on as a `RowSparse`.
+    only and, for a leaf, handed on as a `RowSparse`. Any other `x` format is
+    refused: its index arrays would be read as CSR's.
     """
-    x = sparse.csr_matrix(x)
+    if not (sparse.issparse(x) and x.format == "csr"):
+        raise ValueError(f"csr_matmul takes a scipy CSR x, got {type(x).__name__}")
     b = as_tensor(b)
     if b.data.ndim != 2 or x.shape[1] != b.data.shape[0]:
         raise ValueError(f"csr_matmul shapes {x.shape} @ {b.data.shape} do not align")
@@ -248,8 +250,9 @@ def csr_matmul(x, b) -> Tensor:
     def backward(g):
         if b.requires_grad:
             cols, compact = np.unique(x.indices, return_inverse=True)
-            xc = sparse.csr_matrix((x.data, compact, x.indptr), shape=(x.shape[0], cols.size))
-            grad = RowSparse(cols, np.asarray(xc.T @ g), b.data.shape)
+            # x.T restricted to the present columns, built from x's own arrays
+            xt = sparse.csc_matrix((x.data, compact, x.indptr), shape=(cols.size, x.shape[0]))
+            grad = RowSparse(cols, np.asarray(xt @ g), b.data.shape)
             b.grad = _accumulate(b.grad, grad if _is_leaf(b) else np.asarray(grad))
 
     return _result(out, (b,), backward)

@@ -28,8 +28,9 @@ from .topics import write_topic_report
 
 logger = logging.getLogger(__name__)
 
-# The prepared files a checkpoint's parameters index into; `train` records
-# their manifest checksums so `extract-topics` can refuse other vocabularies.
+# The prepared files a checkpoint's parameters index into; every command
+# checks them against the manifest, and `train` records their checksums so
+# `extract-topics` can refuse other vocabularies.
 _VOCAB_FILES = ("vocab.tsv", "encoder_vocab.tsv")
 
 
@@ -98,7 +99,7 @@ def cmd_prepare(args) -> int:
 
 
 def _load_prepared(cfg: RunConfig):
-    """Records, both vocabularies and their manifest checksums."""
+    """Records, both vocabularies and their checksums, which must match the manifest's."""
     out = _prepare_dir(cfg)
     if not (out / "manifest.json").exists():
         raise FileNotFoundError(f"no prepared data under {out}; run `prepare` first")
@@ -110,7 +111,10 @@ def _load_prepared(cfg: RunConfig):
         )
     vocab = Vocabulary.from_tsv(out / "vocab.tsv")
     enc_vocab = Vocabulary.from_tsv(out / "encoder_vocab.tsv")
-    vocab_sha = {name: manifest["checksums"][name] for name in _VOCAB_FILES}
+    vocab_sha = {name: _sha256(out / name) for name in _VOCAB_FILES}
+    for name, sha in vocab_sha.items():
+        if manifest.get("checksums", {}).get(name) != sha:
+            raise ValueError(f"{out / name} does not match its manifest checksum; re-run prepare")
     return records, vocab, enc_vocab, vocab_sha
 
 

@@ -170,10 +170,10 @@ def load_tsv(path) -> list[RawRecord]:
     return records
 
 
-def tokenize(text: str, mode: str = "encoder", stopwords=None) -> list[str]:
+def tokenize(text: str, mode: str = "encoder") -> list[str]:
     """Lowercase, delete punctuation characters, split on whitespace.
 
-    Mode "ntm" additionally drops stopwords and tokens shorter than 2
+    Mode "ntm" additionally drops `DEFAULT_STOPWORDS` and tokens shorter than 2
     characters; mode "encoder" keeps everything. ASCII text (after
     lowercasing) takes a C-level path that gives the same tokens as the regex.
     """
@@ -186,16 +186,15 @@ def tokenize(text: str, mode: str = "encoder", stopwords=None) -> list[str]:
     else:
         tokens = _PUNCT_RE.sub("", text).split()
     if mode == "ntm":
-        stop = DEFAULT_STOPWORDS if stopwords is None else stopwords
-        if ascii_text and stop is DEFAULT_STOPWORDS:
+        if ascii_text:
             return list(filterfalse(_NTM_ASCII_DROP.__contains__, tokens))
-        tokens = [t for t in tokens if _ntm_keeps(t, stop)]
+        tokens = [t for t in tokens if _ntm_keeps(t)]
     return tokens
 
 
-def _ntm_keeps(token: str, stop) -> bool:
+def _ntm_keeps(token: str) -> bool:
     """The ntm-mode rule: a token of at least 2 characters that is not a stopword."""
-    return len(token) >= 2 and token not in stop
+    return len(token) >= 2 and token not in DEFAULT_STOPWORDS
 
 
 def label_of(record: RawRecord) -> str:
@@ -234,7 +233,7 @@ def rank_by_count(freq: dict[str, int]) -> list[str]:
     return sorted(sorted(freq), key=freq.__getitem__, reverse=True)
 
 
-def build_vocabulary(records, max_size: int, stopwords=None) -> Vocabulary:
+def build_vocabulary(records, max_size: int) -> Vocabulary:
     """Frequency-ranked NTM vocabulary over all record sentences.
 
     Ties broken lexicographically. NTM-mode tokens are the encoder-mode ones
@@ -244,9 +243,8 @@ def build_vocabulary(records, max_size: int, stopwords=None) -> Vocabulary:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
     if not records:
         raise ValueError("cannot build a vocabulary from zero records")
-    stop = DEFAULT_STOPWORDS if stopwords is None else stopwords
     freq = count_tokens(r.sentence for r in records)
-    kept = {w: c for w, c in freq.items() if _ntm_keeps(w, stop)}
+    kept = {w: c for w, c in freq.items() if _ntm_keeps(w)}
     ranked = rank_by_count(kept)[:max_size]
     return Vocabulary(index_of={w: i for i, w in enumerate(ranked)}, id_to_word=ranked)
 

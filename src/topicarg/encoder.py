@@ -43,14 +43,17 @@ class EncoderConfig:
 
 @dataclass(frozen=True)
 class EncoderInput:
-    """Token ids with per-token segment tags; layout fixed, sentence first."""
+    """Token ids with per-token segment tags, in segment order: sentence, target, topics."""
 
     token_ids: tuple[int, ...]
     segment_ids: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.token_ids) != len(self.segment_ids):
+        segs = self.segment_ids
+        if len(self.token_ids) != len(segs):
             raise ValueError("token_ids and segment_ids must have equal length")
+        if segs and (segs[0] < 0 or segs[-1] >= len(SEGMENTS) or list(segs) != sorted(segs)):
+            raise ValueError(f"segment_ids must be non-decreasing in [0, {len(SEGMENTS)})")
 
 
 class EncoderParams:
@@ -146,12 +149,10 @@ def encode_batch_graph(params: dict, cfg: EncoderConfig, inputs) -> ad.Tensor:
     segs = np.concatenate([np.asarray(x.segment_ids, dtype=np.int64) for x in inputs])
     n_seg = len(SEGMENTS)
     lengths = [len(x.token_ids) for x in inputs]
+    # already sorted, since no input's segment_ids decrease
     keys = np.repeat(np.arange(len(inputs)) * n_seg, lengths) + segs
-    order = np.argsort(keys, kind="stable")  # the identity for build_input's layout
-    rows = ad.take_rows(params["word_emb"], ids[order]) + ad.take_rows(
-        params["seg_emb"], segs[order]
-    )
-    pooled = ad.segment_mean(rows, keys[order], len(inputs) * n_seg)  # (B*3, emb_dim)
+    rows = ad.take_rows(params["word_emb"], ids) + ad.take_rows(params["seg_emb"], segs)
+    pooled = ad.segment_mean(rows, keys, len(inputs) * n_seg)  # (B*3, emb_dim)
     stacked = ad.reshape(pooled, (len(inputs), n_seg * cfg.emb_dim))
     return mlp_forward(cfg.body_spec(), params, stacked, prefix="body.")
 

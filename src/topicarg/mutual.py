@@ -77,10 +77,8 @@ def _projection_graph(params: dict, h) -> ad.Tensor:
 
 
 def project_to_topic(proj_params: dict, h: np.ndarray) -> np.ndarray:
-    """u = softmax(affine(h)); accepts one vector or a batch."""
-    h = np.asarray(h, dtype=np.float64)
-    u = _projection_graph(proj_params, np.atleast_2d(h)).data
-    return u[0] if h.ndim == 1 else u
+    """u = softmax(affine(h)) for a (B, d_h) batch."""
+    return _projection_graph(proj_params, h).data
 
 
 def _kl_rows_graph(p, q) -> ad.Tensor:
@@ -178,7 +176,7 @@ class TrainData:
     """Everything the alternating trainer needs for one split."""
 
     examples: list[ArgumentExample]
-    bows: object  # (N, V) ndarray or CSR aligned with examples
+    bows: object  # (N, V) CSR counts from corpus.vectorize_all, aligned with examples
     vocab: Vocabulary
     enc_vocab: Vocabulary
     val_examples: list[ArgumentExample] = field(default_factory=list)

@@ -88,16 +88,11 @@ def init_mlp(spec: MlpSpec, rng: SeededRng, prefix: str = "") -> dict[str, np.nd
 
 
 def mlp_forward(spec: MlpSpec, params: dict, x, prefix: str = "") -> ad.Tensor:
-    """Run the MLP; `params` values may be ndarrays (inference) or Tensors.
+    """Run the MLP on a (B, d) batch; `params` may hold ndarrays or Tensors.
 
-    A scipy sparse `x` is a constant whose first layer costs O(nonzeros).
+    A scipy CSR `x` is a constant whose first layer costs O(nonzeros).
     """
-    if sparse.issparse(x):
-        h = x
-    else:
-        h = ad.as_tensor(x)
-        if h.data.ndim == 1:
-            h = ad.reshape(h, (1, -1))
+    h = x if sparse.issparse(x) else ad.as_tensor(x)
     if h.shape[-1] != spec.layer_widths[0]:
         raise ValueError(
             f"input width {h.shape[-1]} != first layer width {spec.layer_widths[0]}"

@@ -88,15 +88,9 @@ def compute_log_freq(corpus_bows) -> np.ndarray:
     return np.log((counts + 1.0) / (total + counts.shape[0]))
 
 
-def normalize_bow(counts) -> sparse.csr_matrix:
-    """Count rows scaled to sum 1, as a new CSR matrix; all-zero rows stay zero.
-
-    Dense counts (one row or a batch) are converted here, so every caller
-    runs the same sparse first layer.
-    """
-    if not sparse.issparse(counts):
-        counts = np.atleast_2d(counts)
-    x = sparse.csr_matrix(counts, dtype=np.float64, copy=True)
+def normalize_bow(counts: sparse.csr_matrix) -> sparse.csr_matrix:
+    """CSR count rows scaled to sum 1, as a new CSR matrix; all-zero rows stay zero."""
+    x = counts.astype(np.float64)
     totals = np.asarray(x.sum(axis=1), dtype=np.float64).ravel()
     x.data /= np.repeat(np.where(totals > 0, totals, 1.0), np.diff(x.indptr))
     return x
@@ -111,10 +105,9 @@ def elbo_batch_graph(
 ) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor]:
     """Differentiable batch ELBO; returns (recon_sum, kl_sum, z) Tensors.
 
-    `counts` are BoW rows, sparse or dense. Only the reconstruction term
-    reads them as a dense (B, V) block.
+    `counts` are CSR BoW rows. Only the reconstruction term reads them as a
+    dense (B, V) block.
     """
-    counts = sparse.csr_matrix(counts)
     x = normalize_bow(counts)
     mu = mlp_forward(cfg.mu_spec(), leaves, x, prefix="enc_mu.")
     logvar = mlp_forward(cfg.logvar_spec(), leaves, x, prefix="enc_logvar.")
@@ -143,16 +136,16 @@ def train_ntm_epoch(
 
     `mutual_term(z_tensor, batch_indices)` returns the unweighted mutual-loss
     Tensor for the batch; when None, no mutual machinery runs at all.
+    `corpus_bows` is the CSR count matrix `corpus.vectorize_all` builds.
     """
     n = corpus_bows.shape[0]
     if n == 0:
         raise ValueError("empty corpus")
-    bows = sparse.csr_matrix(corpus_bows)
     order = rng.permutation(n)
     sum_recon = sum_kl = sum_mutual = 0.0
     for start in range(0, n, batch_size):
         idx = order[start : start + batch_size]
-        counts = bows[idx]
+        counts = corpus_bows[idx]
         noise = rng.normal((len(idx), ntm.cfg.latent_dim))
         leaves = ad.lift(ntm.params)
         recon, kl, z = elbo_batch_graph(leaves, ntm.cfg, ntm.log_freq, counts, noise)
@@ -176,7 +169,7 @@ def train_ntm_epoch(
 
 
 def infer_topic_distributions(ntm: NtmParams, corpus_bows) -> np.ndarray:
-    """Zero-noise z for every row: the deterministic posterior-mean path.
+    """Zero-noise z for every CSR count row: the deterministic posterior-mean path.
 
     With no noise z depends on mu alone, so the log-variance encoder is not run.
     """

@@ -158,7 +158,7 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 def infer(ntm: NtmParams, v) -> tuple[np.ndarray, np.ndarray]:
     """Posterior (mu, logvar) for one BoW vector or a batch (dense or sparse)."""
     squeeze = not sparse.issparse(v) and np.ndim(v) == 1
-    x = normalize_bow(v)
+    x = normalize_bow(v if sparse.issparse(v) else sparse.csr_matrix(np.atleast_2d(v)))
     if x.shape[1] != ntm.cfg.vocab_size:
         raise ValueError(f"BoW width {x.shape[1]} != vocabulary size {ntm.cfg.vocab_size}")
     mu = mlp_forward(ntm.cfg.mu_spec(), ntm.params, x, prefix="enc_mu.").data
@@ -222,7 +222,7 @@ def example_from_record(record: RawRecord) -> ArgumentExample:
     )
 
 
-def build_vocabulary(records, max_size: int, stopwords=None) -> Vocabulary:
+def build_vocabulary(records, max_size: int) -> Vocabulary:
     """NTM vocabulary from one ntm-mode `tokenize` call per record."""
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
@@ -230,7 +230,7 @@ def build_vocabulary(records, max_size: int, stopwords=None) -> Vocabulary:
         raise ValueError("cannot build a vocabulary from zero records")
     freq: Counter[str] = Counter()
     for record in records:
-        freq.update(tokenize(record.sentence, mode="ntm", stopwords=stopwords))
+        freq.update(tokenize(record.sentence, mode="ntm"))
     ranked = sorted(freq, key=lambda w: (-freq[w], w))[:max_size]
     return Vocabulary({w: i for i, w in enumerate(ranked)}, ranked)
 

@@ -11,6 +11,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from oracles import (
     build_target_mask,
@@ -103,7 +104,9 @@ def test_criterion_1_gradient_correctness():
     noise = SeededRng(1003).normal((4, 16))
 
     def ntm_loss(leaves):
-        recon, kl, _ = elbo_batch_graph(leaves, ntm.cfg, ntm.log_freq, counts, noise)
+        recon, kl, _ = elbo_batch_graph(
+            leaves, ntm.cfg, ntm.log_freq, sparse.csr_matrix(counts), noise
+        )
         return recon + kl
 
     rep = grad_check(ntm_loss, ntm.params, samples=200, tolerance=1e-4, rng=SeededRng(1004))
@@ -219,7 +222,7 @@ def test_criterion_2_planted_topic_recovery():
     ntm, stats = train_ntm(
         NtmConfig(vocab_size=200, num_topics=5, latent_dim=16, hidden_dim=64),
         log_freq,
-        bows,
+        sparse.csr_matrix(bows),
         epochs=45,
         rng=SeededRng(507),
         learning_rate=5e-3,

@@ -1,7 +1,7 @@
 """Every differentiable op is checked against central finite differences."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scipy import sparse
@@ -219,6 +219,47 @@ def test_csr_matmul_gradient_is_row_sparse_over_present_columns(batch, n, m, zer
     bound = 1e-12 * (np.abs(a.T) @ np.abs(upstream))
     assert np.all(np.abs(leaf.grad.values - dense[leaf.grad.rows]) <= bound[leaf.grad.rows])
     assert np.all(np.asarray(leaf.grad)[~a.any(axis=0)] == 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    batch=st.integers(1, 12),
+    n=st.integers(1, 40),
+    density=st.floats(0.0, 1.0),
+    empty=st.floats(0.0, 1.0),
+    zeros=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+@example(batch=3, n=5, density=0.0, empty=0.0, zeros=0.0, seed=0)
+@example(batch=4, n=2, density=1.0, empty=0.5, zeros=1.0, seed=1)
+def test_csr_matmul_leaf_gradient_sums_each_row_in_entry_order(
+    batch, n, density, empty, zeros, seed
+):
+    # any other order or starting value than a dense scatter-add over x's
+    # stored entries shows at these magnitudes and signed zeros
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-150, 151, size=(batch, n))
+    a = rng.normal(size=(batch, n)) * scale * (rng.random((batch, n)) < density)
+    a[rng.random(batch) < empty] = 0.0  # empty documents
+    x = sparse.csr_matrix(a)
+    g = rng.normal(size=(batch, 3)) * 10.0 ** rng.integers(-150, 151, size=(batch, 3))
+    signed_zero = rng.random(g.shape) < zeros
+    g[signed_zero] = np.where(rng.random(int(signed_zero.sum())) < 0.5, -0.0, 0.0)
+    leaf = ad.Tensor(rng.normal(size=(n, 3)))
+    ad.tensor_sum(ad.csr_matmul(x, leaf) * ad.constant(g)).backward()
+    dense = np.zeros((n, 3))
+    entry_rows = np.repeat(np.arange(batch), np.diff(x.indptr))
+    np.add.at(dense, x.indices, x.data[:, None] * g[entry_rows])
+    assert isinstance(leaf.grad, ad.RowSparse)
+    assert np.array_equal(leaf.grad.rows, np.unique(x.indices))
+    assert leaf.grad.values.tobytes() == dense[leaf.grad.rows].tobytes()
+
+
+@pytest.mark.parametrize("form", [sparse.csc_matrix, sparse.coo_matrix, np.asarray])
+def test_csr_matmul_refuses_other_formats(form):
+    x = form(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
+    with pytest.raises(ValueError, match="CSR"):
+        ad.csr_matmul(x, ad.Tensor(np.ones((3, 2))))
 
 
 def test_csr_matmul_rejects_misaligned_shapes():

@@ -179,6 +179,34 @@ class TestPreparedCorpusLink:
         )
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize(
+        "name, change",
+        [("vocab.tsv", "swapped_words"), ("encoder_vocab.tsv", "swapped_words"),
+         ("vocab.tsv", "manifest_without_checksums")],
+    )
+    def test_vocabulary_edited_after_prepare_is_refused(
+        self, corpus_path, tmp_path, capsys, command, name, change
+    ):
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        path = out / "prepared" / name
+        if change == "swapped_words":
+            lines = path.read_text(encoding="utf-8").split("\n")
+            (w0, i0), (w1, i1) = (line.split("\t") for line in lines[:2])
+            lines[:2] = [f"{w1}\t{i0}", f"{w0}\t{i1}"]  # still well-formed
+            path.write_text("\n".join(lines), encoding="utf-8")
+        else:
+            manifest_path = out / "prepared" / "manifest.json"
+            manifest = json.loads(manifest_path.read_text())
+            del manifest["checksums"]
+            manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main([*self.COMMANDS[command], *small_flags(corpus_path, out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path} does not match its manifest checksum; re-run prepare\n"
+        )
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_missing_data_is_a_clean_error(self, tmp_path, capsys, command):
         code = main([*self.COMMANDS[command], "--out-dir", str(tmp_path / "run")])
         assert code == 1

@@ -38,14 +38,13 @@ from topicarg.stopwords import DEFAULT_STOPWORDS
 _REFERENCE_PUNCT_RE = re.compile(r"[^\w\s]", flags=re.UNICODE)
 
 
-def reference_tokenize(text, mode="encoder", stopwords=None):
+def reference_tokenize(text, mode="encoder"):
     """The regex tokenizer `tokenize` must agree with on every input."""
     if mode not in ("ntm", "encoder"):
         raise ValueError(f"unknown tokenize mode {mode!r}")
     tokens = _REFERENCE_PUNCT_RE.sub("", text.lower()).split()
     if mode == "ntm":
-        stop = DEFAULT_STOPWORDS if stopwords is None else stopwords
-        tokens = [t for t in tokens if len(t) >= 2 and t not in stop]
+        tokens = [t for t in tokens if len(t) >= 2 and t not in DEFAULT_STOPWORDS]
     return tokens
 
 
@@ -154,9 +153,6 @@ class TestTokenize:
         with pytest.raises(ValueError):
             tokenize("text", mode="characters")
 
-    def test_custom_stopwords(self):
-        assert tokenize("alpha beta", mode="ntm", stopwords={"alpha"}) == ["beta"]
-
 
 # Every ASCII character (controls such as \t\v\f and \x1c-\x1f, which
 # str.split treats as whitespace, included), non-ASCII letters, punctuation and
@@ -168,9 +164,6 @@ TOKENIZE_CHARS = [chr(c) for c in range(128)] + list(
 TOKENIZE_WORDS = [
     "The", "ABOUT", "a", "I", "x", "it's", "don't", "alpha", "beta", "Beta",
     "naïve", "café", "İstanbul", "\u212aelvin", "o_o", "42",
-]
-STOPWORD_SETS = [
-    None, DEFAULT_STOPWORDS, set(DEFAULT_STOPWORDS), frozenset(), {"alpha", "the", "b"},
 ]
 text_strategy = st.lists(
     st.one_of(
@@ -185,16 +178,15 @@ text_strategy = st.lists(
 @given(
     text=text_strategy,
     mode=st.sampled_from(["encoder", "ntm"]),
-    stopwords=st.sampled_from(STOPWORD_SETS),
 )
-@example(text="a\x1cb\x1dcd\x1e\x1fef\tgh\vij\fkl", mode="ntm", stopwords=None)
-@example(text="\u212a \u212aelvin THE i", mode="ntm", stopwords=None)
-@example(text="İ İstanbul'un i", mode="ntm", stopwords=None)
-@example(text="x y_z, the ... 9", mode="ntm", stopwords=frozenset())
-def test_tokenize_equals_reference(text, mode, stopwords):
-    tokens = tokenize(text, mode=mode, stopwords=stopwords)
+@example(text="a\x1cb\x1dcd\x1e\x1fef\tgh\vij\fkl", mode="ntm")
+@example(text="\u212a \u212aelvin THE i", mode="ntm")
+@example(text="İ İstanbul'un i", mode="ntm")
+@example(text="x y_z, the ... 9", mode="ntm")
+def test_tokenize_equals_reference(text, mode):
+    tokens = tokenize(text, mode=mode)
     assert type(tokens) is list
-    assert tokens == reference_tokenize(text, mode=mode, stopwords=stopwords)
+    assert tokens == reference_tokenize(text, mode=mode)
 
 
 # Pieces a sentence is glued from, so that texts meet at every kind of edge:
@@ -215,15 +207,14 @@ sentence_strategy = st.lists(
 @given(
     texts=st.lists(sentence_strategy, max_size=6),
     mode=st.sampled_from(["encoder", "ntm"]),
-    stopwords=st.sampled_from(STOPWORD_SETS),
 )
-@example(texts=["ΑΣ", "Β"], mode="encoder", stopwords=None)
-@example(texts=["Α", "ΣΑ"], mode="encoder", stopwords=None)
-@example(texts=["Α'", "Σ", "'Σ", "ΑΣ'"], mode="encoder", stopwords=None)
-@example(texts=["a\x1c", "\x1fb", "", "\xa0c\u2028", "\u212aİ"], mode="ntm", stopwords=None)
-def test_tokenize_of_joined_texts_is_their_tokens_chained(texts, mode, stopwords):
-    assert tokenize(" ".join(texts), mode=mode, stopwords=stopwords) == list(
-        chain.from_iterable(tokenize(t, mode=mode, stopwords=stopwords) for t in texts)
+@example(texts=["ΑΣ", "Β"], mode="encoder")
+@example(texts=["Α", "ΣΑ"], mode="encoder")
+@example(texts=["Α'", "Σ", "'Σ", "ΑΣ'"], mode="encoder")
+@example(texts=["a\x1c", "\x1fb", "", "\xa0c\u2028", "\u212aİ"], mode="ntm")
+def test_tokenize_of_joined_texts_is_their_tokens_chained(texts, mode):
+    assert tokenize(" ".join(texts), mode=mode) == list(
+        chain.from_iterable(tokenize(t, mode=mode) for t in texts)
     )
 
 
@@ -237,27 +228,22 @@ records_strategy = st.lists(
 @given(
     records=records_strategy,
     max_size=st.integers(1, 40),
-    stopwords=st.sampled_from(STOPWORD_SETS),
     chunk=st.sampled_from([1, 2, 3, corpus._COUNT_CHUNK]),
     with_ntm=st.booleans(),
 )
-@example(records=[rec(sentence="bb aa cc bb aa")], max_size=1, stopwords=frozenset(),
-         chunk=1, with_ntm=True)
-@example(records=[rec(sentence="bb aa cc bb aa")], max_size=9, stopwords=frozenset(),
-         chunk=1, with_ntm=False)
+@example(records=[rec(sentence="bb aa cc bb aa")], max_size=1, chunk=1, with_ntm=True)
+@example(records=[rec(sentence="bb aa cc bb aa")], max_size=9, chunk=1, with_ntm=False)
 @example(records=[rec(sentence=s) for s in ["bb aa", "ΟΔΟΣ aa", "cc, bb", "the é", "aa"]],
-         max_size=40, stopwords=None, chunk=2, with_ntm=True)
-def test_vocabularies_equal_the_per_record_references(
-    records, max_size, stopwords, chunk, with_ntm
-):
+         max_size=40, chunk=2, with_ntm=True)
+def test_vocabularies_equal_the_per_record_references(records, max_size, chunk, with_ntm):
     with mock.patch.object(corpus, "_COUNT_CHUNK", chunk):
         if not records:
             with pytest.raises(ValueError, match="zero records"):
-                build_vocabulary(records, max_size, stopwords)
+                build_vocabulary(records, max_size)
             ntm_vocab = None
         else:
-            ntm_vocab = build_vocabulary(records, max_size, stopwords)
-            expected = oracles.build_vocabulary(records, max_size, stopwords)
+            ntm_vocab = build_vocabulary(records, max_size)
+            expected = oracles.build_vocabulary(records, max_size)
             assert ntm_vocab.id_to_word == expected.id_to_word
             assert ntm_vocab.index_of == expected.index_of
         forced = ntm_vocab if with_ntm else None
@@ -318,12 +304,12 @@ def test_vectorize_all_equals_reference_bytes(seqs, size):
 class TestVocabulary:
     def test_frequency_then_lexicographic(self):
         records = [rec(sentence="aa bb bb")]
-        vocab = build_vocabulary(records, max_size=10, stopwords=frozenset())
+        vocab = build_vocabulary(records, max_size=10)
         assert vocab.index_of == {"bb": 0, "aa": 1}
 
     def test_truncation_to_max_size(self):
         records = [rec(sentence="aa bb bb")]
-        vocab = build_vocabulary(records, max_size=1, stopwords=frozenset())
+        vocab = build_vocabulary(records, max_size=1)
         assert vocab.index_of == {"bb": 0}
 
     def test_no_stopword_appears(self):

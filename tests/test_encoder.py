@@ -127,6 +127,15 @@ class TestBuildInput:
         with pytest.raises(ValueError):
             EncoderInput((1, 2), (0,))
 
+    @pytest.mark.parametrize("segments", [(-1, 0), (0, 3)])
+    def test_segment_outside_the_layout_rejected(self, segments):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            EncoderInput((1, 2), segments)
+
+    def test_decreasing_segments_rejected(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            EncoderInput((1, 2, 3), (0, 1, 0))
+
 
 class TestEncoderVocab:
     def test_markers_present_and_first(self, enc_vocab):

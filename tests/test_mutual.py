@@ -212,12 +212,12 @@ class TestProjection:
         proj = init_projection(6, 4, SeededRng(0))
         for v in proj.values():
             v[...] = 0.0
-        u = project_to_topic(proj, np.ones(6))
+        u = project_to_topic(proj, np.ones((1, 6)))
         assert np.allclose(u, 0.25)
 
     def test_k10_output(self):
         proj = init_projection(5, 10, SeededRng(1))
-        assert project_to_topic(proj, np.zeros(5)).shape == (10,)
+        assert project_to_topic(proj, np.zeros((1, 5)))[0].shape == (10,)
 
     def test_rows_sum_to_one(self):
         proj = init_projection(5, 7, SeededRng(2))

@@ -37,7 +37,7 @@ class TestMlp:
     def test_identity_initialized_linear_layer(self):
         spec = MlpSpec((2, 2))
         params = {"W0": np.eye(2), "b0": np.zeros(2)}
-        out = mlp_forward(spec, params, np.array([1.0, 2.0]))
+        out = mlp_forward(spec, params, np.array([[1.0, 2.0]]))
         assert np.allclose(out.data, [[1.0, 2.0]])
 
     def test_zero_weights_zero_bias(self):

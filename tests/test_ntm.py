@@ -269,7 +269,8 @@ class TestElbo:
         counts = SeededRng(3).integers(0, 4, (4, 20)).astype(float)
         noise = SeededRng(4).normal((4, 5))
         recon, kl, _ = elbo_batch_graph(
-            ad.lift(ntm.params, requires_grad=False), ntm.cfg, ntm.log_freq, counts, noise
+            ad.lift(ntm.params, requires_grad=False), ntm.cfg, ntm.log_freq,
+            sparse.csr_matrix(counts), noise,
         )
         manual_recon = manual_kl = 0.0
         for i in range(4):
@@ -283,7 +284,7 @@ class TestElbo:
 
     def test_elbo_gradients_vs_finite_differences(self):
         ntm = small_ntm(vocab_size=20, num_topics=3, latent_dim=5, hidden_dim=6)
-        counts = SeededRng(8).integers(0, 3, (3, 20)).astype(float)
+        counts = sparse.csr_matrix(SeededRng(8).integers(0, 3, (3, 20)).astype(float))
         noise = SeededRng(9).normal((3, 5))
 
         def loss(leaves):
@@ -299,7 +300,7 @@ class TestTrainEpoch:
     def test_determinism_bitwise(self):
         def run():
             ntm = small_ntm(seed=2)
-            bows = SeededRng(3).integers(0, 5, (40, 20)).astype(float)
+            bows = sparse.csr_matrix(SeededRng(3).integers(0, 5, (40, 20)).astype(float))
             opt = adam(2e-3)
             for _ in range(3):
                 train_ntm_epoch(ntm, bows, opt, batch_size=16, rng=SeededRng(4))
@@ -312,18 +313,19 @@ class TestTrainEpoch:
     def test_loss_decreases_on_planted_corpus(self):
         bows, _, _ = planted_topic_corpus(n_docs=200, vocab_size=40, num_topics=3, seed=5)
         log_freq = compute_log_freq(bows.astype(float))
+        bows = sparse.csr_matrix(bows.astype(float))
         ntm = init_ntm(NtmConfig(40, 3, 8, 16), log_freq, SeededRng(6))
         opt = adam(2e-3)
         rng = SeededRng(7)
         losses = [
-            train_ntm_epoch(ntm, bows.astype(float), opt, 16, rng, kl_weight=1.0).mean_total
+            train_ntm_epoch(ntm, bows, opt, 16, rng, kl_weight=1.0).mean_total
             for _ in range(12)
         ]
         assert losses[-1] < losses[0]
 
     def test_stats_count_and_types(self):
         ntm = small_ntm()
-        bows = SeededRng(1).integers(0, 3, (10, 20)).astype(float)
+        bows = sparse.csr_matrix(SeededRng(1).integers(0, 3, (10, 20)).astype(float))
         stats = train_ntm_epoch(ntm, bows, adam(1e-3), 4, SeededRng(2), kl_weight=0.5)
         assert stats.count == 10
         assert stats.kl_weight == 0.5
@@ -332,13 +334,13 @@ class TestTrainEpoch:
     def test_empty_corpus_rejected(self):
         ntm = small_ntm()
         with pytest.raises(ValueError):
-            train_ntm_epoch(ntm, np.zeros((0, 20)), adam(1e-3), 4, SeededRng(2))
+            train_ntm_epoch(ntm, sparse.csr_matrix((0, 20)), adam(1e-3), 4, SeededRng(2))
 
 
 class TestInferTopicDistributions:
     def test_rows_are_distributions_and_deterministic(self):
         ntm = small_ntm()
-        bows = SeededRng(5).integers(0, 4, (9, 20)).astype(float)
+        bows = sparse.csr_matrix(SeededRng(5).integers(0, 4, (9, 20)).astype(float))
         z1 = infer_topic_distributions(ntm, bows)
         z2 = infer_topic_distributions(ntm, bows)
         assert z1.shape == (9, 3)
@@ -349,15 +351,13 @@ class TestInferTopicDistributions:
     @given(
         rows=st.integers(1, 24),
         density=st.floats(0.0, 1.0),
-        as_sparse=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    def test_sparse_first_layer_matches_dense(self, rows, density, as_sparse, seed):
+    def test_sparse_first_layer_matches_dense(self, rows, density, seed):
         ntm = small_ntm(seed=seed % 7)
         rng = np.random.default_rng(seed)
         counts = rng.integers(1, 5, (rows, 20)) * (rng.random((rows, 20)) < density)
-        bows = sparse.csr_matrix(counts) if as_sparse else counts
-        z = infer_topic_distributions(ntm, bows)
+        z = infer_topic_distributions(ntm, sparse.csr_matrix(counts))
         # empty rows included: they see only the biases on both paths
         assert np.abs(z - dense_topic_distributions(ntm, counts.astype(float))).max() <= 1e-12
 
