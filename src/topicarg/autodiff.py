@@ -1,12 +1,12 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A deliberately small operator set: dense linear algebra, a product with a
-constant CSR left operand, the activations and normalizers the models need,
-reductions, segment means, and a gather for embedding lookups. Everything is
-float64 and single-threaded, so two runs from the same seed give
-bitwise-identical results. Gradients are dense arrays, except that a leaf fed
-only through `take_rows` or `csr_matmul` gets a `RowSparse` gradient holding
-just the rows a batch touches.
+constant CSR left operand, the activations the models need, softmax and
+log-softmax over the last axis, sums, segment means, and a gather for
+embedding lookups. Everything is float64 and single-threaded, so two runs from
+the same seed give bitwise-identical results. Gradients are dense arrays,
+except that a leaf fed only through `take_rows` or `csr_matmul` gets a
+`RowSparse` gradient holding just the rows a batch touches.
 """
 from __future__ import annotations
 
@@ -141,14 +141,14 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def as_tensor(x, requires_grad=False) -> Tensor:
+def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(x, requires_grad=requires_grad)
+    return Tensor(x, requires_grad=False)
 
 
 def constant(x) -> Tensor:
-    return as_tensor(x, requires_grad=False)
+    return as_tensor(x)
 
 
 def lift(params: dict[str, np.ndarray], requires_grad=True) -> dict[str, Tensor]:
@@ -302,48 +302,44 @@ def softplus(a) -> Tensor:
     return _result(out, (a,), backward)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
+def softmax(a) -> Tensor:
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
         if a.requires_grad:
-            inner = (g * out).sum(axis=axis, keepdims=True)
+            inner = (g * out).sum(axis=-1, keepdims=True)
             a.grad = _accumulate(a.grad, out * (g - inner))
 
     return _result(out, (a,), backward)
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
+def log_softmax(a) -> Tensor:
     a = as_tensor(a)
-    m = a.data.max(axis=axis, keepdims=True)
+    m = a.data.max(axis=-1, keepdims=True)
     shifted = a.data - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True)) + m
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True)) + m
     out = a.data - lse
 
     def backward(g):
         if a.requires_grad:
             a.grad = _accumulate(
-                a.grad, g - np.exp(out) * g.sum(axis=axis, keepdims=True)
+                a.grad, g - np.exp(out) * g.sum(axis=-1, keepdims=True)
             )
 
     return _result(out, (a,), backward)
 
 
-def tensor_sum(a, axis=None, keepdims=False) -> Tensor:
+def tensor_sum(a, axis=None) -> Tensor:
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum(axis=axis)
 
     def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
+        if a.requires_grad:
+            g = g if axis is None else np.expand_dims(g, axis)
             a.grad = _accumulate(a.grad, np.broadcast_to(g, a.data.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a.grad = _accumulate(a.grad, np.broadcast_to(gg, a.data.shape).copy())
 
     return _result(out, (a,), backward)
 

@@ -319,11 +319,9 @@ def cmd_extract_topics(args) -> int:
     for key in ("n_top_terms", "ratio_p"):  # the run's settings, unless flagged
         if getattr(args, key) is None and key in meta:
             setattr(cfg, key, meta[key])
-    examples = corpus_mod.examples_from_records(records)
-    data = mutual_mod.TrainData(
-        examples=examples, bows=None, vocab=vocab, enc_vocab=enc_vocab
-    )
-    targets = sorted({ex.target for ex in examples})
+    # extraction reads only the vocabularies, never the examples
+    data = mutual_mod.TrainData(examples=[], bows=None, vocab=vocab, enc_vocab=enc_vocab)
+    targets = sorted({r.target for r in records})
     topics = mutual_mod.extract_topics_for_targets(
         ntm, enc, data, targets, cfg.n_top_terms, cfg.ratio_p
     )

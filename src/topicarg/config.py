@@ -46,8 +46,9 @@ class RunConfig:
                 raise ValueError(f"config field {name} must be >= 1")
         if not 0.0 < self.ratio_p < 1.0:
             raise ValueError("ratio_p must be in (0, 1)")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        for name in ("gamma", "seed", "patience", "kl_warmup_epochs"):
+            if not getattr(self, name) >= 0:  # refuses NaN too
+                raise ValueError(f"config field {name} must be >= 0")
         for name in ("lr_ntm", "lr_classifier"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"config field {name} must be > 0")

@@ -1,10 +1,11 @@
 """Sentence-target-topics encoder and the 3-way argument classifier.
 
-The input is [cls] sentence [sep] target [sep] topic-terms, each token tagged
-with its segment. The built-in reference encoder embeds tokens, adds a segment
-embedding, mean-pools each segment, concatenates the three pooled vectors, and
-maps them through a 2-layer MLP to the semantic vector h. Any deterministic
-differentiable map with the same signature can stand in for it.
+The input is [cls] sentence [sep] target [sep] topic-terms: three segments in
+a fixed order, so each is described by its length. The built-in reference
+encoder embeds tokens, adds a segment embedding, mean-pools each segment,
+concatenates the three pooled vectors, and maps them through a 2-layer MLP to
+the semantic vector h. Any deterministic differentiable map with the same
+signature can stand in for it.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .topics import ExtractedTopics
 CLS, SEP, UNK = "<cls>", "<sep>", "<unk>"
 MARKERS = (CLS, SEP, UNK)
 SEGMENTS = ("sentence", "target", "topics")
-SEGMENT_INDEX = {name: i for i, name in enumerate(SEGMENTS)}
 
 
 @dataclass(frozen=True)
@@ -43,17 +43,19 @@ class EncoderConfig:
 
 @dataclass(frozen=True)
 class EncoderInput:
-    """Token ids with per-token segment tags, in segment order: sentence, target, topics."""
+    """Token ids and how many of them each segment holds: sentence, target, topics."""
 
     token_ids: tuple[int, ...]
-    segment_ids: tuple[int, ...]
+    segment_lengths: tuple[int, int, int]
 
     def __post_init__(self):
-        segs = self.segment_ids
-        if len(self.token_ids) != len(segs):
-            raise ValueError("token_ids and segment_ids must have equal length")
-        if segs and (segs[0] < 0 or segs[-1] >= len(SEGMENTS) or list(segs) != sorted(segs)):
-            raise ValueError(f"segment_ids must be non-decreasing in [0, {len(SEGMENTS)})")
+        lengths = self.segment_lengths
+        ints = all(isinstance(n, (int, np.integer)) and n >= 0 for n in lengths)
+        if len(lengths) != len(SEGMENTS) or not ints or sum(lengths) != len(self.token_ids):
+            raise ValueError(
+                f"segment_lengths must be {len(SEGMENTS)} ints >= 0 summing to "
+                f"len(token_ids)={len(self.token_ids)}, got {lengths!r}"
+            )
 
 
 class EncoderParams:
@@ -97,9 +99,9 @@ def build_input(
 ) -> EncoderInput:
     """[cls] sentence [sep] target [sep] topics, truncating the sentence only.
 
-    Markers carry the tag of the segment they open or close; with no topic
-    terms the trailing separator is dropped, leaving exactly two segments.
-    OOV tokens map to the unknown marker.
+    Segments: [cls] sentence [sep]; the target, plus the [sep] before the topic
+    terms when there are any (with none it is dropped); the topic terms. OOV
+    tokens map to the unknown marker.
     """
     topic_terms = list(topics.terms) if topics is not None else []
     target_tokens = list(target_tokens)
@@ -114,14 +116,12 @@ def build_input(
         return vocab.index_of.get(token, vocab.index_of[UNK])
 
     tokens = [CLS] + sentence_tokens + [SEP] + target_tokens
-    segments = [SEGMENT_INDEX["sentence"]] * (len(sentence_tokens) + 2)
-    segments += [SEGMENT_INDEX["target"]] * len(target_tokens)
     if topic_terms:
         tokens += [SEP] + topic_terms
-        segments += [SEGMENT_INDEX["target"]]
-        segments += [SEGMENT_INDEX["topics"]] * len(topic_terms)
+    n_sentence, n_topics = len(sentence_tokens) + 2, len(topic_terms)
     return EncoderInput(
-        token_ids=tuple(wid(t) for t in tokens), segment_ids=tuple(segments)
+        token_ids=tuple(wid(t) for t in tokens),
+        segment_lengths=(n_sentence, len(tokens) - n_sentence - n_topics, n_topics),
     )
 
 
@@ -144,13 +144,11 @@ def encode_batch_graph(params: dict, cfg: EncoderConfig, inputs) -> ad.Tensor:
     if not inputs:
         raise ValueError("encode_batch_graph needs at least one input")
     ids = np.concatenate([np.asarray(x.token_ids, dtype=np.int64) for x in inputs])
-    if ids.size and ids.max() >= cfg.vocab_size:
-        raise IndexError(f"token id {ids.max()} outside embedding range")
-    segs = np.concatenate([np.asarray(x.segment_ids, dtype=np.int64) for x in inputs])
     n_seg = len(SEGMENTS)
-    lengths = [len(x.token_ids) for x in inputs]
-    # already sorted, since no input's segment_ids decrease
-    keys = np.repeat(np.arange(len(inputs)) * n_seg, lengths) + segs
+    # key 3i + s for the tokens of input i's segment s: sorted by construction
+    lengths = [n for x in inputs for n in x.segment_lengths]
+    keys = np.repeat(np.arange(len(inputs) * n_seg), lengths)
+    segs = keys % n_seg
     rows = ad.take_rows(params["word_emb"], ids) + ad.take_rows(params["seg_emb"], segs)
     pooled = ad.segment_mean(rows, keys, len(inputs) * n_seg)  # (B*3, emb_dim)
     stacked = ad.reshape(pooled, (len(inputs), n_seg * cfg.emb_dim))
@@ -174,7 +172,7 @@ def encode_all(params: EncoderParams, inputs) -> np.ndarray:
 
 
 def classify_graph(params: dict, cfg: EncoderConfig, h: ad.Tensor) -> ad.Tensor:
-    return ad.softmax(mlp_forward(cfg.classifier_spec(), params, h, prefix="cls."), axis=-1)
+    return ad.softmax(mlp_forward(cfg.classifier_spec(), params, h, prefix="cls."))
 
 
 def predict_proba(params: EncoderParams, inputs) -> np.ndarray:

@@ -63,6 +63,10 @@ class TrainSchedule:
             raise ValueError("max_iterations must be >= 1")
         if self.ntm_epochs < 1 or self.classifier_epochs < 1:
             raise ValueError("per-phase epoch counts must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.patience < 0 or self.kl_warmup_epochs < 0:
+            raise ValueError("patience and kl_warmup_epochs must be >= 0")
 
 
 def init_projection(d_h: int, num_topics: int, rng: SeededRng) -> dict[str, np.ndarray]:
@@ -73,7 +77,7 @@ def init_projection(d_h: int, num_topics: int, rng: SeededRng) -> dict[str, np.n
 def _projection_graph(params: dict, h) -> ad.Tensor:
     """u = softmax(affine(h)) over a batch; `params` may hold ndarrays or leaves."""
     spec = MlpSpec(params["proj.W0"].shape)
-    return ad.softmax(mlp_forward(spec, params, h, prefix="proj."), axis=-1)
+    return ad.softmax(mlp_forward(spec, params, h, prefix="proj."))
 
 
 def project_to_topic(proj_params: dict, h: np.ndarray) -> np.ndarray:
@@ -106,7 +110,6 @@ def mutual_sum_graph(u, z) -> ad.Tensor:
 class ClassifierEpochStats:
     mean_ce: float
     mean_mutual: float
-    count: int
 
 
 def train_classifier_epoch(
@@ -156,7 +159,7 @@ def train_classifier_epoch(
         stepped = {**enc.params, **proj_params} if mutual_on else enc.params
         optimizer_step(optimizer, stepped, ad.grads_of(leaves))
         sum_ce += float(ce_sum.data)
-    return ClassifierEpochStats(mean_ce=sum_ce / n, mean_mutual=sum_mutual / n, count=n)
+    return ClassifierEpochStats(mean_ce=sum_ce / n, mean_mutual=sum_mutual / n)
 
 
 @dataclass
@@ -373,6 +376,8 @@ def train_alternating(
     randomness is consumed, so the two models train exactly as they would
     independently.
     """
+    if not gamma >= 0.0:  # a NaN gamma would silently switch mutual learning off
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
     proj_params = (
         init_projection(enc.cfg.output_dim, ntm.cfg.num_topics, SeededRng(schedule.seed).child(3))
         if gamma > 0.0

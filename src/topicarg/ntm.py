@@ -27,10 +27,8 @@ class NtmConfig:
     latent_dim: int = 64
     hidden_dim: int = 256
 
-    def mu_spec(self) -> MlpSpec:
-        return MlpSpec((self.vocab_size, self.hidden_dim, self.latent_dim), "softplus")
-
-    def logvar_spec(self) -> MlpSpec:
+    def encoder_spec(self) -> MlpSpec:
+        """The shape of both posterior encoders, mean and log-variance."""
         return MlpSpec((self.vocab_size, self.hidden_dim, self.latent_dim), "softplus")
 
     def topic_head_spec(self) -> MlpSpec:
@@ -40,11 +38,8 @@ class NtmConfig:
 @dataclass
 class NtmEpochStats:
     mean_total: float
-    mean_reconstruction: float
     mean_kl: float
     mean_mutual: float
-    kl_weight: float
-    count: int
 
 
 class NtmParams:
@@ -66,8 +61,8 @@ class NtmParams:
 
 def init_ntm(cfg: NtmConfig, log_freq: np.ndarray, rng: SeededRng) -> NtmParams:
     params: dict[str, np.ndarray] = {}
-    params.update(init_mlp(cfg.mu_spec(), rng.child(0), prefix="enc_mu."))
-    params.update(init_mlp(cfg.logvar_spec(), rng.child(1), prefix="enc_logvar."))
+    params.update(init_mlp(cfg.encoder_spec(), rng.child(0), prefix="enc_mu."))
+    params.update(init_mlp(cfg.encoder_spec(), rng.child(1), prefix="enc_logvar."))
     params.update(init_mlp(cfg.topic_head_spec(), rng.child(2), prefix="topic_head."))
     bound = np.sqrt(6.0 / (cfg.num_topics + cfg.vocab_size))
     params["topic_word"] = rng.child(3).uniform(
@@ -109,14 +104,14 @@ def elbo_batch_graph(
     dense (B, V) block.
     """
     x = normalize_bow(counts)
-    mu = mlp_forward(cfg.mu_spec(), leaves, x, prefix="enc_mu.")
-    logvar = mlp_forward(cfg.logvar_spec(), leaves, x, prefix="enc_logvar.")
+    mu = mlp_forward(cfg.encoder_spec(), leaves, x, prefix="enc_mu.")
+    logvar = mlp_forward(cfg.encoder_spec(), leaves, x, prefix="enc_logvar.")
     std = ad.exp(0.5 * logvar)
     theta = ad.softplus(mu + std * ad.constant(noise))
     logits = mlp_forward(cfg.topic_head_spec(), leaves, theta, prefix="topic_head.")
-    z = ad.softmax(logits, axis=-1)
+    z = ad.softmax(logits)
     word_logits = ad.matmul(z, leaves["topic_word"]) + ad.constant(log_freq)
-    logp = ad.log_softmax(word_logits, axis=-1)
+    logp = ad.log_softmax(word_logits)
     recon_sum = -ad.tensor_sum(ad.constant(counts.toarray()) * logp)
     kl_sum = 0.5 * ad.tensor_sum(ad.exp(logvar) + mu * mu - 1.0 - logvar)
     return recon_sum, kl_sum, z
@@ -160,11 +155,8 @@ def train_ntm_epoch(
         sum_kl += float(kl.data)
     return NtmEpochStats(
         mean_total=(sum_recon + sum_kl) / n,
-        mean_reconstruction=sum_recon / n,
         mean_kl=sum_kl / n,
         mean_mutual=sum_mutual / n,
-        kl_weight=kl_weight,
-        count=n,
     )
 
 
@@ -174,9 +166,9 @@ def infer_topic_distributions(ntm: NtmParams, corpus_bows) -> np.ndarray:
     With no noise z depends on mu alone, so the log-variance encoder is not run.
     """
     cfg, params = ntm.cfg, ntm.params
-    mu = mlp_forward(cfg.mu_spec(), params, normalize_bow(corpus_bows), prefix="enc_mu.")
+    mu = mlp_forward(cfg.encoder_spec(), params, normalize_bow(corpus_bows), prefix="enc_mu.")
     logits = mlp_forward(cfg.topic_head_spec(), params, ad.softplus(mu), prefix="topic_head.")
-    return ad.softmax(logits, axis=-1).data
+    return ad.softmax(logits).data
 
 
 def export_topic_word_tsv(ntm: NtmParams, vocab: Vocabulary, path) -> None:

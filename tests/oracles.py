@@ -161,11 +161,29 @@ def infer(ntm: NtmParams, v) -> tuple[np.ndarray, np.ndarray]:
     x = normalize_bow(v if sparse.issparse(v) else sparse.csr_matrix(np.atleast_2d(v)))
     if x.shape[1] != ntm.cfg.vocab_size:
         raise ValueError(f"BoW width {x.shape[1]} != vocabulary size {ntm.cfg.vocab_size}")
-    mu = mlp_forward(ntm.cfg.mu_spec(), ntm.params, x, prefix="enc_mu.").data
-    logvar = mlp_forward(ntm.cfg.logvar_spec(), ntm.params, x, prefix="enc_logvar.").data
+    mu = mlp_forward(ntm.cfg.encoder_spec(), ntm.params, x, prefix="enc_mu.").data
+    logvar = mlp_forward(ntm.cfg.encoder_spec(), ntm.params, x, prefix="enc_logvar.").data
     if squeeze:
         return mu[0], logvar[0]
     return mu, logvar
+
+
+# encoder: one segment tag per input token
+
+
+def segment_tags(sentence_tokens, target_tokens, topic_terms, max_len: int) -> tuple[int, ...]:
+    """The tag (0 sentence, 1 target, 2 topics) of each token `build_input` emits.
+
+    Markers carry the tag of the segment they open or close: [cls] and the
+    first [sep] are sentence, the [sep] before the topic terms is target. The
+    sentence is cut to fit `max_len`; with no topic terms that [sep] is dropped.
+    """
+    fixed = 2 + len(target_tokens) + (1 + len(topic_terms) if topic_terms else 0)
+    kept = len(list(sentence_tokens)[: max_len - fixed])
+    tags = [0] * (kept + 2) + [1] * len(target_tokens)
+    if topic_terms:
+        tags += [1] + [2] * len(topic_terms)
+    return tuple(tags)
 
 
 # mutual: the harmonic-KL similarity O and the losses built on it

@@ -382,6 +382,24 @@ class TestTrain:
         assert err.startswith(f"error: config field {name} must be > 0")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--gamma", "nan"), ("--gamma", "-0.1"), ("--patience", "-1"),
+         ("--kl-warmup-epochs", "-2"), ("--seed", "-1")],
+    )
+    def test_negative_or_nan_setting_is_a_clean_error(
+        self, corpus_path, tmp_path, capsys, flag, value
+    ):
+        out = tmp_path / "run"
+        code = main(
+            ["train", "--mode", "in_target_fold", "--fold", "0",
+             *small_flags(corpus_path, out), f"{flag}={value}"]
+        )
+        assert code == 1
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: config field {name} must be >= 0\n"
+        assert not (out / "train").exists()
+
 
 class TestEvaluate:
     def test_full_predictor_cross_target(self, corpus_path, tmp_path):
@@ -643,6 +661,19 @@ class TestParser:
 
 
 class TestConfigFile:
+    @pytest.mark.parametrize(
+        "name, value",
+        [("gamma", float("nan")), ("gamma", -0.1), ("patience", -1),
+         ("kl_warmup_epochs", -2), ("seed", -1)],
+    )
+    def test_validate_refuses_negative_or_nan(self, name, value):
+        cfg = replace(RunConfig(data="x.tsv"), **{name: value})
+        with pytest.raises(ValueError, match=f"^config field {name} must be >= 0$"):
+            cfg.validate()
+
+    def test_validate_accepts_zero(self):
+        RunConfig(gamma=0.0, seed=0, patience=0, kl_warmup_epochs=0).validate()
+
     def test_file_plus_flag_overrides(self, corpus_path, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(

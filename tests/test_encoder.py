@@ -2,10 +2,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import grad_check
+from oracles import grad_check, segment_tags
 from synthdata import stance_corpus
 from topicarg import autodiff as ad
 from topicarg import encoder as encoder_mod
@@ -40,7 +40,7 @@ def encode_graph(params: dict, cfg: EncoderConfig, enc_input: EncoderInput) -> a
     ids = np.asarray(enc_input.token_ids, dtype=np.int64)
     if ids.size and ids.max() >= cfg.vocab_size:
         raise IndexError(f"token id {ids.max()} outside embedding range")
-    segs = np.asarray(enc_input.segment_ids, dtype=np.int64)
+    segs = np.repeat(np.arange(len(SEGMENTS)), enc_input.segment_lengths)
     pools = []
     for seg in range(len(SEGMENTS)):
         members = np.flatnonzero(segs == seg)
@@ -93,14 +93,14 @@ class TestBuildInput:
         )
         words = [enc_vocab.id_to_word[i] for i in out.token_ids]
         assert words == [CLS, "water", "flood", SEP, "river", "dams", SEP, "turbine", "fish"]
-        assert out.segment_ids == (0, 0, 0, 0, 1, 1, 1, 2, 2)
-        assert len(set(out.segment_ids)) == 3
+        assert tuple(np.repeat(np.arange(3), out.segment_lengths)) == (0, 0, 0, 0, 1, 1, 1, 2, 2)
+        assert sum(n > 0 for n in out.segment_lengths) == 3
 
     def test_empty_topics_two_segments(self, enc_vocab):
         out = build_input(["water"], ["river"], None, enc_vocab, max_len=32)
         words = [enc_vocab.id_to_word[i] for i in out.token_ids]
         assert words == [CLS, "water", SEP, "river"]
-        assert len(set(out.segment_ids)) == 2
+        assert sum(n > 0 for n in out.segment_lengths) == 2
 
     def test_truncation_removes_sentence_tail_only(self, enc_vocab):
         sentence = ["water"] * 50
@@ -125,16 +125,15 @@ class TestBuildInput:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            EncoderInput((1, 2), (0,))
+            EncoderInput((1, 2), (1, 0, 0))
 
-    @pytest.mark.parametrize("segments", [(-1, 0), (0, 3)])
+    @pytest.mark.parametrize(
+        "segments",
+        [(-1, 3, 0), (1, 0, 0, 1), (), (2,), (1, 1), (1.0, 1, 0), (0, 0, 0), (3, 0, 0)],
+    )
     def test_segment_outside_the_layout_rejected(self, segments):
-        with pytest.raises(ValueError, match="non-decreasing"):
+        with pytest.raises(ValueError, match=r"must be 3 ints >= 0 summing to len\(token_ids\)=2"):
             EncoderInput((1, 2), segments)
-
-    def test_decreasing_segments_rejected(self):
-        with pytest.raises(ValueError, match="non-decreasing"):
-            EncoderInput((1, 2, 3), (0, 1, 0))
 
 
 class TestEncoderVocab:
@@ -187,7 +186,7 @@ class TestEncode:
     def test_unknown_token_id_rejected(self, enc, enc_vocab):
         good = build_input(["water"], ["river"], None, enc_vocab, 16)
         with pytest.raises(IndexError):
-            encode_batch(enc, [good, EncoderInput((10 ** 6,), (0,))])
+            encode_batch(enc, [good, EncoderInput((10 ** 6,), (1, 0, 0))])
 
     def test_determinism(self, enc, enc_vocab):
         x = build_input(["water"], ["river"], None, enc_vocab, 16)
@@ -299,6 +298,30 @@ def test_batched_prediction_matches_per_example_oracle(
     assert probs.shape == (n, 3)
     assert np.all(np.abs(probs - np.array([o.probabilities for o in oracle]).reshape(n, 3)) <= 1e-12)
     assert labels == [o.predicted for o in oracle]
+
+
+_WORDS = st.lists(st.sampled_from(["water", "flood", "river", "qqqqzz"]), max_size=12)
+
+
+# the fixture is only read, so sharing it across examples is safe
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sentence=_WORDS, target=_WORDS, topic_terms=st.none() | _WORDS, max_len=st.integers(2, 40))
+@example(sentence=[], target=["river"], topic_terms=["fish"], max_len=16)
+@example(sentence=["water"], target=[], topic_terms=["fish"], max_len=16)
+@example(sentence=["water"], target=["river"], topic_terms=None, max_len=16)
+@example(sentence=["water"], target=["river"], topic_terms=[], max_len=16)
+@example(sentence=["water"] * 12, target=["river"], topic_terms=["fish"], max_len=9)
+def test_segment_lengths_give_the_per_token_tags(enc_vocab, sentence, target, topic_terms, max_len):
+    topics = None if topic_terms is None else topics_of(*topic_terms)
+    fixed = 2 + len(target) + (1 + len(topic_terms) if topic_terms else 0)
+    if max_len < fixed:
+        with pytest.raises(ValueError, match="cannot fit"):
+            build_input(sentence, target, topics, enc_vocab, max_len)
+        return
+    x = build_input(sentence, target, topics, enc_vocab, max_len)
+    tags = segment_tags(sentence, target, topic_terms or [], max_len)
+    assert tuple(np.repeat(np.arange(3), x.segment_lengths)) == tags
+    assert len(x.token_ids) == len(tags) <= max_len
 
 
 def test_labels_break_ties_by_label_order():

@@ -307,7 +307,6 @@ class TestClassifierSideGradient:
             ce = -ad.tensor_sum(ad.constant(gold) * ad.log(probs + EPS))
             u = ad.softmax(
                 mlp_forward(MlpSpec((6, ntm.cfg.num_topics)), leaves, h, prefix="proj."),
-                axis=-1,
             )
             return ce + gamma * mutual_sum_graph(u, ad.constant(z_targets))
 
@@ -407,6 +406,24 @@ class TestAlternating:
             TrainSchedule(max_iterations=0)
         with pytest.raises(ValueError):
             TrainSchedule(ntm_epochs=0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("batch_size", 0, "batch_size must be >= 1"),
+         ("patience", -1, "patience and kl_warmup_epochs must be >= 0"),
+         ("kl_warmup_epochs", -2, "patience and kl_warmup_epochs must be >= 0")],
+    )
+    def test_schedule_refuses_out_of_range_counts(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainSchedule(**{field: value})
+
+    @pytest.mark.parametrize("gamma", [float("nan"), -0.1])
+    def test_gamma_below_zero_or_nan_refused(self, gamma):
+        ntm, enc, data = _training_setup()
+        before = {k: v.copy() for k, v in ntm.params.items()}
+        with pytest.raises(ValueError, match="gamma must be >= 0"):
+            train_alternating(ntm, enc, data, TrainSchedule(max_iterations=1), gamma=gamma)
+        assert all(np.array_equal(before[k], ntm.params[k]) for k in before)
 
 
 def reference_filter_topics(topic_word, mask, n):
