@@ -4,9 +4,15 @@ A deliberately small operator set: dense linear algebra, a product with a
 constant CSR left operand, the activations the models need, softmax and
 log-softmax over the last axis, sums, segment means, and a gather for
 embedding lookups. Everything is float64 and single-threaded, so two runs from
-the same seed give bitwise-identical results. Gradients are dense arrays,
-except that a leaf fed only through `take_rows` or `csr_matmul` gets a
-`RowSparse` gradient holding just the rows a batch touches.
+the same seed give bitwise-identical results.
+
+Each op declares one (parent, vjp) edge per operand; only parents that need a
+gradient keep theirs, so a constant's vjp is never built or called.
+`Tensor.backward` is the one router: in reverse topological order it calls
+each edge's vjp on the node's gradient and accumulates the result into the
+parent. Gradients are dense arrays, except that a leaf fed only through
+`take_rows` or `csr_matmul` gets a `RowSparse` gradient holding just the rows
+a batch touches; the router densifies one sent to a non-leaf.
 """
 from __future__ import annotations
 
@@ -29,8 +35,9 @@ class RowSparse:
     """A gradient that is zero outside a few rows of a 2-D leaf.
 
     `rows` are sorted and unique, `values[i]` is row `rows[i]` of the dense
-    gradient, and `shape` is the dense shape. Ops emit it only for leaves, so
-    no op's backward ever receives one; `np.asarray` gives the dense array.
+    gradient, and `shape` is the dense shape. `Tensor.backward` densifies one
+    sent to a non-leaf, so no vjp ever receives one; `np.asarray` gives the
+    dense array.
     """
 
     __slots__ = ("rows", "values", "shape")
@@ -54,10 +61,6 @@ def _accumulate(current, update):
     return current + update
 
 
-def _is_leaf(t: "Tensor") -> bool:
-    return t.requires_grad and t._backward is None
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -72,16 +75,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    """A numpy array plus the closure that routes gradients to its parents."""
+    """A numpy array plus one (parent, vjp) edge per parent needing a gradient.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    `Tensor(x)` is a leaf: it needs a gradient and has no edges.
+    """
 
-    def __init__(self, data, parents=(), backward=None, requires_grad=True):
+    __slots__ = ("data", "grad", "requires_grad", "_edges")
+
+    def __init__(self, data, requires_grad=True, edges=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self._parents = parents if requires_grad else ()
-        self._backward = backward if requires_grad else None
+        self._edges = edges
 
     @property
     def shape(self):
@@ -103,13 +108,16 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for parent, _ in node._edges:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            for parent, vjp in node._edges:
+                grad = vjp(node.grad)
+                if parent._edges and isinstance(grad, RowSparse):
+                    grad = np.asarray(grad)  # RowSparse lands only on leaves
+                parent.grad = _accumulate(parent.grad, grad)
 
     # operator sugar; non-Tensor operands become constants
     def __add__(self, other):
@@ -151,9 +159,9 @@ def constant(x) -> Tensor:
     return as_tensor(x)
 
 
-def lift(params: dict[str, np.ndarray], requires_grad=True) -> dict[str, Tensor]:
+def lift(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
     """Wrap a parameter dict in leaf Tensors, one graph per training step."""
-    return {k: Tensor(v, requires_grad=requires_grad) for k, v in params.items()}
+    return {k: Tensor(v) for k, v in params.items()}
 
 
 def grads_of(leaves: dict[str, Tensor]) -> dict[str, np.ndarray | RowSparse]:
@@ -168,51 +176,38 @@ def grads_of(leaves: dict[str, Tensor]) -> dict[str, np.ndarray | RowSparse]:
     }
 
 
-def _result(data, parents, backward) -> Tensor:
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, parents, backward, requires_grad=True)
-    return Tensor(data, requires_grad=False)
+def _result(data, *edges) -> Tensor:
+    """The op's output, keeping only the (parent, vjp) edges whose parent
+    needs a gradient; with none left it is a constant."""
+    kept = tuple(e for e in edges if e[0].requires_grad)
+    return Tensor(data, requires_grad=bool(kept), edges=kept)
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad = _accumulate(a.grad, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.grad = _accumulate(b.grad, _unbroadcast(g, b.data.shape))
-
-    return _result(out, (a, b), backward)
+    return _result(
+        a.data + b.data,
+        (a, lambda g: _unbroadcast(g, a.data.shape)),
+        (b, lambda g: _unbroadcast(g, b.data.shape)),
+    )
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad = _accumulate(a.grad, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.grad = _accumulate(b.grad, _unbroadcast(g * a.data, b.data.shape))
-
-    return _result(out, (a, b), backward)
+    return _result(
+        a.data * b.data,
+        (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+        (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
+    )
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad = _accumulate(a.grad, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b.grad = _accumulate(
-                b.grad, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-            )
-
-    return _result(out, (a, b), backward)
+    return _result(
+        a.data / b.data,
+        (a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
+        (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)),
+    )
 
 
 def matmul(a, b) -> Tensor:
@@ -221,15 +216,7 @@ def matmul(a, b) -> Tensor:
         raise ValueError(
             f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}"
         )
-    out = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad = _accumulate(a.grad, g @ b.data.T)
-        if b.requires_grad:
-            b.grad = _accumulate(b.grad, a.data.T @ g)
-
-    return _result(out, (a, b), backward)
+    return _result(a.data @ b.data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
 def csr_matmul(x, b) -> Tensor:
@@ -245,61 +232,35 @@ def csr_matmul(x, b) -> Tensor:
     b = as_tensor(b)
     if b.data.ndim != 2 or x.shape[1] != b.data.shape[0]:
         raise ValueError(f"csr_matmul shapes {x.shape} @ {b.data.shape} do not align")
-    out = np.asarray(x @ b.data)
 
-    def backward(g):
-        if b.requires_grad:
-            cols, compact = np.unique(x.indices, return_inverse=True)
-            # x.T restricted to the present columns, built from x's own arrays
-            xt = sparse.csc_matrix((x.data, compact, x.indptr), shape=(cols.size, x.shape[0]))
-            grad = RowSparse(cols, np.asarray(xt @ g), b.data.shape)
-            b.grad = _accumulate(b.grad, grad if _is_leaf(b) else np.asarray(grad))
+    def vjp(g):
+        cols, compact = np.unique(x.indices, return_inverse=True)
+        # x.T restricted to the present columns, built from x's own arrays
+        xt = sparse.csc_matrix((x.data, compact, x.indptr), shape=(cols.size, x.shape[0]))
+        return RowSparse(cols, np.asarray(xt @ g), b.data.shape)
 
-    return _result(out, (b,), backward)
+    return _result(np.asarray(x @ b.data), (b, vjp))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad = _accumulate(a.grad, g * out)
-
-    return _result(out, (a,), backward)
+    return _result(out, (a, lambda g: g * out))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    out = np.log(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad = _accumulate(a.grad, g / a.data)
-
-    return _result(out, (a,), backward)
+    return _result(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad = _accumulate(a.grad, g * (a.data > 0.0))
-
-    return _result(out, (a,), backward)
+    return _result(np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0.0)))
 
 
 def softplus(a) -> Tensor:
     a = as_tensor(a)
-    out = np.logaddexp(0.0, a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad = _accumulate(a.grad, g * _sigmoid(a.data))
-
-    return _result(out, (a,), backward)
+    return _result(np.logaddexp(0.0, a.data), (a, lambda g: g * _sigmoid(a.data)))
 
 
 def softmax(a) -> Tensor:
@@ -307,13 +268,7 @@ def softmax(a) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        if a.requires_grad:
-            inner = (g * out).sum(axis=-1, keepdims=True)
-            a.grad = _accumulate(a.grad, out * (g - inner))
-
-    return _result(out, (a,), backward)
+    return _result(out, (a, lambda g: out * (g - (g * out).sum(axis=-1, keepdims=True))))
 
 
 def log_softmax(a) -> Tensor:
@@ -322,37 +277,22 @@ def log_softmax(a) -> Tensor:
     shifted = a.data - m
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True)) + m
     out = a.data - lse
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad = _accumulate(
-                a.grad, g - np.exp(out) * g.sum(axis=-1, keepdims=True)
-            )
-
-    return _result(out, (a,), backward)
+    return _result(out, (a, lambda g: g - np.exp(out) * g.sum(axis=-1, keepdims=True)))
 
 
 def tensor_sum(a, axis=None) -> Tensor:
     a = as_tensor(a)
-    out = a.data.sum(axis=axis)
 
-    def backward(g):
-        if a.requires_grad:
-            g = g if axis is None else np.expand_dims(g, axis)
-            a.grad = _accumulate(a.grad, np.broadcast_to(g, a.data.shape).copy())
+    def vjp(g):
+        g = g if axis is None else np.expand_dims(g, axis)
+        return np.broadcast_to(g, a.data.shape).copy()
 
-    return _result(out, (a,), backward)
+    return _result(a.data.sum(axis=axis), (a, vjp))
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out = a.data.reshape(shape)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad = _accumulate(a.grad, g.reshape(a.data.shape))
-
-    return _result(out, (a,), backward)
+    return _result(a.data.reshape(shape), (a, lambda g: g.reshape(a.data.shape)))
 
 
 def segment_mean(a, keys, n: int) -> Tensor:
@@ -378,12 +318,7 @@ def segment_mean(a, keys, n: int) -> Tensor:
         (np.ones(keys.size), np.arange(keys.size), indptr), shape=(n, keys.size)
     )
     out = np.asarray(select @ a.data) * scale[:, None]
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad = _accumulate(a.grad, (g * scale[:, None])[keys])
-
-    return _result(out, (a,), backward)
+    return _result(out, (a, lambda g: (g * scale[:, None])[keys]))
 
 
 def take_rows(a, ids: Sequence[int] | np.ndarray) -> Tensor:
@@ -394,20 +329,17 @@ def take_rows(a, ids: Sequence[int] | np.ndarray) -> Tensor:
         raise ValueError("take_rows expects a 2-D tensor")
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise IndexError(f"row id out of range [0, {a.data.shape[0]})")
-    out = a.data[idx]
 
-    def backward(g):
-        if a.requires_grad:
-            # row r of this 0/1 matrix selects the positions of id rows[r] in
-            # ascending order, so CSR sums each row from 0.0 in the order a
-            # dense scatter-add would
-            order = np.argsort(idx, kind="stable")
-            rows, counts = np.unique(idx, return_counts=True)
-            indptr = np.concatenate(([0], np.cumsum(counts)))
-            select = sparse.csr_matrix(
-                (np.ones(idx.size), order, indptr), shape=(rows.size, idx.size)
-            )
-            grad = RowSparse(rows, np.asarray(select @ g), a.data.shape)
-            a.grad = _accumulate(a.grad, grad if _is_leaf(a) else np.asarray(grad))
+    def vjp(g):
+        # row r of this 0/1 matrix selects the positions of id rows[r] in
+        # ascending order, so CSR sums each row from 0.0 in the order a
+        # dense scatter-add would
+        order = np.argsort(idx, kind="stable")
+        rows, counts = np.unique(idx, return_counts=True)
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        select = sparse.csr_matrix(
+            (np.ones(idx.size), order, indptr), shape=(rows.size, idx.size)
+        )
+        return RowSparse(rows, np.asarray(select @ g), a.data.shape)
 
-    return _result(out, (a,), backward)
+    return _result(a.data[idx], (a, vjp))

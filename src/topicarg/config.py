@@ -1,6 +1,7 @@
 """Run configuration: a key=value file overridden by command-line flags."""
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -52,6 +53,9 @@ class RunConfig:
         for name in ("lr_ntm", "lr_classifier"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"config field {name} must be > 0")
+        for name in ("gamma", "lr_ntm", "lr_classifier"):
+            if getattr(self, name) == math.inf:
+                raise ValueError(f"config field {name} must be finite")
 
 
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}

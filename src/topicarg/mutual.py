@@ -376,8 +376,8 @@ def train_alternating(
     randomness is consumed, so the two models train exactly as they would
     independently.
     """
-    if not gamma >= 0.0:  # a NaN gamma would silently switch mutual learning off
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not 0.0 <= gamma < np.inf:  # a NaN gamma would silently switch mutual learning off
+        raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
     proj_params = (
         init_projection(enc.cfg.output_dim, ntm.cfg.num_topics, SeededRng(schedule.seed).child(3))
         if gamma > 0.0

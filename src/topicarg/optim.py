@@ -28,7 +28,8 @@ class PackedRows:
 
 @dataclass
 class OptimizerState:
-    """Hyper-parameters, the step count and the moments of one optimizer.
+    """Hyper-parameters, the step count and the moments of one AdamW
+    optimizer, which is Adam at weight_decay 0.
 
     A row is live once a gradient has touched it since its parameter's
     moments were created: only live rows can hold nonzero moments. A
@@ -38,7 +39,6 @@ class OptimizerState:
     into row layout once, and every row is stepped in place from then on.
     """
 
-    algorithm: str  # "adam" | "adamw"
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
@@ -50,12 +50,10 @@ class OptimizerState:
     packed: dict[str, PackedRows] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.algorithm not in ("adam", "adamw"):
-            raise ValueError(f"unknown optimizer {self.algorithm!r}")
         # `not (x > 0)` also rejects NaN. Untouched rows are skipped exactly
         # only under these bounds: a scaled eps of 0 would make their update 0/0.
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate!r}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
@@ -64,12 +62,12 @@ class OptimizerState:
             raise ValueError(
                 f"eps * sqrt(1 - beta2) must be > 0, got eps={self.eps!r}, beta2={self.beta2!r}"
             )
-        if not self.weight_decay >= 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay!r}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
 
 
 def adam(learning_rate: float, beta1: float = 0.9, beta2: float = 0.999) -> OptimizerState:
-    return OptimizerState("adam", learning_rate, beta1, beta2)
+    return OptimizerState(learning_rate, beta1, beta2)
 
 
 def adamw(
@@ -78,7 +76,7 @@ def adamw(
     beta1: float = 0.9,
     beta2: float = 0.999,
 ) -> OptimizerState:
-    return OptimizerState("adamw", learning_rate, beta1, beta2, weight_decay=weight_decay)
+    return OptimizerState(learning_rate, beta1, beta2, weight_decay=weight_decay)
 
 
 # Elements per block: 16k float64 = 128 KiB, so a block of p, g, m, v and the
@@ -114,7 +112,7 @@ class _Step:
         self.alpha = state.learning_rate * math.sqrt(bc2) / bc1
         self.eps_hat = state.eps * math.sqrt(bc2)
         # AdamW's decoupled decay as one multiply (Loshchilov & Hutter 2019)
-        decay = state.weight_decay if state.algorithm == "adamw" else 0.0
+        decay = state.weight_decay
         self.shrink = 1.0 - state.learning_rate * decay if decay else None
         self.a, self.u = np.empty(_CHUNK), np.empty(_CHUNK)
 

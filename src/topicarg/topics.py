@@ -36,10 +36,6 @@ class EmbeddingTable:
                 f"embedding rows {self.vectors.shape[0]} != vocabulary size {self.vocab.size}"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
     def normalized(self) -> np.ndarray:
         """Length-normalized copy used for cosine scoring; zero rows stay zero."""
         norms = np.linalg.norm(self.vectors, axis=1, keepdims=True)

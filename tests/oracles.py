@@ -88,7 +88,7 @@ def grad_check(
         coords.append((names[k], np.unravel_index(offset, params[names[k]].shape)))
 
     def eval_loss() -> float:
-        return float(loss_fn(ad.lift(params, requires_grad=False)).data)
+        return float(loss_fn({k: ad.constant(v) for k, v in params.items()}).data)
 
     entries = []
     for name, index in coords:
@@ -364,7 +364,7 @@ def textbook_step(state, params, grads) -> dict[str, np.ndarray]:
         v += (1.0 - state.beta2) * g * g
         direction = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
         update = direction
-        if state.algorithm == "adamw" and state.weight_decay != 0.0:
+        if state.weight_decay != 0.0:
             update = update + state.weight_decay * p
         p -= state.learning_rate * update
         directions[name] = direction

@@ -324,3 +324,60 @@ def test_row_sparse_gradient_only_lands_on_leaves():
     expected = np.zeros((5, 3))
     expected[[1, 4]] = [[2.0] * 3, [4.0] * 3]
     assert np.array_equal(table.grad, expected)
+
+
+GRAPH_OPS = ["matmul", "add", "mul", "softplus", "softmax", "take_rows"]
+
+
+def _random_graph(leaves, ids, perm, ops, upstream):
+    """A chain over leaves E (r, k), W (k, k), b (k,) and s (t, k): a gather
+    from E, then `ops` in order, each reusing its leaf; a gather from the
+    chain itself sends a row-sparse gradient to a non-leaf."""
+    h = ad.take_rows(leaves["E"], ids)
+    for op in ops:
+        if op == "matmul":
+            h = ad.matmul(h, leaves["W"])
+        elif op == "add":
+            h = h + leaves["b"]
+        elif op == "mul":
+            h = h * leaves["s"]
+        elif op == "softplus":
+            h = ad.softplus(h)
+        elif op == "softmax":
+            h = ad.softmax(h)
+        else:
+            h = ad.take_rows(h, perm)
+    return ad.tensor_sum(h * ad.constant(upstream))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    r=st.integers(1, 6),
+    t=st.integers(1, 5),
+    k=st.integers(1, 4),
+    ops=st.lists(st.sampled_from(GRAPH_OPS), max_size=8),
+    frozen=st.sampled_from(["E", "W", "b", "s"]),
+    seed=st.integers(0, 2**16),
+)
+def test_a_constant_operand_leaves_other_gradients_bitwise_unchanged(
+    r, t, k, ops, frozen, seed
+):
+    rng = np.random.default_rng(seed)
+    values = {
+        "E": rng.normal(size=(r, k)), "W": rng.normal(size=(k, k)),
+        "b": rng.normal(size=k), "s": rng.normal(size=(t, k)),
+    }
+    ids, perm = rng.integers(0, r, size=t), rng.integers(0, t, size=t)
+    upstream = rng.normal(size=(t, k))
+    grads = {}
+    for const in (None, frozen):
+        leaves = {n: ad.constant(v) if n == const else ad.Tensor(v) for n, v in values.items()}
+        _random_graph(leaves, ids, perm, ops, upstream).backward()
+        grads[const] = {n: leaf.grad for n, leaf in leaves.items()}
+    assert grads[frozen][frozen] is None
+    for name in values.keys() - {frozen}:
+        full, pruned = grads[None][name], grads[frozen][name]
+        assert (full is None) == (pruned is None)
+        if full is not None:
+            assert type(full) is type(pruned)
+            assert np.asarray(full).tobytes() == np.asarray(pruned).tobytes()

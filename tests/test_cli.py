@@ -400,6 +400,22 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: config field {name} must be >= 0\n"
         assert not (out / "train").exists()
 
+    @pytest.mark.parametrize("flag", ["--gamma", "--lr-ntm", "--lr-classifier"])
+    def test_infinite_setting_refused_before_the_run_directory(
+        self, corpus_path, tmp_path, capsys, flag
+    ):
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        capsys.readouterr()
+        code = main(
+            ["train", "--mode", "in_target_fold", "--fold", "0",
+             *small_flags(corpus_path, out), f"{flag}=inf"]
+        )
+        assert code == 1
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: config field {name} must be finite\n"
+        assert not (out / "train").exists()
+
 
 class TestEvaluate:
     def test_full_predictor_cross_target(self, corpus_path, tmp_path):

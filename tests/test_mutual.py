@@ -417,7 +417,7 @@ class TestAlternating:
         with pytest.raises(ValueError, match=f"^{message}$"):
             TrainSchedule(**{field: value})
 
-    @pytest.mark.parametrize("gamma", [float("nan"), -0.1])
+    @pytest.mark.parametrize("gamma", [float("nan"), -0.1, float("inf")])
     def test_gamma_below_zero_or_nan_refused(self, gamma):
         ntm, enc, data = _training_setup()
         before = {k: v.copy() for k, v in ntm.params.items()}

@@ -269,7 +269,7 @@ class TestElbo:
         counts = SeededRng(3).integers(0, 4, (4, 20)).astype(float)
         noise = SeededRng(4).normal((4, 5))
         recon, kl, _ = elbo_batch_graph(
-            ad.lift(ntm.params, requires_grad=False), ntm.cfg, ntm.log_freq,
+            {k: ad.constant(v) for k, v in ntm.params.items()}, ntm.cfg, ntm.log_freq,
             sparse.csr_matrix(counts), noise,
         )
         manual_recon = manual_kl = 0.0

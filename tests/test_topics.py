@@ -242,7 +242,7 @@ class TestEmbeddingTable:
         path = tmp_path / "emb.txt"
         path.write_text("w0 1.0 0.0\nw5 0.0 2.0\nzzz 9.0 9.0\n")
         table = embedding_table_from_text_file(path, tiny_vocab)
-        assert table.dim == 2
+        assert table.vectors.shape == (12, 2)
         assert np.allclose(table.vectors[0], [1.0, 0.0])
         assert np.allclose(table.vectors[5], [0.0, 2.0])
         assert np.allclose(table.vectors[1], 0.0)  # missing word stays zero
