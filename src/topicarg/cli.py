@@ -118,6 +118,17 @@ def _load_prepared(cfg: RunConfig):
     return records, vocab, enc_vocab, vocab_sha
 
 
+def _check_n_top_terms(n: int, vocab: Vocabulary, records) -> None:
+    """Refuse an `n_top_terms` that a target's topic rows, its own words masked, cannot fill."""
+    for target in sorted({r.target for r in records}):
+        room = vocab.size - len(set(vocab.ids(corpus_mod.tokenize(target, mode="encoder"))))
+        if n > room:
+            raise ValueError(
+                f"config field n_top_terms must be <= {room}, the vocabulary words "
+                f"left after masking target {target!r}"
+            )
+
+
 def _log_freq(examples, vocab: Vocabulary) -> np.ndarray:
     return ntm_mod.compute_log_freq(
         corpus_mod.vectorize_all([ex.tokens for ex in examples], vocab)
@@ -234,6 +245,8 @@ def cmd_train(args) -> int:
     if not cross and not 0 <= fold < len(runs):
         raise ValueError(f"--fold must be in [0, {len(runs)})")
     _, split, seed = runs[names.index(args.held_out) if cross else fold]
+    if cfg.use_topics:
+        _check_n_top_terms(cfg.n_top_terms, vocab, records)
 
     run_name = f"cross_{args.held_out.replace(' ', '_')}" if cross else f"fold_{fold}"
     out = Path(cfg.out_dir) / "train" / run_name
@@ -284,6 +297,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
     records, vocab, enc_vocab, _ = _load_prepared(cfg)
+    if cfg.use_topics:
+        _check_n_top_terms(cfg.n_top_terms, vocab, records)
     examples = corpus_mod.examples_from_records(records)
     out = Path(cfg.out_dir) / "eval"
     out.mkdir(parents=True, exist_ok=True)
@@ -319,6 +334,7 @@ def cmd_extract_topics(args) -> int:
     for key in ("n_top_terms", "ratio_p"):  # the run's settings, unless flagged
         if getattr(args, key) is None and key in meta:
             setattr(cfg, key, meta[key])
+    _check_n_top_terms(cfg.n_top_terms, vocab, records)
     # extraction reads only the vocabularies, never the examples
     data = mutual_mod.TrainData(examples=[], bows=None, vocab=vocab, enc_vocab=enc_vocab)
     targets = sorted({r.target for r in records})
@@ -344,7 +360,7 @@ def cmd_coherence(args) -> int:
         ) from None
     records, _, _, _ = _load_prepared(cfg)
 
-    weights: dict[int, list[tuple[float, str]]] = {}
+    weights: dict[int, list[tuple[float, str]]] = {}  # per topic, in file order
     with open(args.topics, encoding="utf-8") as fh:
         header = fh.readline()
         if header.strip() != "topic\tword\tweight":
@@ -356,16 +372,20 @@ def cmd_coherence(args) -> int:
                 if len(parts) != 3:
                     raise ValueError
                 topic, word, weight = int(parts[0]), parts[1], float(parts[2])
+                if not np.isfinite(weight):
+                    raise ValueError
             except ValueError:
                 raise ValueError(
                     f"{args.topics}:{lineno}: expected 'topic<TAB>word<TAB>weight' "
-                    f"(an int, a word, a float), got {line!r}"
+                    f"(an int, a word, a finite float), got {line!r}"
                 ) from None
             weights.setdefault(topic, []).append((weight, word))
     if not weights:
         raise ValueError(f"{args.topics}: no topic lines")
+    # weight descending, ties in file order: the order `topics.rank_terms` gives
+    # `train`'s export, which lists each topic's words by id
     top_words = {
-        topic: [w for _, w in sorted(rows, key=lambda t: (-t[0], t[1]))[: max(cutoffs)]]
+        topic: [w for _, w in sorted(rows, key=lambda t: -t[0])[: max(cutoffs)]]
         for topic, rows in weights.items()
     }
     docs = [

@@ -17,7 +17,6 @@ import numpy as np
 from . import autodiff as ad
 from .corpus import LABELS, Vocabulary, count_tokens, rank_by_count, tokenize
 from .nn import MlpSpec, SeededRng, init_mlp, mlp_forward
-from .topics import ExtractedTopics
 
 CLS, SEP, UNK = "<cls>", "<sep>", "<unk>"
 MARKERS = (CLS, SEP, UNK)
@@ -93,17 +92,17 @@ def build_encoder_vocab(
 def build_input(
     sentence_tokens,
     target_tokens,
-    topics: ExtractedTopics | None,
+    topic_terms,
     vocab: Vocabulary,
     max_len: int = 128,
 ) -> EncoderInput:
     """[cls] sentence [sep] target [sep] topics, truncating the sentence only.
 
     Segments: [cls] sentence [sep]; the target, plus the [sep] before the topic
-    terms when there are any (with none it is dropped); the topic terms. OOV
-    tokens map to the unknown marker.
+    terms when there are any (with none, e.g. `()`, it is dropped); the topic
+    terms. OOV tokens map to the unknown marker.
     """
-    topic_terms = list(topics.terms) if topics is not None else []
+    topic_terms = list(topic_terms)
     target_tokens = list(target_tokens)
     fixed = 2 + len(target_tokens) + (1 + len(topic_terms) if topic_terms else 0)
     if max_len < fixed:

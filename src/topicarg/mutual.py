@@ -32,14 +32,7 @@ from .evaluate import confusion, metric_report
 from .nn import EPS, MlpSpec, SeededRng, init_mlp, mlp_forward
 from .ntm import NtmParams, infer_topic_distributions, train_ntm_epoch
 from .optim import adam, adamw, OptimizerState, optimizer_step
-from .topics import (
-    EmbeddingTable,
-    ExtractedTopics,
-    best_topic,
-    empty_topics,
-    rank_terms,
-    top_terms,
-)
+from .topics import ExtractedTopics, extract_topics, rank_terms
 
 logger = logging.getLogger(__name__)
 
@@ -183,6 +176,7 @@ class TrainData:
     vocab: Vocabulary
     enc_vocab: Vocabulary
     val_examples: list[ArgumentExample] = field(default_factory=list)
+    test_targets: list[str] = field(default_factory=list)  # topics only; no test text
 
     @classmethod
     def from_split(cls, split: DatasetSplit, vocab, enc_vocab, vectorizer):
@@ -192,6 +186,7 @@ class TrainData:
             vocab=vocab,
             enc_vocab=enc_vocab,
             val_examples=list(split.val),
+            test_targets=sorted({ex.target for ex in split.test}),
         )
 
     @cached_property
@@ -223,22 +218,23 @@ def extract_topics_for_targets(
 ) -> dict[str, ExtractedTopics]:
     """Per-target argmax topic from the current topic-word matrix.
 
-    Targets whose words are all out of vocabulary (or unembedded) fall back
-    to empty topics with a warning instead of aborting the run. The embedding
-    table is normalized, and every topic's words ranked, once per call.
+    A target none of whose words is both in the vocabulary and embedded gets
+    empty topics with a warning; an `n_top_terms` that some target's masked
+    rows cannot fill raises. The embedding table is normalized (zero rows stay
+    zero), and every topic's words ranked, once per call.
     """
-    normalized = EmbeddingTable(enc.word_embeddings[data.enc_rows], data.vocab).normalized()
+    vectors = enc.word_embeddings[data.enc_rows]
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    normalized = np.divide(vectors, np.where(norms > 0, norms, 1.0))
     ranking = rank_terms(ntm.topic_word)
     out: dict[str, ExtractedTopics] = {}
     for target in targets:
-        target_tokens = tokenize(target, mode="encoder")
-        try:
-            target_ids = data.vocab.ids(target_tokens)
-            lists = top_terms(ntm.topic_word, ranking, target_ids, n_top_terms)
-            out[target] = best_topic(lists, normalized, data.vocab, target_tokens, ratio_p)
-        except ValueError as err:
-            logger.warning("topic extraction skipped for target %r: %s", target, err)
-            out[target] = empty_topics()
+        out[target] = extract_topics(
+            ntm.topic_word, ranking, normalized, data.vocab,
+            tokenize(target, mode="encoder"), n_top_terms, ratio_p,
+        )
+        if not out[target].terms:
+            logger.warning("no topics for target %r: none of its words is embedded", target)
     return out
 
 
@@ -247,15 +243,13 @@ def build_inputs(examples, topics_by_target, enc_vocab, max_len, use_topics):
         target: tokenize(target, mode="encoder")
         for target in dict.fromkeys(ex.target for ex in examples)
     }
-    inputs = []
-    for ex in examples:
-        topics = topics_by_target.get(ex.target) if use_topics else None
-        if topics is not None and not topics.terms:
-            topics = None
-        inputs.append(
-            build_input(ex.tokens, target_tokens[ex.target], topics, enc_vocab, max_len)
+    return [
+        build_input(
+            ex.tokens, target_tokens[ex.target],
+            topics_by_target[ex.target].terms if use_topics else (), enc_vocab, max_len,
         )
-    return inputs
+        for ex in examples
+    ]
 
 
 @contextmanager
@@ -292,7 +286,8 @@ def _iterations(ntm, enc, proj_params, data: TrainData, schedule: TrainSchedule,
     rng_ntm, rng_cls = root.child(1), root.child(2)
     opt_ntm, opt_cls = adam(lr_ntm), adamw(lr_classifier)
     mutual_on = proj_params is not None
-    targets = sorted({ex.target for ex in data.examples})
+    # topics for every target the run classifies, the held-out test target too
+    targets = sorted({ex.target for ex in data.examples + data.val_examples} | {*data.test_targets})
     gold = [ex.label_index() for ex in data.examples]
 
     def topics():

@@ -6,6 +6,7 @@ time, so tests can check the batched code in `topicarg` against it.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -26,14 +27,7 @@ from topicarg.corpus import (
 from topicarg.encoder import MARKERS
 from topicarg.nn import EPS, SeededRng, mlp_forward
 from topicarg.ntm import NtmParams, normalize_bow
-from topicarg.topics import (
-    EmbeddingTable,
-    ExtractedTopics,
-    KeyTermLists,
-    best_topic,
-    rank_terms,
-    top_terms,
-)
+from topicarg.topics import ExtractedTopics, empty_topics
 
 
 # nn: finite-difference gradient check, losses and activations on plain arrays
@@ -287,7 +281,8 @@ def make_cross_target_split(records, held_out: str) -> DatasetSplit:
     return DatasetSplit(train=train, val=val, test=test, held_out_target=held_out)
 
 
-# topics: extraction through an explicit target mask
+# topics: extraction for one target at a time, through an explicit target
+# mask, a fresh sort per topic row and a table normalized for that target
 
 
 @dataclass
@@ -308,29 +303,76 @@ def build_target_mask(target_tokens, vocab: Vocabulary, num_topics: int) -> Targ
     return TargetMask(np.tile(row, (num_topics, 1)))
 
 
-def filter_topics(topic_word: np.ndarray, mask: TargetMask, n: int) -> KeyTermLists:
-    """Top-n key terms per topic among unmasked words.
+def filter_topics(topic_word: np.ndarray, mask: TargetMask, n: int) -> np.ndarray:
+    """(K, n) top-n key terms per topic among unmasked words.
 
-    Ranked by weight descending, ties by smaller word id. Masked
-    (target-word) columns are excluded outright so they can never be chosen,
-    even when other weights are negative.
+    Each row sorts its kept columns afresh by weight descending, ties by
+    smaller word id. Masked (target-word) columns are excluded outright so
+    they can never be chosen, even when other weights are negative.
     """
     topic_word = np.asarray(topic_word, dtype=np.float64)
     k, v = topic_word.shape
     if mask.mask.shape != (k, v):
         raise ValueError(f"mask shape {mask.mask.shape} != topic_word shape {(k, v)}")
-    excluded = np.flatnonzero(mask.mask[0] != 1)
-    return top_terms(topic_word, rank_terms(topic_word), excluded, n)
+    keep = np.flatnonzero(mask.mask[0] == 1)
+    if not 1 <= n <= keep.size:
+        raise ValueError(f"n={n} out of range [1, {keep.size}] after masking")
+    ids = np.empty((k, n), dtype=np.int64)
+    for row in range(k):
+        ids[row] = keep[np.argsort(-topic_word[row, keep], kind="stable")][:n]
+    return ids
 
 
-def extract_topics(
-    lists: KeyTermLists,
-    embeddings: EmbeddingTable,
-    target_tokens,
-    p: float = 0.5,
-) -> ExtractedTopics:
-    """Score all K key-term lists against the target; return the argmax list."""
-    return best_topic(lists, embeddings.normalized(), embeddings.vocab, target_tokens, p)
+def normalize_rows(vectors: np.ndarray) -> np.ndarray:
+    """Length-normalized rows for cosine scoring; zero rows stay zero."""
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    return np.divide(vectors, np.where(norms > 0, norms, 1.0))
+
+
+def score_topic(target_vecs: np.ndarray, topic_vecs: np.ndarray, p: float) -> float:
+    """Sum of the top ceil(p * N_t) per-term cosine maxima, divided by N_tau.
+
+    Each topic word contributes its best cosine against any target word; the
+    strongest p-fraction of those contributions is kept.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must be in (0, 1), got {p}")
+    target_vecs = np.atleast_2d(np.asarray(target_vecs, dtype=np.float64))
+    topic_vecs = np.atleast_2d(np.asarray(topic_vecs, dtype=np.float64))
+    if target_vecs.shape[0] == 0 or topic_vecs.shape[0] == 0:
+        raise ValueError("score_topic needs at least one target and one topic vector")
+    cosines = topic_vecs @ target_vecs.T  # (N_t, N_tau), rows pre-normalized
+    best_per_term = cosines.max(axis=1)
+    keep = math.ceil(p * topic_vecs.shape[0])
+    top = np.sort(best_per_term)[::-1][:keep]
+    return float(top.sum() / target_vecs.shape[0])
+
+
+def extract_topics(topic_word, embeddings, vocab: Vocabulary, target_tokens, n, p) -> ExtractedTopics:
+    """One target's argmax topic: mask its words, take each topic's top n,
+    and score every topic with `score_topic`; ties go to the smaller index.
+
+    `embeddings` holds one raw row per vocabulary word. A target with no
+    embedded in-vocabulary word gets empty topics; an n that the masked rows
+    cannot fill raises.
+    """
+    topic_word = np.asarray(topic_word, dtype=np.float64)
+    ids = filter_topics(topic_word, build_target_mask(target_tokens, vocab, topic_word.shape[0]), n)
+    normalized = normalize_rows(np.asarray(embeddings, dtype=np.float64))
+    target_ids = [i for i in vocab.ids(target_tokens) if np.any(normalized[i])]
+    if not target_ids:
+        return empty_topics()
+    scores = [score_topic(normalized[target_ids], normalized[row], p) for row in ids]
+    best = int(np.argmax(scores))
+    term_ids = tuple(int(i) for i in ids[best])
+    return ExtractedTopics(
+        topic_index=best,
+        term_ids=term_ids,
+        terms=tuple(vocab.id_to_word[i] for i in term_ids),
+        weights=tuple(float(topic_word[best, i]) for i in term_ids),
+        score=scores[best],
+        per_topic_scores=tuple(scores),
+    )
 
 
 # optim: Adam/AdamW in the textbook operation order

@@ -15,10 +15,9 @@ from scipy import sparse
 
 from oracles import (
     build_target_mask,
-    extract_topics,
-    filter_topics,
     grad_check,
     mutual_loss,
+    normalize_rows,
     similarity_O,
     softmax,
 )
@@ -75,7 +74,7 @@ from topicarg.ntm import (
     train_ntm_epoch,
 )
 from topicarg.optim import adam, adamw
-from topicarg.topics import EmbeddingTable, KeyTermLists
+from topicarg.topics import extract_topics, rank_terms, top_terms
 
 
 def report(num: int, description: str, passed: bool, detail: str = "") -> None:
@@ -123,7 +122,7 @@ def test_criterion_1_gradient_correctness():
     )
     examples = examples_from_records(records)[:6]
     inputs = [
-        build_input(ex.tokens, ex.target.split(), None, enc_vocab, 64) for ex in examples
+        build_input(ex.tokens, ex.target.split(), (), enc_vocab, 64) for ex in examples
     ]
     onehot = np.eye(3)[[ex.label_index() for ex in examples]]
 
@@ -271,11 +270,11 @@ def test_criterion_3_topic_extraction_correctness():
         target_ids = set(int(i) for i in rng.integers(0, vocab_size, 5))
         mask = build_target_mask([words[i] for i in target_ids], vocab, k)
         n = int(rng.integers(1, vocab_size - len(target_ids) + 1))
-        lists = filter_topics(mat, mask, n)
+        ids = top_terms(rank_terms(mat), mask.masked_ids(), n)
         for row in range(k):
-            if lists.word_ids[row].tolist() != brute_force(mat[row], mask.mask[row], n):
+            if ids[row].tolist() != brute_force(mat[row], mask.mask[row], n):
                 mismatches += 1
-            if target_ids & set(lists.word_ids[row].tolist()):
+            if target_ids & set(ids[row].tolist()):
                 collisions += 1
 
     # constructed nearest-neighbor selection, 100 synthetic-embedding trials
@@ -291,18 +290,23 @@ def test_criterion_3_topic_extraction_correctness():
             if topic == winner:
                 lists_ids[topic] = np.arange(1, 1 + n_t)
             else:
-                lists_ids[topic] = pool[trial_rng.integers(0, pool.size, n_t)]
+                lists_ids[topic] = pool[trial_rng.permutation(pool.size)[:n_t]]
         for i in range(1, 1 + n_t):
             vectors[i] = vectors[0] * float(trial_rng.uniform(0.5, 2.0))
-        table = EmbeddingTable(vectors, vocab)
-        lists = KeyTermLists(lists_ids, np.zeros_like(lists_ids, dtype=float))
-        extracted = extract_topics(lists, table, [words[0]], p=0.5)
+        # each topic's planted list outweighs every other word, in list order
+        topic_word = trial_rng.uniform(0.0, 1.0, (k, vocab_size))
+        for topic in range(k):
+            topic_word[topic, lists_ids[topic]] = 2.0 + np.arange(n_t, 0, -1)
+        extracted = extract_topics(
+            topic_word, rank_terms(topic_word), normalize_rows(vectors), vocab, [words[0]],
+            n_t, 0.5,
+        )
         if extracted.topic_index == winner:
             selection_hits += 1
 
     report(
         3,
-        "filter_topics == brute force (1000x), zero target collisions, "
+        "top_terms == brute force (1000x), zero target collisions, "
         "nearest-neighbor topic selected 100/100",
         mismatches == 0 and collisions == 0 and selection_hits == 100,
         f"mismatches={mismatches}, collisions={collisions}, hits={selection_hits}/100",

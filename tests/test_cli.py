@@ -257,6 +257,15 @@ class TestTrain:
         body = preds.strip().split("\n")[1:]
         assert body and all(line.startswith("river dams\t") for line in body)
 
+    def test_cross_target_extracts_the_held_out_targets_topics(self, corpus_path, tmp_path):
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        assert main(["train", "--mode", "cross_target", "--held-out", "river dams",
+                     *small_flags(corpus_path, out)]) == 0
+        rows = (out / "train" / "cross_river_dams" / "topics.tsv").read_text().split("\n")[1:-1]
+        assert [row.split("\t")[0] for row in rows] == ["river dams", "space mining"]
+        assert all(len(row.split("\t")[3].split(" ")) == 4 for row in rows)  # n_top_terms
+
     def test_gamma_zero_and_no_topics_flags(self, corpus_path, tmp_path):
         out = tmp_path / "run"
         prepare(corpus_path, out)
@@ -417,6 +426,51 @@ class TestTrain:
         assert not (out / "train").exists()
 
 
+def tightest_target(corpus_path, out):
+    """The corpus target that masks the most NTM words, and the words it leaves."""
+    vocab = corpus_mod.Vocabulary.from_tsv(out / "prepared" / "vocab.tsv")
+    rooms = {
+        r.target: vocab.size - len(set(vocab.ids(corpus_mod.tokenize(r.target, mode="encoder"))))
+        for r in corpus_mod.load_tsv(corpus_path)
+    }
+    target = min(sorted(rooms), key=rooms.get)
+    assert rooms[target] < vocab.size  # it masks at least one word
+    return target, rooms[target]
+
+
+def n_top_terms_refusal(target, room):
+    return (
+        f"error: config field n_top_terms must be <= {room}, the vocabulary "
+        f"words left after masking target {target!r}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["train", "--mode", "in_target_fold", "--fold", "0"],
+        ["train", "--mode", "cross_target", "--held-out", "space mining"],
+        ["evaluate", "--protocol", "cross_target"],
+    ],
+    ids=["train-in-target", "train-cross-target", "evaluate"],
+)
+def test_n_top_terms_beyond_the_masked_vocabulary_is_refused(
+    corpus_path, tmp_path, capsys, command
+):
+    out = tmp_path / "run"
+    prepare(corpus_path, out)
+    target, room = tightest_target(corpus_path, out)
+    capsys.readouterr()
+    code = main([*command, *small_flags(corpus_path, out), "--n-top-terms", str(room + 1)])
+    assert code == 1
+    assert capsys.readouterr().err == n_top_terms_refusal(target, room)
+    assert sorted(p.name for p in out.iterdir()) == ["prepared"]
+    # without topics the setting is unused, so nothing is refused
+    if command[0] == "train":
+        assert main([*command, *small_flags(corpus_path, out), "--n-top-terms", "500",
+                     "--no-topics", "--iterations", "1"]) == 0
+
+
 class TestEvaluate:
     def test_full_predictor_cross_target(self, corpus_path, tmp_path):
         out = tmp_path / "run"
@@ -557,6 +611,22 @@ class TestExtractAndCoherence:
         assert bare != extract("defaults.tsv", "--n-top-terms", "10")  # RunConfig's
         assert bare != extract("flagged.tsv", "--n-top-terms", "2")  # a flag wins
 
+    def test_n_top_terms_is_refused_one_past_the_masked_vocabulary(
+        self, corpus_path, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        checkpoint = train_fold_0(corpus_path, out)
+        target, room = tightest_target(corpus_path, out)
+        base = ["extract-topics", "--checkpoint", str(checkpoint), "--data", str(corpus_path),
+                "--out-dir", str(out)]
+        capsys.readouterr()
+        assert main([*base, "--n-top-terms", str(room + 1)]) == 1
+        assert capsys.readouterr().err == n_top_terms_refusal(target, room)
+        assert not (out / "topics.tsv").exists()
+        assert main([*base, "--n-top-terms", str(room)]) == 0
+        rows = (out / "topics.tsv").read_text().split("\n")[1:-1]
+        assert all(len(row.split("\t")[3].split(" ")) == room for row in rows)
+
     def test_checkpoint_from_other_vocabularies_is_refused(self, tmp_path, capsys):
         corpus_a, corpus_b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         write_tsv(stance_corpus(n_per_cell=10, seed=0), corpus_a)
@@ -594,8 +664,10 @@ class TestExtractAndCoherence:
 
     @pytest.mark.parametrize(
         "row",
-        ["0\triver", "0\triver\t0.5\textra", "x\triver\t0.5", "0\triver\theavy"],
-        ids=["too-few-fields", "too-many-fields", "non-int-topic", "non-float-weight"],
+        ["0\triver", "0\triver\t0.5\textra", "x\triver\t0.5", "0\triver\theavy",
+         "0\triver\tnan", "0\triver\tinf", "0\triver\t-Infinity"],
+        ids=["too-few-fields", "too-many-fields", "non-int-topic", "non-float-weight",
+             "nan-weight", "inf-weight", "minus-inf-weight"],
     )
     def test_malformed_topic_word_line_is_a_clean_error(self, corpus_path, tmp_path,
                                                         capsys, row):
@@ -608,9 +680,30 @@ class TestExtractAndCoherence:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: {topics}:3: expected 'topic<TAB>word<TAB>weight' "
-            f"(an int, a word, a float), got {row!r}\n"
+            f"(an int, a word, a finite float), got {row!r}\n"
         )
         assert not (out / "coherence.csv").exists()
+
+    def test_tied_weights_rank_in_file_order(self, corpus_path, tmp_path):
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        topics = tmp_path / "topic_word.tsv"
+        topics.write_text(
+            "topic\tword\tweight\n0\triver\t0.5\n0\tflood\t0.5\n0\tdams\t0.5\n"
+            "0\twater\t0.75\n",
+            encoding="utf-8",
+        )
+        code = main(["coherence", "--topics", str(topics), "--cutoffs", "3",
+                     "--out", str(out / "coherence.csv"), *small_flags(corpus_path, out)])
+        assert code == 0
+        docs = [corpus_mod.tokenize(r.sentence, mode="ntm") for r in corpus_mod.load_tsv(corpus_path)]
+
+        def csv_of(words):
+            evaluate_mod.coherence_report({0: words}, docs, cutoffs=(3,)).to_csv(tmp_path / "x.csv")
+            return (tmp_path / "x.csv").read_bytes()
+
+        assert (out / "coherence.csv").read_bytes() == csv_of(["water", "river", "flood"])
+        assert csv_of(["water", "river", "flood"]) != csv_of(["water", "dams", "flood"])
 
     def test_export_without_topic_lines_is_a_clean_error(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "run"

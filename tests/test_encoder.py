@@ -30,7 +30,6 @@ from topicarg.encoder import (
     write_predictions,
 )
 from topicarg.nn import EPS, SeededRng, mlp_forward
-from topicarg.topics import EmbeddingTable, ExtractedTopics
 
 
 # Per-example oracles: one input at a time, each segment pooled in numpy by its
@@ -81,14 +80,10 @@ def enc(enc_vocab):
     return init_encoder(cfg, SeededRng(2))
 
 
-def topics_of(*terms):
-    return ExtractedTopics(0, tuple(range(len(terms))), tuple(terms), (0.0,) * len(terms), 1.0)
-
-
 class TestBuildInput:
     def test_three_segment_layout(self, enc_vocab):
         out = build_input(
-            ["water", "flood"], ["river", "dams"], topics_of("turbine", "fish"),
+            ["water", "flood"], ["river", "dams"], ("turbine", "fish"),
             enc_vocab, max_len=32,
         )
         words = [enc_vocab.id_to_word[i] for i in out.token_ids]
@@ -97,14 +92,14 @@ class TestBuildInput:
         assert sum(n > 0 for n in out.segment_lengths) == 3
 
     def test_empty_topics_two_segments(self, enc_vocab):
-        out = build_input(["water"], ["river"], None, enc_vocab, max_len=32)
+        out = build_input(["water"], ["river"], (), enc_vocab, max_len=32)
         words = [enc_vocab.id_to_word[i] for i in out.token_ids]
         assert words == [CLS, "water", SEP, "river"]
         assert sum(n > 0 for n in out.segment_lengths) == 2
 
     def test_truncation_removes_sentence_tail_only(self, enc_vocab):
         sentence = ["water"] * 50
-        topics = topics_of("turbine", "fish")
+        topics = ("turbine", "fish")
         out = build_input(sentence, ["river", "dams"], topics, enc_vocab, max_len=16)
         assert len(out.token_ids) == 16
         words = [enc_vocab.id_to_word[i] for i in out.token_ids]
@@ -113,14 +108,14 @@ class TestBuildInput:
 
     def test_max_len_too_small(self, enc_vocab):
         with pytest.raises(ValueError):
-            build_input(["water"], ["river"] * 10, None, enc_vocab, max_len=8)
+            build_input(["water"], ["river"] * 10, (), enc_vocab, max_len=8)
 
     def test_oov_maps_to_unk(self, enc_vocab):
-        out = build_input(["qqqqzz"], ["river"], None, enc_vocab, max_len=16)
+        out = build_input(["qqqqzz"], ["river"], (), enc_vocab, max_len=16)
         assert out.token_ids[1] == enc_vocab.index_of[UNK]
 
     def test_determinism(self, enc_vocab):
-        args = (["water", "flood"], ["river"], topics_of("fish"), enc_vocab, 20)
+        args = (["water", "flood"], ["river"], ("fish",), enc_vocab, 20)
         assert build_input(*args) == build_input(*args)
 
     def test_length_mismatch_rejected(self):
@@ -160,14 +155,14 @@ class TestEncode:
             v[...] = 0.0
         enc.params["body.b1"][:] = 0.25
         a, b = encode_batch(enc, [
-            build_input(["water"], ["river"], None, enc_vocab, 16),
-            build_input(["rocket", "metal"], ["ore"], None, enc_vocab, 16),
+            build_input(["water"], ["river"], (), enc_vocab, 16),
+            build_input(["rocket", "metal"], ["ore"], (), enc_vocab, 16),
         ])
         assert np.allclose(a, 0.25)
         assert np.array_equal(a, b)
 
     def test_permutation_within_segment_invariant(self, enc, enc_vocab):
-        t = topics_of("fish", "turbine")
+        t = ("fish", "turbine")
         a, b = encode_batch(enc, [
             build_input(["water", "flood", "river"], ["dams"], t, enc_vocab, 32),
             build_input(["river", "water", "flood"], ["dams"], t, enc_vocab, 32),
@@ -176,20 +171,20 @@ class TestEncode:
 
     def test_batch_matches_single(self, enc, enc_vocab):
         inputs = [
-            build_input(["water", "flood"], ["river"], None, enc_vocab, 16),
-            build_input(["rocket"], ["ore", "metal"], topics_of("probe"), enc_vocab, 16),
+            build_input(["water", "flood"], ["river"], (), enc_vocab, 16),
+            build_input(["rocket"], ["ore", "metal"], ("probe",), enc_vocab, 16),
         ]
         batch = encode_batch(enc, inputs)
         for i, x in enumerate(inputs):
             assert np.allclose(batch[i], encode(enc, x), atol=1e-12)
 
     def test_unknown_token_id_rejected(self, enc, enc_vocab):
-        good = build_input(["water"], ["river"], None, enc_vocab, 16)
+        good = build_input(["water"], ["river"], (), enc_vocab, 16)
         with pytest.raises(IndexError):
             encode_batch(enc, [good, EncoderInput((10 ** 6,), (1, 0, 0))])
 
     def test_determinism(self, enc, enc_vocab):
-        x = build_input(["water"], ["river"], None, enc_vocab, 16)
+        x = build_input(["water"], ["river"], (), enc_vocab, 16)
         assert np.array_equal(encode_batch(enc, [x]), encode_batch(enc, [x]))
 
 
@@ -197,8 +192,8 @@ class TestClassify:
     @pytest.fixture
     def inputs(self, enc_vocab):
         return [
-            build_input(["water", "flood"], ["river"], topics_of("fish"), enc_vocab, 16),
-            build_input(["rocket"], ["ore"], None, enc_vocab, 16),
+            build_input(["water", "flood"], ["river"], ("fish",), enc_vocab, 16),
+            build_input(["rocket"], ["ore"], (), enc_vocab, 16),
         ]
 
     def test_zero_logits_uniform_and_tie_to_support(self, enc, inputs):
@@ -223,8 +218,8 @@ class TestClassify:
 class TestGradients:
     def test_encode_classify_cross_entropy_fd(self, enc, enc_vocab):
         inputs = [
-            build_input(["water", "flood"], ["river"], topics_of("fish"), enc_vocab, 16),
-            build_input(["rocket", "ore"], ["metal"], None, enc_vocab, 16),
+            build_input(["water", "flood"], ["river"], ("fish",), enc_vocab, 16),
+            build_input(["rocket", "ore"], ["metal"], (), enc_vocab, 16),
         ]
         onehot = np.eye(3)[[0, 2]]
 
@@ -238,7 +233,7 @@ class TestGradients:
         assert report.max_rel_error <= 1e-4
 
     def test_per_example_graph_agrees_with_batch(self, enc, enc_vocab):
-        x = build_input(["water", "flood"], ["river"], None, enc_vocab, 16)
+        x = build_input(["water", "flood"], ["river"], (), enc_vocab, 16)
         single = encode_graph(enc.params, enc.cfg, x).data
         batch = encode_batch_graph(enc.params, enc.cfg, [x]).data
         assert np.allclose(single, batch, atol=1e-12)
@@ -251,12 +246,10 @@ def test_embedding_table_covers_ntm_vocab():
     cfg = EncoderConfig(vocab_size=enc_vocab.size, emb_dim=8, hidden_dim=10, output_dim=6)
     enc = init_encoder(cfg, SeededRng(7))
     rows = vocabulary_rows(enc_vocab, ntm_vocab)
-    table = EmbeddingTable(enc.word_embeddings[rows], ntm_vocab)
-    assert table.vectors.shape == (ntm_vocab.size, 8)
+    table = enc.word_embeddings[rows]
+    assert table.shape == (ntm_vocab.size, 8)
     for word, idx in list(ntm_vocab.index_of.items())[:5]:
-        assert np.array_equal(
-            table.vectors[idx], enc.params["word_emb"][enc_vocab.index_of[word]]
-        )
+        assert np.array_equal(table[idx], enc.params["word_emb"][enc_vocab.index_of[word]])
 
 
 def test_vocabulary_rows_refuses_a_missing_ntm_word():
@@ -284,7 +277,7 @@ def test_batched_prediction_matches_per_example_oracle(
         build_input(
             list(rng.choice(words, rng.integers(0, 12))),
             list(rng.choice(words, rng.integers(1, 3))),
-            topics_of(*rng.choice(words, 2)) if with_topics[i] else None,
+            tuple(rng.choice(words, 2)) if with_topics[i] else (),
             enc_vocab,
             32,
         )
@@ -305,21 +298,20 @@ _WORDS = st.lists(st.sampled_from(["water", "flood", "river", "qqqqzz"]), max_si
 
 # the fixture is only read, so sharing it across examples is safe
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(sentence=_WORDS, target=_WORDS, topic_terms=st.none() | _WORDS, max_len=st.integers(2, 40))
+@given(sentence=_WORDS, target=_WORDS, topic_terms=_WORDS, max_len=st.integers(2, 40))
 @example(sentence=[], target=["river"], topic_terms=["fish"], max_len=16)
 @example(sentence=["water"], target=[], topic_terms=["fish"], max_len=16)
-@example(sentence=["water"], target=["river"], topic_terms=None, max_len=16)
-@example(sentence=["water"], target=["river"], topic_terms=[], max_len=16)
+@example(sentence=["water"], target=["river"], topic_terms=(), max_len=16)
+@example(sentence=["water"], target=["river"], topic_terms=("fish", "qqqqzz"), max_len=16)
 @example(sentence=["water"] * 12, target=["river"], topic_terms=["fish"], max_len=9)
 def test_segment_lengths_give_the_per_token_tags(enc_vocab, sentence, target, topic_terms, max_len):
-    topics = None if topic_terms is None else topics_of(*topic_terms)
     fixed = 2 + len(target) + (1 + len(topic_terms) if topic_terms else 0)
     if max_len < fixed:
         with pytest.raises(ValueError, match="cannot fit"):
-            build_input(sentence, target, topics, enc_vocab, max_len)
+            build_input(sentence, target, topic_terms, enc_vocab, max_len)
         return
-    x = build_input(sentence, target, topics, enc_vocab, max_len)
-    tags = segment_tags(sentence, target, topic_terms or [], max_len)
+    x = build_input(sentence, target, topic_terms, enc_vocab, max_len)
+    tags = segment_tags(sentence, target, topic_terms, max_len)
     assert tuple(np.repeat(np.arange(3), x.segment_lengths)) == tags
     assert len(x.token_ids) == len(tags) <= max_len
 
@@ -336,7 +328,7 @@ def test_predict_and_prediction_tsv(tmp_path, enc, enc_vocab):
     records = stance_corpus(n_per_cell=5, seed=1)[:6]
     examples = examples_from_records(records)
     inputs = [
-        build_input(ex.tokens, ex.target.split(), None, enc_vocab, 64) for ex in examples
+        build_input(ex.tokens, ex.target.split(), (), enc_vocab, 64) for ex in examples
     ]
     preds = predict(enc, inputs)
     assert len(preds) == 6

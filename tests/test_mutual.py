@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     MutualLossConfig,
-    build_target_mask,
+    extract_topics,
     grad_check,
     kl_categorical,
     loss_classifier_side,
@@ -22,7 +22,13 @@ from synthdata import stance_corpus
 from topicarg import autodiff as ad
 from topicarg import mutual as mutual_mod
 from topicarg import ntm as ntm_mod
-from topicarg.corpus import build_vocabulary, examples_from_records, tokenize, vectorize_all
+from topicarg.corpus import (
+    build_vocabulary,
+    examples_from_records,
+    make_cross_target_splits,
+    tokenize,
+    vectorize_all,
+)
 from topicarg.encoder import (
     EncoderConfig,
     build_encoder_vocab,
@@ -45,13 +51,6 @@ from topicarg.mutual import (
 from topicarg.nn import EPS, SeededRng
 from topicarg.ntm import NtmConfig, compute_log_freq, init_ntm, train_ntm_epoch
 from topicarg.optim import adam, adamw
-from topicarg.topics import (
-    EmbeddingTable,
-    ExtractedTopics,
-    KeyTermLists,
-    empty_topics,
-    score_topic,
-)
 
 
 def random_distribution(rng, k=6):
@@ -426,60 +425,16 @@ class TestAlternating:
         assert all(np.array_equal(before[k], ntm.params[k]) for k in before)
 
 
-def reference_filter_topics(topic_word, mask, n):
-    """Per-target top-n terms by masking and sorting the kept columns: the
-    oracle `extract_topics_for_targets`' shared ranking must equal."""
-    topic_word = np.asarray(topic_word, dtype=np.float64)
-    k, v = topic_word.shape
-    keep = np.flatnonzero(mask.mask[0] == 1)
-    if not 1 <= n <= keep.size:
-        raise ValueError(f"n={n} out of range [1, {keep.size}] after masking")
-    masked = topic_word * mask.mask
-    ids = np.empty((k, n), dtype=np.int64)
-    weights = np.empty((k, n))
-    for row in range(k):
-        order = keep[np.argsort(-masked[row, keep], kind="stable")][:n]
-        ids[row] = order
-        weights[row] = masked[row, order]
-    return KeyTermLists(ids, weights)
-
-
-def reference_extract_topics(lists, embeddings, target_tokens, p):
-    """Argmax topic against a table normalized afresh for this one target."""
-    normalized = embeddings.normalized()
-    target_ids = [i for i in embeddings.vocab.ids(target_tokens) if np.any(normalized[i])]
-    if not target_ids:
-        raise ValueError("target has no token that is both in the vocabulary and embedded")
-    target_vecs = normalized[target_ids]
-    scores = [
-        score_topic(target_vecs, normalized[lists.word_ids[k]], p)
-        for k in range(lists.word_ids.shape[0])
-    ]
-    best = int(np.argmax(scores))
-    term_ids = tuple(int(i) for i in lists.word_ids[best])
-    return ExtractedTopics(
-        topic_index=best,
-        term_ids=term_ids,
-        terms=tuple(embeddings.vocab.id_to_word[i] for i in term_ids),
-        weights=tuple(float(w) for w in lists.weights[best]),
-        score=float(scores[best]),
-        per_topic_scores=tuple(float(s) for s in scores),
-    )
-
-
 def reference_extract_for_targets(ntm, enc, data, targets, n_top_terms, ratio_p):
-    rows = vocabulary_rows(data.enc_vocab, data.vocab)
-    table = EmbeddingTable(enc.word_embeddings[rows], data.vocab)
-    out = {}
-    for target in targets:
-        target_tokens = tokenize(target, mode="encoder")
-        mask = build_target_mask(target_tokens, data.vocab, ntm.cfg.num_topics)
-        try:
-            lists = reference_filter_topics(ntm.topic_word, mask, n_top_terms)
-            out[target] = reference_extract_topics(lists, table, target_tokens, ratio_p)
-        except ValueError:
-            out[target] = empty_topics()
-    return out
+    """Each target extracted on its own by the oracle."""
+    vectors = enc.word_embeddings[vocabulary_rows(data.enc_vocab, data.vocab)]
+    return {
+        target: extract_topics(
+            ntm.topic_word, vectors, data.vocab, tokenize(target, mode="encoder"),
+            n_top_terms, ratio_p,
+        )
+        for target in targets
+    }
 
 
 _EXTRACTION_SETUP = _training_setup()
@@ -511,8 +466,14 @@ def test_extraction_equals_per_target_oracle(
         "flat earth",  # out of vocabulary: no topics
         " ".join(words[i % len(words)] for i in extra_words),
     ]
-    got = extract_topics_for_targets(ntm, enc, data, targets, n_top_terms, ratio_p)
-    assert got == reference_extract_for_targets(ntm, enc, data, targets, n_top_terms, ratio_p)
+    try:
+        want = reference_extract_for_targets(ntm, enc, data, targets, n_top_terms, ratio_p)
+    except ValueError as err:  # some target leaves fewer than n_top_terms words
+        assert "out of range" in str(err)
+        with pytest.raises(ValueError, match="out of range"):
+            extract_topics_for_targets(ntm, enc, data, targets, n_top_terms, ratio_p)
+        return
+    assert extract_topics_for_targets(ntm, enc, data, targets, n_top_terms, ratio_p) == want
 
 
 def test_extraction_maps_the_vocabularies_once_per_train_data(monkeypatch):
@@ -608,6 +569,41 @@ def test_train_alternating_twice_gives_identical_bytes(tmp_path):
     for k in first:
         assert first[k].tobytes() == second[k].tobytes(), k
     assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
+
+
+def test_held_out_target_gets_topics_and_no_training_input_changes():
+    records = stance_corpus(n_per_cell=8, seed=0)
+    examples = examples_from_records(records)
+    vocab = build_vocabulary(records, max_size=40)
+    enc_vocab = build_encoder_vocab(records, max_size=100, ntm_vocab=vocab)
+    split = make_cross_target_splits(records, examples)[1]
+    held_out = split.held_out_target
+    schedule = TrainSchedule(max_iterations=2, batch_size=8, seed=5, patience=0)
+
+    def run(split):
+        data = TrainData.from_split(split, vocab, enc_vocab, vectorize_all)
+        ntm = init_ntm(NtmConfig(vocab.size, 4, 6, 10), compute_log_freq(data.bows), SeededRng(100))
+        enc = init_encoder(EncoderConfig(enc_vocab.size, 8, 10, 6), SeededRng(101))
+        result = train_alternating(
+            ntm, enc, data, schedule, gamma=0.1,
+            lr_ntm=2e-3, lr_classifier=5e-3, n_top_terms=4, ratio_p=0.5, max_len=64,
+        )
+        return data, result
+
+    data, result = run(split)
+    assert data.test_targets == [held_out]
+    assert held_out not in {ex.target for ex in data.examples + data.val_examples}
+    assert result.topics_by_target[held_out].terms
+    test_inputs = build_inputs(split.test, result.topics_by_target, enc_vocab, 64, True)
+    assert test_inputs and all(min(x.segment_lengths) > 0 for x in test_inputs)
+    # without the test targets the run trains bitwise the same; only the
+    # held-out target's topics are missing
+    _, blind = run(dataclasses.replace(split, test=[]))
+    with_topics = _trained_state(result)
+    assert _trained_state(blind)[:2] == with_topics[:2]
+    assert blind.topics_by_target == {
+        t: x for t, x in result.topics_by_target.items() if t != held_out
+    }
 
 
 def _stopping_run(seed, gamma, max_iterations, patience):
