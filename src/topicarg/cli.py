@@ -10,7 +10,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -118,21 +118,25 @@ def _load_prepared(cfg: RunConfig):
     return records, vocab, enc_vocab, vocab_sha
 
 
-def _check_n_top_terms(n: int, vocab: Vocabulary, records) -> None:
-    """Refuse an `n_top_terms` that a target's topic rows, its own words masked, cannot fill."""
+def _check_targets(vocab: Vocabulary, records, n_top_terms, max_len=None) -> None:
+    """Refuse settings some corpus target cannot meet: an `n_top_terms` (None:
+    topics off) its topic rows cannot fill once its own words are masked, or a
+    `max_len` its non-sentence segments exceed as `encoder.build_input` counts them."""
     for target in sorted({r.target for r in records}):
-        room = vocab.size - len(set(vocab.ids(corpus_mod.tokenize(target, mode="encoder"))))
-        if n > room:
+        tokens = corpus_mod.tokenize(target, mode="encoder")
+        ids = set(vocab.ids(tokens))
+        room = vocab.size - len(ids)
+        if n_top_terms is not None and n_top_terms > room:
             raise ValueError(
                 f"config field n_top_terms must be <= {room}, the vocabulary words "
                 f"left after masking target {target!r}"
             )
-
-
-def _log_freq(examples, vocab: Vocabulary) -> np.ndarray:
-    return ntm_mod.compute_log_freq(
-        corpus_mod.vectorize_all([ex.tokens for ex in examples], vocab)
-    )
+        fixed = 2 + len(tokens) + (1 + n_top_terms if n_top_terms is not None and ids else 0)
+        if max_len is not None and max_len < fixed:
+            raise ValueError(
+                f"config field max_len must be >= {fixed}, the non-sentence tokens "
+                f"of target {target!r}"
+            )
 
 
 def _init_models(cfg: RunConfig, vocab_size: int, enc_vocab_size: int, log_freq, seed: int):
@@ -166,35 +170,6 @@ def _schedule(cfg: RunConfig, seed: int) -> mutual_mod.TrainSchedule:
     )
 
 
-def _train_one(cfg: RunConfig, split, vocab, enc_vocab, log_freq, seed: int):
-    data = mutual_mod.TrainData.from_split(
-        split, vocab, enc_vocab, corpus_mod.vectorize_all
-    )
-    ntm, enc = _init_models(cfg, vocab.size, enc_vocab.size, log_freq, seed)
-    result = mutual_mod.train_alternating(
-        ntm,
-        enc,
-        data,
-        _schedule(cfg, seed),
-        gamma=cfg.gamma,
-        lr_ntm=cfg.lr_ntm,
-        lr_classifier=cfg.lr_classifier,
-        n_top_terms=cfg.n_top_terms,
-        ratio_p=cfg.ratio_p,
-        use_topics=cfg.use_topics,
-        max_len=cfg.max_len,
-    )
-    return result
-
-
-def _predict_proba(cfg: RunConfig, result, enc_vocab, examples) -> np.ndarray:
-    """Class probabilities of a trained run on held-out examples."""
-    inputs = mutual_mod.build_inputs(
-        examples, result.topics_by_target, enc_vocab, cfg.max_len, cfg.use_topics
-    )
-    return encoder_mod.predict_proba(result.enc, inputs)
-
-
 def _checkpoint_arrays(result) -> dict[str, np.ndarray]:
     arrays = {f"ntm/{k}": v for k, v in result.ntm.params.items()}
     arrays["ntm/log_freq"] = result.ntm.log_freq
@@ -223,44 +198,60 @@ def load_run(path):
     return ntm, enc, groups["proj"] or None, meta
 
 
-def cmd_train(args) -> int:
-    """Train, save and score the one run of the matching protocol that
-    `--fold` or `--held-out` names."""
-    cfg = _resolve_config(args)
-    records, vocab, enc_vocab, vocab_sha = _load_prepared(cfg)
-    examples = corpus_mod.examples_from_records(records)
-    cross = args.mode == "cross_target"
-    if (args.fold if cross else args.held_out) is not None:
-        other = "--fold" if cross else "--held-out"
-        raise ValueError(f"{other} does not apply in {args.mode} mode")
-    if cross and not args.held_out:
-        raise ValueError("--held-out TARGET is required in cross_target mode")
-    fold = 0 if args.fold is None else args.fold
-    runs = evaluate_mod.protocol_runs(
-        "cross_target" if cross else "in_target", records, examples, cfg.folds, cfg.seed
-    )
-    names = [name for name, _, _ in runs]
-    if cross and args.held_out not in names:
-        raise ValueError(f"unknown target {args.held_out!r}; corpus has {names}")
-    if not cross and not 0 <= fold < len(runs):
-        raise ValueError(f"--fold must be in [0, {len(runs)})")
-    _, split, seed = runs[names.index(args.held_out) if cross else fold]
-    if cfg.use_topics:
-        _check_n_top_terms(cfg.n_top_terms, vocab, records)
+@dataclass
+class _Protocol:
+    """A protocol's (name, split, seed) rows and what training any of them
+    needs; `evaluate` runs every row through `run_row`, and `train` one."""
 
-    run_name = f"cross_{args.held_out.replace(' ', '_')}" if cross else f"fold_{fold}"
-    out = Path(cfg.out_dir) / "train" / run_name
-    out.mkdir(parents=True, exist_ok=True)
-    write_snapshot(cfg, out / "config.resolved")
+    cfg: RunConfig
+    cross: bool  # cross_target rows, else in_target folds
+    runs: list
+    vocab: Vocabulary
+    enc_vocab: Vocabulary
+    vocab_sha: dict[str, str]
+    log_freq: np.ndarray
 
-    def fit_predict(split, seed):
-        result = _train_one(cfg, split, vocab, enc_vocab, _log_freq(examples, vocab), seed)
+    @classmethod
+    def set_up(cls, args, protocol: str) -> "_Protocol":
+        """Resolve the config, load the prepared data and list the rows; refuse
+        settings a corpus target cannot meet before any run directory exists."""
+        cfg = _resolve_config(args)
+        records, vocab, enc_vocab, vocab_sha = _load_prepared(cfg)
+        examples = corpus_mod.examples_from_records(records)
+        runs = evaluate_mod.protocol_runs(protocol, records, examples, cfg.folds, cfg.seed)
+        _check_targets(vocab, records, cfg.n_top_terms if cfg.use_topics else None, cfg.max_len)
+        bows = corpus_mod.vectorize_all([ex.tokens for ex in examples], vocab)
+        return cls(cfg, protocol == "cross_target", runs, vocab, enc_vocab, vocab_sha,
+                   ntm_mod.compute_log_freq(bows))
+
+    def run_row(self, name: str, split, seed: int) -> list[str]:
+        """Train one row from scratch, write its run directory
+        `train/<fold_i | cross_<target>>/`, and return its test predictions."""
+        cfg = self.cfg
+        run_name = f"cross_{name.replace(' ', '_')}" if self.cross else name
+        out = Path(cfg.out_dir) / "train" / run_name
+        out.mkdir(parents=True, exist_ok=True)
+        write_snapshot(cfg, out / "config.resolved")
+        result = mutual_mod.train_alternating(
+            *_init_models(cfg, self.vocab.size, self.enc_vocab.size, self.log_freq, seed),
+            mutual_mod.TrainData.from_split(
+                split, self.vocab, self.enc_vocab, corpus_mod.vectorize_all
+            ),
+            _schedule(cfg, seed),
+            gamma=cfg.gamma,
+            lr_ntm=cfg.lr_ntm,
+            lr_classifier=cfg.lr_classifier,
+            n_top_terms=cfg.n_top_terms,
+            ratio_p=cfg.ratio_p,
+            use_topics=cfg.use_topics,
+            max_len=cfg.max_len,
+        )
         save_checkpoint(
             out / "checkpoint.bin",
             _checkpoint_arrays(result),
             meta={
                 "seed": seed,
-                "mode": args.mode,
+                "mode": "cross_target" if self.cross else "in_target_fold",
                 "run": run_name,
                 "iterations_run": result.stopped_at_iteration,
                 "step_counters": {
@@ -269,7 +260,7 @@ def cmd_train(args) -> int:
                 },
                 "ntm_config": asdict(result.ntm.cfg),
                 "encoder_config": asdict(result.enc.cfg),
-                "vocab_sha256": vocab_sha,
+                "vocab_sha256": self.vocab_sha,
                 "n_top_terms": cfg.n_top_terms,
                 "ratio_p": cfg.ratio_p,
             },
@@ -279,41 +270,49 @@ def cmd_train(args) -> int:
             ((role, ex) for role in corpus_mod.SPLIT_TAGS for ex in getattr(split, role)),
         )
         mutual_mod.history_to_csv(result.history, out / "history.csv")
-        ntm_mod.export_topic_word_tsv(result.ntm, vocab, out / "topic_word.tsv")
-        topics_rows = sorted(result.topics_by_target.items())
-        if topics_rows:
-            write_topic_report(out / "topics.tsv", topics_rows)
-        probs = _predict_proba(cfg, result, enc_vocab, split.test)
+        ntm_mod.export_topic_word_tsv(result.ntm, self.vocab, out / "topic_word.tsv")
+        if result.topics_by_target:
+            write_topic_report(out / "topics.tsv", sorted(result.topics_by_target.items()))
+        probs = encoder_mod.predict_proba(result.enc, mutual_mod.build_inputs(
+            split.test, result.topics_by_target, self.enc_vocab, cfg.max_len, cfg.use_topics
+        ))
         preds = encoder_mod.labels_of(probs)
         encoder_mod.write_predictions(out / "predictions.tsv", split.test, preds, probs)
+        golds = [ex.label for ex in split.test]
+        report = evaluate_mod.metric_report(evaluate_mod.confusion(golds, preds))
+        evaluate_mod.report_to_csv(out / "metrics.csv", [(run_name, report)])
+        print(f"trained {run_name}: test macro F1 {report.macro_f1:.4f} -> {out}")
         return preds
 
-    _, rows = evaluate_mod.run_protocol(fit_predict, [(run_name, split, seed)])
-    evaluate_mod.report_to_csv(out / "metrics.csv", rows)
-    print(f"trained {run_name}: test macro F1 {rows[0][1].macro_f1:.4f} -> {out}")
+
+def cmd_train(args) -> int:
+    """Train, save and score the one run of the matching protocol that
+    `--fold` or `--held-out` names."""
+    cross = args.mode == "cross_target"
+    if (args.fold if cross else args.held_out) is not None:
+        other = "--fold" if cross else "--held-out"
+        raise ValueError(f"{other} does not apply in {args.mode} mode")
+    if cross and not args.held_out:
+        raise ValueError("--held-out TARGET is required in cross_target mode")
+    protocol = _Protocol.set_up(args, "cross_target" if cross else "in_target")
+    names = [name for name, _, _ in protocol.runs]
+    if cross and args.held_out not in names:
+        raise ValueError(f"unknown target {args.held_out!r}; corpus has {names}")
+    fold = 0 if args.fold is None else args.fold
+    if not cross and not 0 <= fold < len(names):
+        raise ValueError(f"--fold must be in [0, {len(names)})")
+    row = protocol.runs[names.index(args.held_out) if cross else fold]
+    evaluate_mod.run_protocol(protocol.run_row, [row])
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _resolve_config(args)
-    records, vocab, enc_vocab, _ = _load_prepared(cfg)
-    if cfg.use_topics:
-        _check_n_top_terms(cfg.n_top_terms, vocab, records)
-    examples = corpus_mod.examples_from_records(records)
-    out = Path(cfg.out_dir) / "eval"
+    """Run every row of the protocol as `train` would, then write the metrics table."""
+    protocol = _Protocol.set_up(args, args.protocol)
+    out = Path(protocol.cfg.out_dir) / "eval"
     out.mkdir(parents=True, exist_ok=True)
-    write_snapshot(cfg, out / "config.resolved")
-
-    log_freq = _log_freq(examples, vocab)
-
-    def fit_predict(split, seed):
-        result = _train_one(cfg, split, vocab, enc_vocab, log_freq, seed)
-        return encoder_mod.labels_of(_predict_proba(cfg, result, enc_vocab, split.test))
-
-    averaged, rows = evaluate_mod.run_protocol(
-        fit_predict,
-        evaluate_mod.protocol_runs(args.protocol, records, examples, cfg.folds, cfg.seed),
-    )
+    write_snapshot(protocol.cfg, out / "config.resolved")
+    averaged, rows = evaluate_mod.run_protocol(protocol.run_row, protocol.runs)
     evaluate_mod.report_to_csv(out / f"{args.protocol}_metrics.csv", rows, averaged)
     print(
         f"{args.protocol}: macro F1 {averaged.macro_f1:.4f} "
@@ -334,7 +333,7 @@ def cmd_extract_topics(args) -> int:
     for key in ("n_top_terms", "ratio_p"):  # the run's settings, unless flagged
         if getattr(args, key) is None and key in meta:
             setattr(cfg, key, meta[key])
-    _check_n_top_terms(cfg.n_top_terms, vocab, records)
+    _check_targets(vocab, records, cfg.n_top_terms)
     # extraction reads only the vocabularies, never the examples
     data = mutual_mod.TrainData(examples=[], bows=None, vocab=vocab, enc_vocab=enc_vocab)
     targets = sorted({r.target for r in records})
@@ -352,7 +351,7 @@ def cmd_coherence(args) -> int:
     cfg = _resolve_config(args)
     try:
         cutoffs = tuple(int(c) for c in args.cutoffs.split(","))
-        if min(cutoffs) < 2:
+        if min(cutoffs) < 2 or len(set(cutoffs)) < len(cutoffs):
             raise ValueError
     except ValueError:
         raise ValueError(

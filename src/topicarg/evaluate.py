@@ -105,14 +105,14 @@ def protocol_runs(protocol: str, records, examples, k: int, seed: int):
 def run_protocol(fit_predict, runs):
     """Train and score each (name, split, seed) run.
 
-    `fit_predict(split, seed)` trains from scratch and returns labels for
-    `split.test`. Asserts before each run that its held-out target (if any)
+    `fit_predict(name, split, seed)` trains from scratch and returns labels
+    for `split.test`. Asserts before each run that its held-out target (if any)
     is absent from train and val. Returns (averaged report, [(name, report)]).
     """
     rows = []
     for name, split, seed in runs:
         assert_no_leakage(split)
-        preds = fit_predict(split, seed)
+        preds = fit_predict(name, split, seed)
         golds = [ex.label for ex in split.test]
         rows.append((name, metric_report(confusion(golds, preds))))
     return mean_report(report for _, report in rows), rows

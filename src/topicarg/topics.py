@@ -20,16 +20,14 @@ class ExtractedTopics:
     """The argmax topic's key terms for one target."""
 
     topic_index: int
-    term_ids: tuple[int, ...]
     terms: tuple[str, ...]
     weights: tuple[float, ...]
     score: float
-    per_topic_scores: tuple[float, ...] = ()
 
 
 def empty_topics() -> ExtractedTopics:
     """Placeholder for a target without topics: disabled, or none of its words embedded."""
-    return ExtractedTopics(-1, (), (), (), 0.0)
+    return ExtractedTopics(-1, (), (), 0.0)
 
 
 def rank_terms(topic_word: np.ndarray) -> np.ndarray:
@@ -87,14 +85,11 @@ def extract_topics(
     best_cosines = [(normalized[row] @ target_vecs.T).max(axis=1) for row in ids]
     scores = [float(np.sort(c)[::-1][:keep].sum() / len(embedded)) for c in best_cosines]
     best = int(np.argmax(scores))
-    term_ids = tuple(int(i) for i in ids[best])
     return ExtractedTopics(
         topic_index=best,
-        term_ids=term_ids,
-        terms=tuple(vocab.id_to_word[i] for i in term_ids),
+        terms=tuple(vocab.id_to_word[i] for i in ids[best]),
         weights=tuple(float(w) for w in topic_word[best, ids[best]]),
         score=scores[best],
-        per_topic_scores=tuple(scores),
     )
 
 

@@ -364,14 +364,11 @@ def extract_topics(topic_word, embeddings, vocab: Vocabulary, target_tokens, n, 
         return empty_topics()
     scores = [score_topic(normalized[target_ids], normalized[row], p) for row in ids]
     best = int(np.argmax(scores))
-    term_ids = tuple(int(i) for i in ids[best])
     return ExtractedTopics(
         topic_index=best,
-        term_ids=term_ids,
-        terms=tuple(vocab.id_to_word[i] for i in term_ids),
-        weights=tuple(float(topic_word[best, i]) for i in term_ids),
+        terms=tuple(vocab.id_to_word[i] for i in ids[best]),
+        weights=tuple(float(topic_word[best, i]) for i in ids[best]),
         score=scores[best],
-        per_topic_scores=tuple(scores),
     )
 
 

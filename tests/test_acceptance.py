@@ -526,7 +526,7 @@ def test_criterion_8_protocol_integrity(tmp_path):
     # the runner asserts no leakage on every cross-target split
     cross_runs = protocol_runs("cross_target", records, examples, 10, 0)
 
-    def oracle(split, seed):
+    def oracle(name, split, seed):
         assert split.held_out_target not in {ex.target for ex in split.train}
         return [ex.label for ex in split.test]
 
@@ -548,7 +548,7 @@ def test_criterion_8_protocol_integrity(tmp_path):
         sabotage_caught = True
 
     # byte-identical seeded reruns of both protocol reports
-    def majority(split, seed):
+    def majority(name, split, seed):
         top = Counter(ex.label for ex in split.train).most_common(1)[0][0]
         return [top] * len(split.test)
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,14 +11,7 @@ from topicarg import autodiff
 from topicarg import corpus as corpus_mod
 from topicarg import evaluate as evaluate_mod
 from topicarg.checkpoint import load_checkpoint, save_checkpoint
-from topicarg.cli import (
-    _checkpoint_arrays,
-    _resolve_config,
-    _train_one,
-    build_parser,
-    load_run,
-    main,
-)
+from topicarg.cli import _Protocol, _resolve_config, build_parser, load_run, main
 from topicarg.config import RunConfig
 from topicarg.ntm import compute_log_freq
 
@@ -215,6 +209,12 @@ class TestPreparedCorpusLink:
         )
 
 
+RUN_FILES = sorted([
+    "checkpoint.bin", "config.resolved", "history.csv", "metrics.csv", "predictions.tsv",
+    "split.jsonl", "topic_word.tsv", "topics.tsv",
+])
+
+
 class TestTrain:
     def test_in_target_fold_outputs(self, corpus_path, tmp_path):
         out = tmp_path / "run"
@@ -225,11 +225,7 @@ class TestTrain:
         )
         assert code == 0
         run_dir = out / "train" / "fold_0"
-        for name in (
-            "checkpoint.bin", "history.csv", "topic_word.tsv", "topics.tsv",
-            "predictions.tsv", "metrics.csv", "config.resolved", "split.jsonl",
-        ):
-            assert (run_dir / name).exists(), name
+        assert sorted(p.name for p in run_dir.iterdir()) == RUN_FILES
         _, meta = load_checkpoint(run_dir / "checkpoint.bin")
         assert meta["step_counters"]["ntm"] > 0
         assert meta["step_counters"]["classifier"] > 0
@@ -471,6 +467,39 @@ def test_n_top_terms_beyond_the_masked_vocabulary_is_refused(
                      "--no-topics", "--iterations", "1"]) == 0
 
 
+LONG_TARGET = "space mining on the far moon"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["train", "--mode", "cross_target", "--held-out", LONG_TARGET],
+        ["train", "--mode", "in_target_fold", "--fold", "0"],
+        ["evaluate", "--protocol", "cross_target"],
+    ],
+    ids=["train-cross-target", "train-in-target", "evaluate"],
+)
+def test_max_len_a_target_cannot_fit_is_refused_before_training(tmp_path, capsys, command):
+    """[cls] [sep] and the 6 target tokens, plus [sep] and 4 topic terms: 13."""
+    corpus_path = tmp_path / "corpus.tsv"
+    write_tsv([replace(r, target=LONG_TARGET) if r.target == "space mining" else r
+               for r in stance_corpus(n_per_cell=10, seed=0)], corpus_path)
+    out = tmp_path / "run"
+    prepare(corpus_path, out)
+    capsys.readouterr()
+    assert main([*command, *small_flags(corpus_path, out), "--max-len", "12"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config field max_len must be >= 13, the non-sentence tokens "
+        f"of target {LONG_TARGET!r}\n"
+    )
+    assert sorted(p.name for p in out.iterdir()) == ["prepared"]
+    if command[0] == "train":  # the bound is exact; without topics it is 2 + 6
+        assert main([*command, *small_flags(corpus_path, out), "--max-len", "13",
+                     "--iterations", "1"]) == 0
+        assert main([*command, *small_flags(corpus_path, out), "--max-len", "8",
+                     "--iterations", "1", "--no-topics"]) == 0
+
+
 class TestEvaluate:
     def test_full_predictor_cross_target(self, corpus_path, tmp_path):
         out = tmp_path / "run"
@@ -503,8 +532,18 @@ class TestEvaluate:
         runs = 3 if protocol == "in_target" else 2  # folds, or targets
         assert len(rows) == 1 + runs + 1 + 1  # header, runs, mean, final newline
         assert rows[-2].startswith("mean,")
+        # evaluate leaves every row's run directory, as `train` writes it
+        assert sorted(p.name for p in (out / "train").iterdir()) == (
+            [f"fold_{i}" for i in range(3)] if protocol == "in_target"
+            else ["cross_river_dams", "cross_space_mining"]
+        )
+        run_dir = out / "train" / run_name
+        evaluated = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        assert sorted(evaluated) == RUN_FILES
+        shutil.rmtree(run_dir)
         assert main(["train", *run_args, *flags]) == 0
-        trained = (out / "train" / run_name / "metrics.csv").read_text().split("\n")
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == evaluated
+        trained = (run_dir / "metrics.csv").read_text().split("\n")
         assert trained[1].startswith(f"{run_name},")
         assert f"{row},{trained[1].split(',', 1)[1]}" in rows
 
@@ -535,6 +574,7 @@ class TestCheckpoint:
              *small_flags(corpus_path, out)]
         )
         cfg = _resolve_config(args)
+        cfg.out_dir = str(tmp_path / "again")
         records = corpus_mod.load_tsv(corpus_path)
         examples = corpus_mod.examples_from_records(records)
         vocab = corpus_mod.Vocabulary.from_tsv(out / "prepared" / "vocab.tsv")
@@ -542,10 +582,9 @@ class TestCheckpoint:
         log_freq = compute_log_freq(
             corpus_mod.vectorize_all([ex.tokens for ex in examples], vocab)
         )
-        _, split, seed = evaluate_mod.protocol_runs(
-            "in_target", records, examples, cfg.folds, cfg.seed
-        )[0]
-        expected = _checkpoint_arrays(_train_one(cfg, split, vocab, enc_vocab, log_freq, seed))
+        runs = evaluate_mod.protocol_runs("in_target", records, examples, cfg.folds, cfg.seed)
+        _Protocol(cfg, False, runs, vocab, enc_vocab, {}, log_freq).run_row(*runs[0])
+        expected, _ = load_checkpoint(tmp_path / "again" / "train" / "fold_0" / "checkpoint.bin")
         arrays, _ = load_checkpoint(checkpoint)
         assert arrays["ntm/log_freq"].tobytes() == log_freq.tobytes()
         assert sorted(arrays) == sorted(expected)
@@ -716,7 +755,7 @@ class TestExtractAndCoherence:
         assert capsys.readouterr().err == f"error: {topics}: no topic lines\n"
         assert not (out / "coherence.csv").exists()
 
-    @pytest.mark.parametrize("cutoffs", ["5,x", "5,-1", "1", ""])
+    @pytest.mark.parametrize("cutoffs", ["5,x", "5,-1", "1", "", "5,5"])
     def test_malformed_cutoffs_are_a_clean_error(self, corpus_path, tmp_path, capsys,
                                                  cutoffs):
         out = tmp_path / "run"

@@ -164,11 +164,11 @@ class TestMetricReport:
             mean_report([])
 
 
-def oracle_fit_predict(split, seed):
+def oracle_fit_predict(name, split, seed):
     return [ex.label for ex in split.test]
 
 
-def majority_fit_predict(split, seed):
+def majority_fit_predict(name, split, seed):
     majority = Counter(ex.label for ex in split.train).most_common(1)[0][0]
     return [majority] * len(split.test)
 
@@ -270,9 +270,9 @@ class TestCrossTargetRunner:
         bad = DatasetSplit(train=examples, val=[], test=examples, held_out_target="space mining")
         fitted = []
 
-        def fit_predict(split, seed):
+        def fit_predict(name, split, seed):
             fitted.append(split.held_out_target)
-            return oracle_fit_predict(split, seed)
+            return oracle_fit_predict(name, split, seed)
 
         with pytest.raises(AssertionError, match="'space mining' leaked"):
             run_protocol(fit_predict, [clean, ("space mining", bad, 1)])

@@ -85,7 +85,7 @@ def topic_score(target_vecs, topic_vecs, p):
         topic_word, rank_terms(topic_word), np.vstack([target_vecs, topic_vecs]), vocab,
         vocab.id_to_word[:n_tau], n_t, p,
     )
-    assert extracted.term_ids == tuple(range(n_tau, n_tau + n_t))
+    assert extracted.terms == tuple(vocab.id_to_word[n_tau:])
     return extracted.score
 
 
@@ -291,10 +291,8 @@ class TestExtractTopics:
     def test_terms_resolve_to_words(self):
         topic_word, vectors, vocab, target, _ = self._setup(5)
         extracted = extract_planted(topic_word, vectors, vocab, target, 5)
-        assert all(
-            vocab.index_of[t] == i for t, i in zip(extracted.terms, extracted.term_ids)
-        )
-        assert extracted.weights == tuple(topic_word[extracted.topic_index, extracted.term_ids])
+        term_ids = [vocab.index_of[t] for t in extracted.terms]
+        assert extracted.weights == tuple(topic_word[extracted.topic_index, term_ids])
 
 
 class TestEmbeddingTable:
