@@ -9,7 +9,9 @@ import argparse
 import hashlib
 import json
 import logging
+import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -118,10 +120,17 @@ def _load_prepared(cfg: RunConfig):
     return records, vocab, enc_vocab, vocab_sha
 
 
-def _check_targets(vocab: Vocabulary, records, n_top_terms, max_len=None) -> None:
+def _cross_run_name(target: str) -> str:
+    return f"cross_{target.replace(' ', '_')}"
+
+
+def _check_targets(vocab: Vocabulary, records, n_top_terms, max_len=None, cross=False) -> None:
     """Refuse settings some corpus target cannot meet: an `n_top_terms` (None:
-    topics off) its topic rows cannot fill once its own words are masked, or a
-    `max_len` its non-sentence segments exceed as `encoder.build_input` counts them."""
+    topics off) its topic rows cannot fill once its own words are masked, a
+    `max_len` its non-sentence segments exceed, or (`cross`) a cross-target run
+    directory that would leave `train/` or be another target's; the `cross_`
+    prefix already rules out `.` and `..`."""
+    runs: dict[str, str] = {}
     for target in sorted({r.target for r in records}):
         tokens = corpus_mod.tokenize(target, mode="encoder")
         ids = set(vocab.ids(tokens))
@@ -131,11 +140,20 @@ def _check_targets(vocab: Vocabulary, records, n_top_terms, max_len=None) -> Non
                 f"config field n_top_terms must be <= {room}, the vocabulary words "
                 f"left after masking target {target!r}"
             )
-        fixed = 2 + len(tokens) + (1 + n_top_terms if n_top_terms is not None and ids else 0)
+        fixed = encoder_mod.non_sentence_length(len(tokens), (n_top_terms or 0) if ids else 0)
         if max_len is not None and max_len < fixed:
             raise ValueError(
                 f"config field max_len must be >= {fixed}, the non-sentence tokens "
                 f"of target {target!r}"
+            )
+        run = _cross_run_name(target)
+        if cross and ("/" in run or "\\" in run):
+            raise ValueError(
+                f"target {target!r} cannot name a run directory: {run!r} is not one path component"
+            )
+        if cross and runs.setdefault(run, target) != target:
+            raise ValueError(
+                f"targets {runs[run]!r} and {target!r} would share the run directory train/{run}"
             )
 
 
@@ -198,6 +216,21 @@ def load_run(path):
     return ntm, enc, groups["proj"] or None, meta
 
 
+@contextmanager
+def _replaced_when_complete(out: Path):
+    """Yield an empty temporary sibling of `out` that replaces `out` once the
+    block completes; if the block raises, `out` is left as it was."""
+    tmp = out.with_name(f".{out.name}.tmp")
+    shutil.rmtree(tmp, ignore_errors=True)  # left by a run that was killed
+    tmp.mkdir(parents=True)
+    try:
+        yield tmp
+        shutil.rmtree(out, ignore_errors=True)
+        tmp.rename(out)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
 @dataclass
 class _Protocol:
     """A protocol's (name, split, seed) rows and what training any of them
@@ -219,68 +252,70 @@ class _Protocol:
         records, vocab, enc_vocab, vocab_sha = _load_prepared(cfg)
         examples = corpus_mod.examples_from_records(records)
         runs = evaluate_mod.protocol_runs(protocol, records, examples, cfg.folds, cfg.seed)
-        _check_targets(vocab, records, cfg.n_top_terms if cfg.use_topics else None, cfg.max_len)
+        _check_targets(vocab, records, cfg.n_top_terms if cfg.use_topics else None, cfg.max_len,
+                       cross=protocol == "cross_target")
         bows = corpus_mod.vectorize_all([ex.tokens for ex in examples], vocab)
         return cls(cfg, protocol == "cross_target", runs, vocab, enc_vocab, vocab_sha,
                    ntm_mod.compute_log_freq(bows))
 
     def run_row(self, name: str, split, seed: int) -> list[str]:
         """Train one row from scratch, write its run directory
-        `train/<fold_i | cross_<target>>/`, and return its test predictions."""
+        `train/<fold_i | cross_<target>>/`, and return its test predictions. The
+        directory is replaced only once every file of the row is written."""
         cfg = self.cfg
-        run_name = f"cross_{name.replace(' ', '_')}" if self.cross else name
+        run_name = _cross_run_name(name) if self.cross else name
         out = Path(cfg.out_dir) / "train" / run_name
-        out.mkdir(parents=True, exist_ok=True)
-        write_snapshot(cfg, out / "config.resolved")
-        result = mutual_mod.train_alternating(
-            *_init_models(cfg, self.vocab.size, self.enc_vocab.size, self.log_freq, seed),
-            mutual_mod.TrainData.from_split(
-                split, self.vocab, self.enc_vocab, corpus_mod.vectorize_all
-            ),
-            _schedule(cfg, seed),
-            gamma=cfg.gamma,
-            lr_ntm=cfg.lr_ntm,
-            lr_classifier=cfg.lr_classifier,
-            n_top_terms=cfg.n_top_terms,
-            ratio_p=cfg.ratio_p,
-            use_topics=cfg.use_topics,
-            max_len=cfg.max_len,
-        )
-        save_checkpoint(
-            out / "checkpoint.bin",
-            _checkpoint_arrays(result),
-            meta={
-                "seed": seed,
-                "mode": "cross_target" if self.cross else "in_target_fold",
-                "run": run_name,
-                "iterations_run": result.stopped_at_iteration,
-                "step_counters": {
-                    "ntm": result.ntm_steps,
-                    "classifier": result.classifier_steps,
+        with _replaced_when_complete(out) as tmp:
+            write_snapshot(cfg, tmp / "config.resolved")
+            result = mutual_mod.train_alternating(
+                *_init_models(cfg, self.vocab.size, self.enc_vocab.size, self.log_freq, seed),
+                mutual_mod.TrainData.from_split(
+                    split, self.vocab, self.enc_vocab, corpus_mod.vectorize_all
+                ),
+                _schedule(cfg, seed),
+                gamma=cfg.gamma,
+                lr_ntm=cfg.lr_ntm,
+                lr_classifier=cfg.lr_classifier,
+                n_top_terms=cfg.n_top_terms,
+                ratio_p=cfg.ratio_p,
+                use_topics=cfg.use_topics,
+                max_len=cfg.max_len,
+            )
+            save_checkpoint(
+                tmp / "checkpoint.bin",
+                _checkpoint_arrays(result),
+                meta={
+                    "seed": seed,
+                    "mode": "cross_target" if self.cross else "in_target_fold",
+                    "run": run_name,
+                    "iterations_run": result.stopped_at_iteration,
+                    "step_counters": {
+                        "ntm": result.ntm_steps,
+                        "classifier": result.classifier_steps,
+                    },
+                    "ntm_config": asdict(result.ntm.cfg),
+                    "encoder_config": asdict(result.enc.cfg),
+                    "vocab_sha256": self.vocab_sha,
+                    "n_top_terms": cfg.n_top_terms,
+                    "ratio_p": cfg.ratio_p,
                 },
-                "ntm_config": asdict(result.ntm.cfg),
-                "encoder_config": asdict(result.enc.cfg),
-                "vocab_sha256": self.vocab_sha,
-                "n_top_terms": cfg.n_top_terms,
-                "ratio_p": cfg.ratio_p,
-            },
-        )
-        corpus_mod.write_examples_jsonl(
-            out / "split.jsonl",
-            ((role, ex) for role in corpus_mod.SPLIT_TAGS for ex in getattr(split, role)),
-        )
-        mutual_mod.history_to_csv(result.history, out / "history.csv")
-        ntm_mod.export_topic_word_tsv(result.ntm, self.vocab, out / "topic_word.tsv")
-        if result.topics_by_target:
-            write_topic_report(out / "topics.tsv", sorted(result.topics_by_target.items()))
-        probs = encoder_mod.predict_proba(result.enc, mutual_mod.build_inputs(
-            split.test, result.topics_by_target, self.enc_vocab, cfg.max_len, cfg.use_topics
-        ))
-        preds = encoder_mod.labels_of(probs)
-        encoder_mod.write_predictions(out / "predictions.tsv", split.test, preds, probs)
-        golds = [ex.label for ex in split.test]
-        report = evaluate_mod.metric_report(evaluate_mod.confusion(golds, preds))
-        evaluate_mod.report_to_csv(out / "metrics.csv", [(run_name, report)])
+            )
+            corpus_mod.write_examples_jsonl(
+                tmp / "split.jsonl",
+                ((role, ex) for role in corpus_mod.SPLIT_TAGS for ex in getattr(split, role)),
+            )
+            mutual_mod.history_to_csv(result.history, tmp / "history.csv")
+            ntm_mod.export_topic_word_tsv(result.ntm, self.vocab, tmp / "topic_word.tsv")
+            if result.topics_by_target:
+                write_topic_report(tmp / "topics.tsv", sorted(result.topics_by_target.items()))
+            probs = encoder_mod.predict_proba(result.enc, encoder_mod.build_inputs(
+                split.test, result.topics_by_target, self.enc_vocab, cfg.max_len, cfg.use_topics
+            ))
+            preds = encoder_mod.labels_of(probs)
+            encoder_mod.write_predictions(tmp / "predictions.tsv", split.test, preds, probs)
+            golds = [ex.label for ex in split.test]
+            report = evaluate_mod.metric_report(evaluate_mod.confusion(golds, preds))
+            evaluate_mod.report_to_csv(tmp / "metrics.csv", [(run_name, report)])
         print(f"trained {run_name}: test macro F1 {report.macro_f1:.4f} -> {out}")
         return preds
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -40,21 +41,33 @@ class EncoderConfig:
         return MlpSpec((self.output_dim, self.num_classes))
 
 
-@dataclass(frozen=True)
-class EncoderInput:
-    """Token ids and how many of them each segment holds: sentence, target, topics."""
+@dataclass(frozen=True, eq=False)
+class EncoderInputs:
+    """Every input's token ids in turn, and its (sentence, target, topics) lengths;
+    `inputs[rows]` gathers an index array or slice of inputs in O(their tokens)."""
 
-    token_ids: tuple[int, ...]
-    segment_lengths: tuple[int, int, int]
+    ids: np.ndarray  # int64
+    lengths: np.ndarray  # (N, 3) int64
 
     def __post_init__(self):
-        lengths = self.segment_lengths
-        ints = all(isinstance(n, (int, np.integer)) and n >= 0 for n in lengths)
-        if len(lengths) != len(SEGMENTS) or not ints or sum(lengths) != len(self.token_ids):
+        n = self.lengths
+        bad = n.ndim != 2 or n.shape[1] != len(SEGMENTS) or n.dtype.kind != "i"
+        if bad or (n < 0).any() or n.sum() != len(self.ids):
             raise ValueError(
-                f"segment_lengths must be {len(SEGMENTS)} ints >= 0 summing to "
-                f"len(token_ids)={len(self.token_ids)}, got {lengths!r}"
+                f"lengths must be (N, 3) ints >= 0 summing to len(ids)={len(self.ids)}"
             )
+        sizes = n.sum(axis=1)
+        object.__setattr__(self, "starts", np.cumsum(sizes) - sizes)  # of each input in ids
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, rows) -> EncoderInputs:
+        lengths = self.lengths[rows]
+        sizes = lengths.sum(axis=1)
+        # each gathered token's position: its input's start plus its rank in the input
+        shift = np.repeat(self.starts[rows] - (np.cumsum(sizes) - sizes), sizes)
+        return EncoderInputs(self.ids[shift + np.arange(len(shift))], lengths)
 
 
 class EncoderParams:
@@ -89,39 +102,39 @@ def build_encoder_vocab(
     return Vocabulary(index_of={w: i for i, w in enumerate(words)}, id_to_word=words)
 
 
-def build_input(
-    sentence_tokens,
-    target_tokens,
-    topic_terms,
-    vocab: Vocabulary,
-    max_len: int = 128,
-) -> EncoderInput:
-    """[cls] sentence [sep] target [sep] topics, truncating the sentence only.
+def non_sentence_length(n_target: int, n_topics: int) -> int:
+    """[cls], [sep] and the target, plus [sep] and the topic terms when there are any."""
+    return 2 + n_target + (1 + n_topics if n_topics else 0)
 
-    Segments: [cls] sentence [sep]; the target, plus the [sep] before the topic
-    terms when there are any (with none, e.g. `()`, it is dropped); the topic
-    terms. OOV tokens map to the unknown marker.
+
+def build_inputs(examples, topics_by_target, enc_vocab: Vocabulary, max_len: int,
+                 use_topics: bool) -> EncoderInputs:
+    """[cls] sentence [sep] target [sep] topics for every example, in one pass.
+
+    Only the sentence is truncated; with no topic terms their [sep] is dropped.
+    OOV tokens map to the unknown marker.
     """
-    topic_terms = list(topic_terms)
-    target_tokens = list(target_tokens)
-    fixed = 2 + len(target_tokens) + (1 + len(topic_terms) if topic_terms else 0)
-    if max_len < fixed:
-        raise ValueError(
-            f"max_len={max_len} cannot fit the non-sentence segments ({fixed} tokens)"
-        )
-    sentence_tokens = list(sentence_tokens)[: max_len - fixed]
-
-    def wid(token: str) -> int:
-        return vocab.index_of.get(token, vocab.index_of[UNK])
-
-    tokens = [CLS] + sentence_tokens + [SEP] + target_tokens
-    if topic_terms:
-        tokens += [SEP] + topic_terms
-    n_sentence, n_topics = len(sentence_tokens) + 2, len(topic_terms)
-    return EncoderInput(
-        token_ids=tuple(wid(t) for t in tokens),
-        segment_lengths=(n_sentence, len(tokens) - n_sentence - n_topics, n_topics),
-    )
+    tails = {}  # per target: the sentence's room, [sep] target [sep] topics, topic count
+    for target in dict.fromkeys(ex.target for ex in examples):
+        tokens = tokenize(target, mode="encoder")
+        terms = topics_by_target[target].terms if use_topics else ()
+        fixed = non_sentence_length(len(tokens), len(terms))
+        if max_len < fixed:
+            raise ValueError(
+                f"max_len={max_len} cannot fit the non-sentence segments ({fixed} tokens)"
+            )
+        tail = [SEP, *tokens, SEP, *terms] if terms else [SEP, *tokens]
+        tails[target] = max_len - fixed, tail, len(terms)
+    parts, lengths = [], []
+    for ex in examples:
+        room, tail, n_topics = tails[ex.target]
+        sentence = ex.tokens[:room]
+        parts += ((CLS,), sentence, tail)
+        lengths.append((len(sentence) + 2, len(tail) - 1 - n_topics, n_topics))
+    lengths = np.array(lengths, dtype=np.int64).reshape(-1, len(SEGMENTS))
+    index_of = enc_vocab.index_of
+    ids = map(index_of.get, chain.from_iterable(parts), repeat(index_of[UNK]))
+    return EncoderInputs(np.fromiter(ids, np.int64, int(lengths.sum())), lengths)
 
 
 def init_encoder(cfg: EncoderConfig, rng: SeededRng) -> EncoderParams:
@@ -135,20 +148,18 @@ def init_encoder(cfg: EncoderConfig, rng: SeededRng) -> EncoderParams:
     return EncoderParams(cfg, params)
 
 
-def encode_batch_graph(params: dict, cfg: EncoderConfig, inputs) -> ad.Tensor:
+def encode_batch_graph(params: dict, cfg: EncoderConfig, inputs: EncoderInputs) -> ad.Tensor:
     """Batched encode: one embedding gather, then one mean per (input, segment).
 
     Pooling costs O(tokens); an absent segment pools to zeros. Returns (B, d_h).
     """
     if not inputs:
         raise ValueError("encode_batch_graph needs at least one input")
-    ids = np.concatenate([np.asarray(x.token_ids, dtype=np.int64) for x in inputs])
     n_seg = len(SEGMENTS)
     # key 3i + s for the tokens of input i's segment s: sorted by construction
-    lengths = [n for x in inputs for n in x.segment_lengths]
-    keys = np.repeat(np.arange(len(inputs) * n_seg), lengths)
+    keys = np.repeat(np.arange(len(inputs) * n_seg), inputs.lengths.ravel())
     segs = keys % n_seg
-    rows = ad.take_rows(params["word_emb"], ids) + ad.take_rows(params["seg_emb"], segs)
+    rows = ad.take_rows(params["word_emb"], inputs.ids) + ad.take_rows(params["seg_emb"], segs)
     pooled = ad.segment_mean(rows, keys, len(inputs) * n_seg)  # (B*3, emb_dim)
     stacked = ad.reshape(pooled, (len(inputs), n_seg * cfg.emb_dim))
     return mlp_forward(cfg.body_spec(), params, stacked, prefix="body.")

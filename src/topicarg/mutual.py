@@ -18,9 +18,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import ArgumentExample, DatasetSplit, Vocabulary, tokenize
-from .encoder import (  # perfbench/tracing.py patches _encode_all and encode_batch by name here
+from .encoder import (  # perfbench/tracing.py patches some of these names here
+    EncoderInputs,
     EncoderParams,
-    build_input,
+    build_inputs,
     classify_graph,
     encode_all as _encode_all,
     encode_batch,
@@ -107,7 +108,7 @@ class ClassifierEpochStats:
 
 def train_classifier_epoch(
     enc: EncoderParams,
-    inputs,
+    inputs: EncoderInputs,
     gold_indices,
     optimizer: OptimizerState,
     batch_size: int,
@@ -129,16 +130,16 @@ def train_classifier_epoch(
     mutual_on = proj_params is not None and z_targets is not None
     order = rng.permutation(n)
     onehot_all = np.eye(enc.cfg.num_classes)
+    gold = np.asarray(gold_indices)
     sum_ce = sum_mutual = 0.0
     for start in range(0, n, batch_size):
         idx = order[start : start + batch_size]
-        batch_inputs = [inputs[i] for i in idx]
         leaves = ad.lift(enc.params)
         if mutual_on:
             leaves.update(ad.lift(proj_params))
-        h = encode_batch_graph(leaves, enc.cfg, batch_inputs)
+        h = encode_batch_graph(leaves, enc.cfg, inputs[idx])
         probs = classify_graph(leaves, enc.cfg, h)
-        onehot = onehot_all[[gold_indices[i] for i in idx]]
+        onehot = onehot_all[gold[idx]]
         ce_sum = -ad.tensor_sum(ad.constant(onehot) * ad.log(probs + EPS))
         loss = ce_sum
         if mutual_on:
@@ -236,20 +237,6 @@ def extract_topics_for_targets(
         if not out[target].terms:
             logger.warning("no topics for target %r: none of its words is embedded", target)
     return out
-
-
-def build_inputs(examples, topics_by_target, enc_vocab, max_len, use_topics):
-    target_tokens = {
-        target: tokenize(target, mode="encoder")
-        for target in dict.fromkeys(ex.target for ex in examples)
-    }
-    return [
-        build_input(
-            ex.tokens, target_tokens[ex.target],
-            topics_by_target[ex.target].terms if use_topics else (), enc_vocab, max_len,
-        )
-        for ex in examples
-    ]
 
 
 @contextmanager

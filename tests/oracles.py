@@ -24,7 +24,7 @@ from topicarg.corpus import (
     label_of,
     tokenize,
 )
-from topicarg.encoder import MARKERS
+from topicarg.encoder import CLS, MARKERS, SEP, UNK
 from topicarg.nn import EPS, SeededRng, mlp_forward
 from topicarg.ntm import NtmParams, normalize_bow
 from topicarg.topics import ExtractedTopics, empty_topics
@@ -162,11 +162,37 @@ def infer(ntm: NtmParams, v) -> tuple[np.ndarray, np.ndarray]:
     return mu, logvar
 
 
-# encoder: one segment tag per input token
+# encoder: one input at a time, and one segment tag per input token
+
+
+def build_input(sentence_tokens, target_tokens, topic_terms, vocab: Vocabulary, max_len: int):
+    """One input as (token ids, (sentence, target, topics) lengths).
+
+    [cls] sentence [sep] target [sep] topics, truncating the sentence only; with
+    no topic terms their [sep] is dropped. OOV tokens map to the unknown marker.
+    """
+    topic_terms = list(topic_terms)
+    target_tokens = list(target_tokens)
+    fixed = 2 + len(target_tokens) + (1 + len(topic_terms) if topic_terms else 0)
+    if max_len < fixed:
+        raise ValueError(
+            f"max_len={max_len} cannot fit the non-sentence segments ({fixed} tokens)"
+        )
+    sentence_tokens = list(sentence_tokens)[: max_len - fixed]
+
+    def wid(token: str) -> int:
+        return vocab.index_of.get(token, vocab.index_of[UNK])
+
+    tokens = [CLS] + sentence_tokens + [SEP] + target_tokens
+    if topic_terms:
+        tokens += [SEP] + topic_terms
+    n_sentence, n_topics = len(sentence_tokens) + 2, len(topic_terms)
+    lengths = (n_sentence, len(tokens) - n_sentence - n_topics, n_topics)
+    return tuple(wid(t) for t in tokens), lengths
 
 
 def segment_tags(sentence_tokens, target_tokens, topic_terms, max_len: int) -> tuple[int, ...]:
-    """The tag (0 sentence, 1 target, 2 topics) of each token `build_input` emits.
+    """The tag (0 sentence, 1 target, 2 topics) of each token of an encoder input.
 
     Markers carry the tag of the segment they open or close: [cls] and the
     first [sep] are sentence, the [sep] before the topic terms is target. The

@@ -10,6 +10,7 @@ from synthdata import stance_corpus, write_tsv
 from topicarg import autodiff
 from topicarg import corpus as corpus_mod
 from topicarg import evaluate as evaluate_mod
+from topicarg import mutual as mutual_mod
 from topicarg.checkpoint import load_checkpoint, save_checkpoint
 from topicarg.cli import _Protocol, _resolve_config, build_parser, load_run, main
 from topicarg.config import RunConfig
@@ -498,6 +499,75 @@ def test_max_len_a_target_cannot_fit_is_refused_before_training(tmp_path, capsys
                      "--iterations", "1"]) == 0
         assert main([*command, *small_flags(corpus_path, out), "--max-len", "8",
                      "--iterations", "1", "--no-topics"]) == 0
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["evaluate", "--protocol", "cross_target"],
+     ["train", "--mode", "cross_target", "--held-out", "space mining"]],
+    ids=["evaluate", "train"],
+)
+@pytest.mark.parametrize(
+    "renamed, err",
+    [
+        ("../../escaped", "target '../../escaped' cannot name a run directory: "
+                          "'cross_../../escaped' is not one path component"),
+        ("dams\\..\\escaped", "target 'dams\\\\..\\\\escaped' cannot name a run directory: "
+                              "'cross_dams\\\\..\\\\escaped' is not one path component"),
+        ("space_mining", "targets 'space mining' and 'space_mining' would share the run "
+                         "directory train/cross_space_mining"),
+    ],
+    ids=["slash", "backslash", "collision"],
+)
+def test_cross_target_run_names_that_leave_train_or_coincide_are_refused(
+    tmp_path, capsys, command, renamed, err
+):
+    corpus_path = tmp_path / "corpus.tsv"
+    write_tsv([replace(r, target=renamed) if r.target == "river dams" else r
+               for r in stance_corpus(n_per_cell=10, seed=0)], corpus_path)
+    out = tmp_path / "run"
+    prepare(corpus_path, out)
+    capsys.readouterr()
+    assert main([*command, *small_flags(corpus_path, out)]) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["prepared"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.tsv", "run"]
+    if command[0] == "train":  # in-target rows are named fold_i, so they still train
+        assert main(["train", "--mode", "in_target_fold", "--fold", "0",
+                     *small_flags(corpus_path, out), "--iterations", "1"]) == 0
+
+
+def test_a_failed_row_leaves_the_run_directories_as_they_were(
+    corpus_path, tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "run"
+    train_fold_0(corpus_path, out)
+
+    def tree():
+        return {str(p.relative_to(out / "train")): p.read_bytes() if p.is_file() else None
+                for p in sorted((out / "train").rglob("*"))}
+
+    before = tree()
+    assert sorted(before) == ["fold_0", *(f"fold_0/{name}" for name in RUN_FILES)]
+
+    def diverge(*args, **kwargs):
+        raise FloatingPointError("classifier phase: non-finite gradient")
+
+    with monkeypatch.context() as m:
+        m.setattr(mutual_mod, "train_alternating", diverge)
+        capsys.readouterr()
+        # a rerun with other settings, and an evaluate whose first row is that run
+        assert main(["train", "--mode", "in_target_fold", "--fold", "0",
+                     *small_flags(corpus_path, out), "--seed", "9"]) == 1
+        assert main(["evaluate", "--protocol", "in_target", *small_flags(corpus_path, out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: classifier phase: non-finite gradient\n" * 2
+        )
+    assert tree() == before
+    # a rerun that completes replaces the whole directory: no topics.tsv without topics
+    assert main(["train", "--mode", "in_target_fold", "--fold", "0",
+                 *small_flags(corpus_path, out), "--no-topics", "--iterations", "1"]) == 0
+    assert sorted(tree()) == ["fold_0", *(f"fold_0/{n}" for n in RUN_FILES if n != "topics.tsv")]
 
 
 class TestEvaluate:

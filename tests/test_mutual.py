@@ -280,8 +280,11 @@ class TestClassifierEpoch:
 
     def test_input_length_mismatch(self):
         ntm, enc, data = _training_setup()
-        with pytest.raises(ValueError):
-            train_classifier_epoch(enc, [], [], adamw(1e-3), 4, SeededRng(0))
+        inputs = build_inputs(data.examples[:2], {}, data.enc_vocab, 64, False)
+        with pytest.raises(ValueError, match="no training inputs"):
+            train_classifier_epoch(enc, inputs[:0], [], adamw(1e-3), 4, SeededRng(0))
+        with pytest.raises(ValueError, match="differ in length"):
+            train_classifier_epoch(enc, inputs, [0], adamw(1e-3), 4, SeededRng(0))
 
 
 class TestClassifierSideGradient:
@@ -595,7 +598,7 @@ def test_held_out_target_gets_topics_and_no_training_input_changes():
     assert held_out not in {ex.target for ex in data.examples + data.val_examples}
     assert result.topics_by_target[held_out].terms
     test_inputs = build_inputs(split.test, result.topics_by_target, enc_vocab, 64, True)
-    assert test_inputs and all(min(x.segment_lengths) > 0 for x in test_inputs)
+    assert len(test_inputs) and (test_inputs.lengths > 0).all()
     # without the test targets the run trains bitwise the same; only the
     # held-out target's topics are missing
     _, blind = run(dataclasses.replace(split, test=[]))
