@@ -32,8 +32,15 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     if not path.exists():
         raise FileNotFoundError(f"no checkpoint at {path}")
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("magic") != _MAGIC:
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError:  # not UTF-8 or not JSON
+            header = None
+        if not (isinstance(header, dict) and header.get("magic") == _MAGIC):
             raise ValueError(f"{path} is not a {_MAGIC} file")
-        arrays = {name: np.load(fh, allow_pickle=False) for name in header["names"]}
-    return arrays, header["meta"]
+        meta, names = header.get("meta"), header.get("names")
+        if not (isinstance(meta, dict) and isinstance(names, list)
+                and all(isinstance(name, str) for name in names)):
+            raise ValueError(f"{path}: its header needs a meta object and a names list of strings")
+        arrays = {name: np.load(fh, allow_pickle=False) for name in names}
+    return arrays, meta

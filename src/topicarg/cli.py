@@ -106,7 +106,12 @@ def _load_prepared(cfg: RunConfig):
     if not (out / "manifest.json").exists():
         raise FileNotFoundError(f"no prepared data under {out}; run `prepare` first")
     records = corpus_mod.load_tsv(cfg.data)
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    except ValueError as err:  # not UTF-8 or not JSON
+        raise ValueError(f"{out / 'manifest.json'} is not JSON ({err}); re-run prepare") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{out / 'manifest.json'} is not a JSON object; re-run prepare")
     if manifest.get("corpus_sha256") != _sha256(Path(cfg.data)):
         raise ValueError(
             f"prepared data under {out} was built from another corpus; re-run prepare"
@@ -206,14 +211,19 @@ def load_run(path):
         raise ValueError(f"{path} stores no model configs; retrain it with `train`")
     groups: dict[str, dict[str, np.ndarray]] = {"ntm": {}, "enc": {}, "proj": {}}
     for name, array in arrays.items():
-        group, key = name.split("/", 1)
+        group, _, key = name.partition("/")
+        if group not in groups or not key:
+            raise ValueError(f"{path}: array {name!r} is not under ntm/, enc/ or proj/")
         groups[group][key] = array
-    log_freq = groups["ntm"].pop("log_freq")
-    ntm = ntm_mod.NtmParams(ntm_mod.NtmConfig(**meta["ntm_config"]), groups["ntm"], log_freq)
-    enc = encoder_mod.EncoderParams(
-        encoder_mod.EncoderConfig(**meta["encoder_config"]), groups["enc"]
-    )
-    return ntm, enc, groups["proj"] or None, meta
+    if "log_freq" not in groups["ntm"]:
+        raise ValueError(f"{path} holds no ntm/log_freq array")
+    try:
+        ntm_cfg = ntm_mod.NtmConfig(**meta["ntm_config"])
+        enc_cfg = encoder_mod.EncoderConfig(**meta["encoder_config"])
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"{path}: malformed model configs in its header ({err!r})") from None
+    ntm = ntm_mod.NtmParams(ntm_cfg, groups["ntm"], groups["ntm"].pop("log_freq"))
+    return ntm, encoder_mod.EncoderParams(enc_cfg, groups["enc"]), groups["proj"] or None, meta
 
 
 @contextmanager
@@ -344,11 +354,13 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     """Run every row of the protocol as `train` would, then write the metrics table."""
     protocol = _Protocol.set_up(args, args.protocol)
-    out = Path(protocol.cfg.out_dir) / "eval"
-    out.mkdir(parents=True, exist_ok=True)
-    write_snapshot(protocol.cfg, out / "config.resolved")
     averaged, rows = evaluate_mod.run_protocol(protocol.run_row, protocol.runs)
-    evaluate_mod.report_to_csv(out / f"{args.protocol}_metrics.csv", rows, averaged)
+    out = Path(protocol.cfg.out_dir) / "eval"
+    with _replaced_when_complete(out) as tmp:
+        for kept in out.glob("*_metrics.csv"):  # the other protocol's table stays
+            shutil.copyfile(kept, tmp / kept.name)
+        write_snapshot(protocol.cfg, tmp / "config.resolved")
+        evaluate_mod.report_to_csv(tmp / f"{args.protocol}_metrics.csv", rows, averaged)
     print(
         f"{args.protocol}: macro F1 {averaged.macro_f1:.4f} "
         f"over {len(rows)} runs -> {out}"

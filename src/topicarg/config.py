@@ -61,15 +61,6 @@ class RunConfig:
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_value(raw: str, type_):
-    if type_ is bool:
-        value = _BOOL_STRINGS.get(raw.strip().lower())
-        if value is None:
-            raise ValueError(f"cannot parse boolean from {raw!r}")
-        return value
-    return type_(raw)
-
-
 def load_config_file(path) -> RunConfig:
     """Parse key=value lines; '#' starts a comment, blank lines ignored."""
     cfg = RunConfig()
@@ -84,7 +75,14 @@ def load_config_file(path) -> RunConfig:
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            setattr(cfg, key, _parse_value(raw, types[key]))
+            type_ = types[key]
+            try:
+                value = _BOOL_STRINGS[raw.lower()] if type_ is bool else type_(raw)
+            except (KeyError, ValueError):
+                raise ValueError(
+                    f"{path}:{lineno}: config key {key!r} expects {type_.__name__}, got {raw!r}"
+                ) from None
+            setattr(cfg, key, value)
     return cfg
 
 

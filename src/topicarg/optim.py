@@ -14,8 +14,8 @@ from .autodiff import RowSparse
 class PackedRows:
     """The layout of a packed parameter's moments: m[:n] and v[:n] hold rows
     `rows` of the row layout (n = rows.size, in the order they first became
-    live), slot[r] is row r's index among them (-1 while r is dead), and the
-    rows past n that m and v have room for are +0.0."""
+    live), slot[r] is row r's index among them (-1 while r is dead), and
+    their rows past n are +0.0."""
 
     rows: np.ndarray
     slot: np.ndarray
@@ -90,11 +90,9 @@ _CHUNK = 16384
 # the live rows. In steady-state timings (CHANGES.md: rows live in random
 # order, 300 or 200 of them touched per step) a packed step is as fast as
 # the in-place walk at 0.6 live for 30003x100 AdamW and at 0.7 for 4888x256
-# Adam, and slower past that. The share sits at half, below both, so a
-# packed buffer never outgrows half its table, and the full fold, whose
-# tables end 91-100% live, walks whole tables for most of its steps. Packed
-# m and v are mapped once with room for the most rows a packed parameter can
-# have live, ceil(_PACKED_SHARE * rows).
+# Adam, and slower past that. The share sits at half, below both, and the
+# full fold, whose tables end 91-100% live, walks whole tables for most of
+# its steps.
 _PACKED_SHARE = 0.5
 
 
@@ -181,30 +179,23 @@ def _step_row_sparse(step: _Step, p, m, v, g: RowSparse, packed: PackedRows | No
     p[g.rows], m[slots], v[slots] = touched
 
 
-def _packed_shape(shape: tuple) -> tuple:
-    """The shape of packed m and v: room for the most rows a packed parameter
-    of this shape can have live."""
-    return math.ceil(_PACKED_SHARE * shape[0]), shape[1]
-
-
 def _mapped_zeros(shape: tuple) -> np.ndarray:
     """Zeros in an anonymous mapping of their own. Untouched pages take no
-    memory, and the mapping goes back to the system when the array is freed,
-    so a packed buffer, once unpacked, leaves no hole in the heap. (With
-    `np.zeros` buffers, which the heap served, a full-fold iteration peaked
-    24-28 MiB higher; CHANGES.md.)"""
+    memory, so packed m and v, mapped at their table's shape, hold only the
+    slots a step has written; and the mapping goes back to the system when the
+    array is freed, so a packed buffer, once unpacked, leaves no hole in the
+    heap. (With `np.zeros` buffers, which the heap served, a full-fold
+    iteration peaked 24-28 MiB higher; CHANGES.md.)"""
     size = math.prod(shape)
     buffer = mmap.mmap(-1, max(size * 8, 1))
     return np.frombuffer(buffer, dtype=np.float64, count=size).reshape(shape)
 
 
 def _unpack(state: OptimizerState, name: str, rows: np.ndarray, shape: tuple) -> None:
-    """Move the packed rows `rows` of m and v to row layout, one array at a
-    time. Rows past the room m and v have are new, so their moments are 0."""
+    """Move the packed rows `rows` of m and v to row layout, one array at a time."""
     for moments in (state.m, state.v):
-        held = moments[name][: rows.size]
         full = np.zeros(shape)
-        full[rows[: held.shape[0]]] = held
+        full[rows] = moments[name][: rows.size]
         moments[name] = full
 
 
@@ -256,20 +247,13 @@ def optimizer_step(
     checked for finiteness, every `RowSparse` for sorted, unique, in-range
     rows and values of their shape, every stepped parameter for
     C-contiguity, and its m and v, when it has them, for being C-contiguous
-    float64 arrays of the shape the step expects, before anything is mutated.
+    float64 arrays of its shape, packed or not, before anything is mutated.
     """
-    finite = np.empty(_CHUNK, dtype=bool)
     for name, g in grads.items():
-        # block by block into one buffer, in whatever layout g has
-        for block in np.nditer(
-            g.values if isinstance(g, RowSparse) else g,
-            flags=["external_loop", "buffered", "zerosize_ok"],
-            buffersize=_CHUNK,
-        ):
-            if not np.isfinite(block, out=finite[: block.size]).all():
-                raise FloatingPointError(
-                    f"non-finite gradient for parameter {name!r} at step {state.step_count + 1}"
-                )
+        if not np.isfinite(g.values if isinstance(g, RowSparse) else g).all():
+            raise FloatingPointError(
+                f"non-finite gradient for parameter {name!r} at step {state.step_count + 1}"
+            )
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -284,15 +268,14 @@ def optimizer_step(
         if isinstance(g, RowSparse):
             _check_row_sparse(name, g, *p.shape)
         if name in state.m or name in state.v:
-            shape = _packed_shape(p.shape) if name in state.packed else p.shape
             for moment, held in (("m", state.m.get(name)), ("v", state.v.get(name))):
                 if not (
                     isinstance(held, np.ndarray) and held.dtype == np.float64
-                    and held.shape == shape and held.flags.c_contiguous
+                    and held.shape == p.shape and held.flags.c_contiguous
                 ):
                     raise ValueError(
                         f"{moment} of parameter {name!r} is not a C-contiguous float64"
-                        f" array of shape {shape}"
+                        f" array of shape {p.shape}"
                     )
     state.step_count += 1
     step = _Step(state)
@@ -303,8 +286,7 @@ def optimizer_step(
         sparse = isinstance(g, RowSparse)
         if name not in state.m:
             if sparse:
-                shape = _packed_shape(p.shape)
-                state.m[name], state.v[name] = _mapped_zeros(shape), _mapped_zeros(shape)
+                state.m[name], state.v[name] = _mapped_zeros(p.shape), _mapped_zeros(p.shape)
                 state.packed[name] = PackedRows(
                     np.zeros(0, dtype=np.intp), np.full(p.shape[0], -1, dtype=np.intp)
                 )

@@ -14,7 +14,7 @@ from topicarg import mutual as mutual_mod
 from topicarg.checkpoint import load_checkpoint, save_checkpoint
 from topicarg.cli import _Protocol, _resolve_config, build_parser, load_run, main
 from topicarg.config import RunConfig
-from topicarg.ntm import compute_log_freq
+from topicarg.ntm import NtmConfig, compute_log_freq
 
 
 @pytest.fixture
@@ -200,6 +200,24 @@ class TestPreparedCorpusLink:
         assert capsys.readouterr().err == (
             f"error: {path} does not match its manifest checksum; re-run prepare\n"
         )
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("[]", "is not a JSON object"),
+         ('{"examples": 60\n', "is not JSON (Expecting ',' delimiter: line 2 column 1 (char 16))")],
+        ids=["array", "truncated"],
+    )
+    def test_malformed_manifest_is_refused(
+        self, corpus_path, tmp_path, capsys, command, text, reason
+    ):
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        path = out / "prepared" / "manifest.json"
+        path.write_text(text)
+        capsys.readouterr()
+        assert main([*self.COMMANDS[command], *small_flags(corpus_path, out)]) == 1
+        assert capsys.readouterr().err == f"error: {path} {reason}; re-run prepare\n"
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_missing_data_is_a_clean_error(self, tmp_path, capsys, command):
@@ -582,6 +600,30 @@ class TestEvaluate:
         lines = (out / "eval" / "cross_target_metrics.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 2 + 1
 
+    def test_a_failed_evaluate_leaves_eval_as_it_was(
+        self, corpus_path, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        flags = [*small_flags(corpus_path, out), "--folds", "3", "--iterations", "1"]
+        for protocol in ("in_target", "cross_target"):
+            assert main(["evaluate", "--protocol", protocol, *flags]) == 0
+        # each evaluate keeps the other protocol's table
+        before = {p.name: p.read_bytes() for p in (out / "eval").iterdir()}
+        assert sorted(before) == [
+            "config.resolved", "cross_target_metrics.csv", "in_target_metrics.csv",
+        ]
+
+        def diverge(*args, **kwargs):
+            raise FloatingPointError("classifier phase: non-finite gradient")
+
+        monkeypatch.setattr(mutual_mod, "train_alternating", diverge)
+        capsys.readouterr()
+        assert main(["evaluate", "--protocol", "cross_target", *flags, "--seed", "9"]) == 1
+        assert capsys.readouterr().err == "error: classifier phase: non-finite gradient\n"
+        assert {p.name: p.read_bytes() for p in (out / "eval").iterdir()} == before
+        assert not (out / ".eval.tmp").exists()
+
     @pytest.mark.parametrize(
         "protocol, run_args, run_name, row",
         [
@@ -676,6 +718,58 @@ class TestCheckpoint:
         assert capsys.readouterr().err == (
             f"error: {checkpoint} stores no model configs; retrain it with `train`\n"
         )
+
+
+    @pytest.mark.parametrize(
+        "header, reason",
+        [
+            ("[1]", " is not a topicarg-checkpoint-v1 file"),
+            ("not json", " is not a topicarg-checkpoint-v1 file"),
+            ('{"magic": "topicarg-checkpoint-v1"}',
+             ": its header needs a meta object and a names list of strings"),
+            ('{"magic": "topicarg-checkpoint-v1", "meta": {}, "names": [1]}',
+             ": its header needs a meta object and a names list of strings"),
+            ('{"magic": "topicarg-checkpoint-v1", "meta": {"ntm_config": {}}, "names": []}',
+             " holds no ntm/log_freq array"),
+        ],
+        ids=["array", "not_json", "no_names", "name_not_a_string", "no_log_freq"],
+    )
+    def test_malformed_header_is_refused(self, corpus_path, tmp_path, capsys, header, reason):
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        checkpoint = tmp_path / "bad.bin"
+        checkpoint.write_text(header + "\n")
+        capsys.readouterr()
+        assert main(["extract-topics", "--checkpoint", str(checkpoint),
+                     *small_flags(corpus_path, out)]) == 1
+        assert capsys.readouterr().err == f"error: {checkpoint}{reason}\n"
+
+    @pytest.mark.parametrize("case", ["array_outside_the_groups", "unknown_config_key",
+                                      "no_encoder_config"])
+    def test_arrays_and_configs_no_model_takes_are_refused(
+        self, corpus_path, tmp_path, capsys, case
+    ):
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        arrays = {"ntm/log_freq": np.zeros(3)}
+        meta = {"ntm_config": {"vocab_size": 3}, "encoder_config": {"vocab_size": 5}}
+        if case == "array_outside_the_groups":
+            arrays["log_freq"] = np.zeros(3)
+            reason = ": array 'log_freq' is not under ntm/, enc/ or proj/"
+        elif case == "unknown_config_key":
+            meta["ntm_config"]["topics"] = 3
+            with pytest.raises(TypeError) as err:
+                NtmConfig(vocab_size=3, topics=3)
+            reason = f": malformed model configs in its header ({err.value!r})"
+        else:
+            del meta["encoder_config"]
+            reason = ": malformed model configs in its header (KeyError('encoder_config'))"
+        checkpoint = tmp_path / "bad.bin"
+        save_checkpoint(checkpoint, arrays, meta)
+        capsys.readouterr()
+        assert main(["extract-topics", "--checkpoint", str(checkpoint),
+                     *small_flags(corpus_path, out)]) == 1
+        assert capsys.readouterr().err == f"error: {checkpoint}{reason}\n"
 
 
 class TestExtractAndCoherence:
@@ -906,6 +1000,21 @@ class TestConfigFile:
         resolved = (out / "prepared" / "config.resolved").read_text()
         assert "num_topics=3" in resolved  # flag wins
         assert "use_topics=False" in resolved  # file value kept
+
+    @pytest.mark.parametrize(
+        "line, expected",
+        [("seed=1.5", "config key 'seed' expects int, got '1.5'"),
+         ("use_topics = maybe", "config key 'use_topics' expects bool, got 'maybe'"),
+         ("gamma=0.1x", "config key 'gamma' expects float, got '0.1x'")],
+    )
+    def test_unparsable_value_names_file_line_and_key(
+        self, corpus_path, tmp_path, capsys, line, expected
+    ):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"# a comment\n{line}\n")
+        assert main(["train", "--mode", "in_target_fold", "--config", str(cfg_file),
+                     "--data", str(corpus_path), "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {cfg_file}:2: {expected}\n"
 
     def test_bad_config_key(self, corpus_path, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
