@@ -42,5 +42,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if not (isinstance(meta, dict) and isinstance(names, list)
                 and all(isinstance(name, str) for name in names)):
             raise ValueError(f"{path}: its header needs a meta object and a names list of strings")
-        arrays = {name: np.load(fh, allow_pickle=False) for name in names}
+        arrays = {}
+        for name in names:
+            try:
+                arrays[name] = np.load(fh, allow_pickle=False)
+            except (EOFError, ValueError):  # cut short, or not an .npy block
+                raise ValueError(f"{path}: array {name!r} is cut short or malformed") from None
     return arrays, meta

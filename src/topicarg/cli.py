@@ -103,15 +103,19 @@ def cmd_prepare(args) -> int:
 def _load_prepared(cfg: RunConfig):
     """Records, both vocabularies and their checksums, which must match the manifest's."""
     out = _prepare_dir(cfg)
-    if not (out / "manifest.json").exists():
+    path = out / "manifest.json"
+    if not path.exists():
         raise FileNotFoundError(f"no prepared data under {out}; run `prepare` first")
     records = corpus_mod.load_tsv(cfg.data)
     try:
-        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        manifest = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as err:  # not UTF-8 or not JSON
-        raise ValueError(f"{out / 'manifest.json'} is not JSON ({err}); re-run prepare") from None
+        raise ValueError(f"{path} is not JSON ({err}); re-run prepare") from None
     if not isinstance(manifest, dict):
-        raise ValueError(f"{out / 'manifest.json'} is not a JSON object; re-run prepare")
+        raise ValueError(f"{path} is not a JSON object; re-run prepare")
+    checksums = manifest.get("checksums", {})
+    if not isinstance(checksums, dict):
+        raise ValueError(f"{path} holds checksums that are not a JSON object; re-run prepare")
     if manifest.get("corpus_sha256") != _sha256(Path(cfg.data)):
         raise ValueError(
             f"prepared data under {out} was built from another corpus; re-run prepare"
@@ -120,7 +124,7 @@ def _load_prepared(cfg: RunConfig):
     enc_vocab = Vocabulary.from_tsv(out / "encoder_vocab.tsv")
     vocab_sha = {name: _sha256(out / name) for name in _VOCAB_FILES}
     for name, sha in vocab_sha.items():
-        if manifest.get("checksums", {}).get(name) != sha:
+        if checksums.get(name) != sha:
             raise ValueError(f"{out / name} does not match its manifest checksum; re-run prepare")
     return records, vocab, enc_vocab, vocab_sha
 
@@ -428,7 +432,7 @@ def cmd_coherence(args) -> int:
             weights.setdefault(topic, []).append((weight, word))
     if not weights:
         raise ValueError(f"{args.topics}: no topic lines")
-    # weight descending, ties in file order: the order `topics.rank_terms` gives
+    # weight descending, ties in file order: the order `topics.top_terms` gives
     # `train`'s export, which lists each topic's words by id
     top_words = {
         topic: [w for _, w in sorted(rows, key=lambda t: -t[0])[: max(cutoffs)]]

@@ -33,7 +33,7 @@ from .evaluate import confusion, metric_report
 from .nn import EPS, MlpSpec, SeededRng, init_mlp, mlp_forward
 from .ntm import NtmParams, infer_topic_distributions, train_ntm_epoch
 from .optim import adam, adamw, OptimizerState, optimizer_step
-from .topics import ExtractedTopics, extract_topics, rank_terms
+from .topics import ExtractedTopics, extract_topics
 
 logger = logging.getLogger(__name__)
 
@@ -222,16 +222,15 @@ def extract_topics_for_targets(
     A target none of whose words is both in the vocabulary and embedded gets
     empty topics with a warning; an `n_top_terms` that some target's masked
     rows cannot fill raises. The embedding table is normalized (zero rows stay
-    zero), and every topic's words ranked, once per call.
+    zero) once per call.
     """
     vectors = enc.word_embeddings[data.enc_rows]
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     normalized = np.divide(vectors, np.where(norms > 0, norms, 1.0))
-    ranking = rank_terms(ntm.topic_word)
     out: dict[str, ExtractedTopics] = {}
     for target in targets:
         out[target] = extract_topics(
-            ntm.topic_word, ranking, normalized, data.vocab,
+            ntm.topic_word, normalized, data.vocab,
             tokenize(target, mode="encoder"), n_top_terms, ratio_p,
         )
         if not out[target].terms:

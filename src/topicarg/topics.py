@@ -30,33 +30,29 @@ def empty_topics() -> ExtractedTopics:
     return ExtractedTopics(-1, (), (), 0.0)
 
 
-def rank_terms(topic_word: np.ndarray) -> np.ndarray:
-    """(K, V) word ids per topic by weight descending, ties by smaller id."""
-    return np.argsort(-np.asarray(topic_word, dtype=np.float64), axis=1, kind="stable")
+def top_terms(topic_word: np.ndarray, excluded_ids, n: int) -> np.ndarray:
+    """(K, n): per topic, its first n word ids outside `excluded_ids`, by weight
+    descending, ties to the smaller id; the weights must be finite.
 
-
-def top_terms(ranking: np.ndarray, excluded_ids, n: int) -> np.ndarray:
-    """(K, n): per topic, the first n ids of its `rank_terms` row that are not excluded.
-
-    A stable sort restricted to the kept words orders them as the full sort
-    does, so one ranking serves every target's exclusions.
+    Each row is partitioned at n - 1, and only the words weighing at least its
+    n-th largest kept weight, every tie included, are stable-sorted: the order
+    a full stable sort gives the kept words.
     """
-    k, v = ranking.shape
-    excluded = np.zeros(v, dtype=bool)
-    excluded[np.asarray(excluded_ids, dtype=np.int64)] = True
-    n_excluded = int(excluded.sum())
-    if not 1 <= n <= v - n_excluded:
-        raise ValueError(f"n={n} out of range [1, {v - n_excluded}] after masking")
+    neg = -np.asarray(topic_word, dtype=np.float64)
+    k, v = neg.shape
+    excluded = np.unique(np.asarray(excluded_ids, dtype=np.int64))
+    if not 1 <= n <= v - excluded.size:
+        raise ValueError(f"n={n} out of range [1, {v - excluded.size}] after masking")
+    neg[:, excluded] = np.inf
     ids = np.empty((k, n), dtype=np.int64)
-    for row in range(k):
-        ranked = ranking[row, : n + n_excluded]
-        ids[row] = ranked[~excluded[ranked]][:n]
+    for row, negated in enumerate(neg):
+        candidates = np.flatnonzero(negated <= np.partition(negated, n - 1)[n - 1])
+        ids[row] = candidates[np.argsort(negated[candidates], kind="stable")][:n]
     return ids
 
 
 def extract_topics(
     topic_word: np.ndarray,
-    ranking: np.ndarray,
     normalized: np.ndarray,
     vocab: Vocabulary,
     target_tokens,
@@ -65,18 +61,18 @@ def extract_topics(
 ) -> ExtractedTopics:
     """The target's argmax topic among the K top-n key-term lists.
 
-    `ranking` is `rank_terms(topic_word)` and `normalized` holds one unit (or
-    zero) row per vocabulary word. A topic scores the sum of its top
-    ceil(p * n) per-term cosine maxima against the target's embedded words,
-    divided by their count; ties go to the smaller topic index. A target with
-    no embedded in-vocabulary word gets `empty_topics()`.
+    `normalized` holds one unit (or zero) row per vocabulary word. A topic
+    scores the sum of its top ceil(p * n) per-term cosine maxima against the
+    target's embedded words, divided by their count; ties go to the smaller
+    topic index. A target with no embedded in-vocabulary word gets
+    `empty_topics()`.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     if normalized.shape[0] != vocab.size:
         raise ValueError(f"embedding rows {normalized.shape[0]} != vocabulary size {vocab.size}")
     target_ids = vocab.ids(target_tokens)
-    ids = top_terms(ranking, target_ids, n)
+    ids = top_terms(topic_word, target_ids, n)
     embedded = [i for i in target_ids if np.any(normalized[i])]
     if not embedded:
         return empty_topics()

@@ -205,8 +205,9 @@ class TestPreparedCorpusLink:
     @pytest.mark.parametrize(
         "text, reason",
         [("[]", "is not a JSON object"),
-         ('{"examples": 60\n', "is not JSON (Expecting ',' delimiter: line 2 column 1 (char 16))")],
-        ids=["array", "truncated"],
+         ('{"examples": 60\n', "is not JSON (Expecting ',' delimiter: line 2 column 1 (char 16))"),
+         ('{"checksums": [1]}', "holds checksums that are not a JSON object")],
+        ids=["array", "truncated", "checksums_not_an_object"],
     )
     def test_malformed_manifest_is_refused(
         self, corpus_path, tmp_path, capsys, command, text, reason
@@ -719,6 +720,25 @@ class TestCheckpoint:
             f"error: {checkpoint} stores no model configs; retrain it with `train`\n"
         )
 
+    def test_truncated_checkpoint_is_refused(self, corpus_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        data = train_fold_0(corpus_path, out).read_bytes()
+        names = json.loads(data.split(b"\n", 1)[0])["names"]
+        header_end = data.index(b"\n") + 1
+        cuts = {  # cut point: the array it cuts short
+            header_end: names[0],
+            header_end + 20: names[0],  # inside the first .npy block's header
+            len(data) - 1: names[-1],
+        }
+        for size, name in cuts.items():
+            checkpoint = tmp_path / "cut.bin"
+            checkpoint.write_bytes(data[:size])
+            capsys.readouterr()
+            assert main(["extract-topics", "--checkpoint", str(checkpoint),
+                         *small_flags(corpus_path, out)]) == 1, size
+            assert capsys.readouterr().err == (
+                f"error: {checkpoint}: array {name!r} is cut short or malformed\n"
+            )
 
     @pytest.mark.parametrize(
         "header, reason",

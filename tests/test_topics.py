@@ -8,7 +8,7 @@ from oracles import build_target_mask, normalize_rows, score_topic
 from topicarg.corpus import Vocabulary
 from topicarg.mutual import TrainData, extract_topics_for_targets
 from topicarg.nn import SeededRng
-from topicarg.topics import empty_topics, extract_topics, rank_terms, top_terms
+from topicarg.topics import empty_topics, extract_topics, top_terms
 
 
 def embedding_table_from_text_file(path, vocab: Vocabulary) -> np.ndarray:
@@ -45,8 +45,8 @@ def brute_force_top_n(row, mask_row, n):
 
 
 def masked_top_terms(topic_word, mask, n):
-    """`top_terms` over the shared ranking, excluding the mask's zero columns."""
-    return top_terms(rank_terms(topic_word), mask.masked_ids(), n)
+    """`top_terms` excluding the mask's zero columns."""
+    return top_terms(topic_word, mask.masked_ids(), n)
 
 
 def planted_weights(lists_ids, vocab_size, rng):
@@ -60,9 +60,7 @@ def planted_weights(lists_ids, vocab_size, rng):
 
 def extract_planted(topic_word, vectors, vocab, target_tokens, n, p=0.5):
     """`topics.extract_topics` with the rows of `vectors` normalized by the oracle."""
-    return extract_topics(
-        topic_word, rank_terms(topic_word), normalize_rows(vectors), vocab, target_tokens, n, p
-    )
+    return extract_topics(topic_word, normalize_rows(vectors), vocab, target_tokens, n, p)
 
 
 def extract_through_mutual(topic_word, vectors, vocab, target, n, p=0.5):
@@ -82,7 +80,7 @@ def topic_score(target_vecs, topic_vecs, p):
     vocab = _vocab(n_tau + n_t)
     topic_word = np.concatenate([np.zeros(n_tau), np.arange(n_t, 0, -1.0)])[None, :]
     extracted = extract_topics(
-        topic_word, rank_terms(topic_word), np.vstack([target_vecs, topic_vecs]), vocab,
+        topic_word, np.vstack([target_vecs, topic_vecs]), vocab,
         vocab.id_to_word[:n_tau], n_t, p,
     )
     assert extracted.terms == tuple(vocab.id_to_word[n_tau:])
@@ -136,10 +134,14 @@ class TestFilterTopics:
             mat = rng.normal((3, 30))
             if trial % 3 == 0:
                 mat = np.round(mat)  # force ties
+            elif trial % 3 == 1:
+                mat = np.where(np.abs(mat) < 1, np.copysign(0.0, mat), mat)  # +0.0/-0.0 ties
             masked_words = [f"t{int(i)}" for i in rng.integers(0, 30, 4)]
             mask = build_target_mask(masked_words, vocab, num_topics=3)
-            n = int(rng.integers(1, 31 - len(set(masked_words))))
-            ids = masked_top_terms(mat, mask, n)
+            room = 30 - len(set(masked_words))
+            n = room if trial % 5 == 0 else int(rng.integers(1, room + 1))
+            # the first masked word is excluded twice
+            ids = top_terms(mat, vocab.ids(masked_words + masked_words[:1]), n)
             for k in range(3):
                 assert ids[k].tolist() == brute_force_top_n(
                     mat[k], mask.mask[k], n
@@ -221,7 +223,7 @@ class TestScoreTopic:
         topic_word = np.array([[0.0, 2.0, 1.0]])
         vectors = np.ones((3, 2))
         for target, table in ((["oov"], vectors), ([], vectors), (["t0"], vectors * [[0], [1], [1]])):
-            got = extract_topics(topic_word, rank_terms(topic_word), table, vocab, target, 2, 0.5)
+            got = extract_topics(topic_word, table, vocab, target, 2, 0.5)
             assert got == empty_topics()
         with pytest.raises(ValueError):
             score_topic(np.zeros((0, 3)), np.ones((2, 3)), p=0.5)
@@ -319,8 +321,7 @@ class TestEmbeddingTable:
     def test_size_mismatch_rejected(self, tiny_vocab):
         topic_word = np.ones((1, 12))
         with pytest.raises(ValueError, match="embedding rows 5 != vocabulary size 12"):
-            extract_topics(topic_word, rank_terms(topic_word), np.ones((5, 3)), tiny_vocab,
-                           ["w0"], 2, 0.5)
+            extract_topics(topic_word, np.ones((5, 3)), tiny_vocab, ["w0"], 2, 0.5)
 
     def test_inconsistent_width_rejected(self, tmp_path, tiny_vocab):
         path = tmp_path / "emb.txt"
