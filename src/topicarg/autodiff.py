@@ -23,12 +23,19 @@ from scipy import sparse
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of -|x| never overflows; np.minimum keeps a NaN's sign, unlike -abs
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _ordered_row_sums(counts: np.ndarray, order: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Row s sums, in turn from 0.0, the next counts[s] rows of `a` named in `order`:
+    a CSR 0/1 selector's product, sequential where np.add.reduceat is not."""
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    select = sparse.csr_matrix(
+        (np.ones(order.size), order, indptr), shape=(counts.size, a.shape[0])
+    )
+    return np.asarray(select @ a)
 
 
 class RowSparse:
@@ -311,13 +318,7 @@ def segment_mean(a, keys, n: int) -> Tensor:
         raise ValueError(f"segment keys must be non-decreasing in [0, {n})")
     counts = np.bincount(keys, minlength=n)
     scale = np.divide(1.0, counts, out=np.zeros(n), where=counts > 0)
-    # row s of this 0/1 matrix selects segment s; CSR sums it sequentially,
-    # several times faster than np.add.reduceat on row blocks
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    select = sparse.csr_matrix(
-        (np.ones(keys.size), np.arange(keys.size), indptr), shape=(n, keys.size)
-    )
-    out = np.asarray(select @ a.data) * scale[:, None]
+    out = _ordered_row_sums(counts, np.arange(keys.size), a.data) * scale[:, None]
     return _result(out, (a, lambda g: (g * scale[:, None])[keys]))
 
 
@@ -331,15 +332,9 @@ def take_rows(a, ids: Sequence[int] | np.ndarray) -> Tensor:
         raise IndexError(f"row id out of range [0, {a.data.shape[0]})")
 
     def vjp(g):
-        # row r of this 0/1 matrix selects the positions of id rows[r] in
-        # ascending order, so CSR sums each row from 0.0 in the order a
-        # dense scatter-add would
-        order = np.argsort(idx, kind="stable")
+        # each id's positions in ascending order, as a dense scatter-add sums them
         rows, counts = np.unique(idx, return_counts=True)
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        select = sparse.csr_matrix(
-            (np.ones(idx.size), order, indptr), shape=(rows.size, idx.size)
-        )
-        return RowSparse(rows, np.asarray(select @ g), a.data.shape)
+        sums = _ordered_row_sums(counts, np.argsort(idx, kind="stable"), g)
+        return RowSparse(rows, sums, a.data.shape)
 
     return _result(a.data[idx], (a, vjp))

@@ -153,18 +153,20 @@ def _step_dense(step: _Step, p, m, v, g) -> None:
         step.update(flat_p[lo:hi], flat_m[lo:hi], flat_v[lo:hi], gc=flat_g[lo:hi])
 
 
-def _step_row_sparse(step: _Step, p, m, v, g: RowSparse, packed: PackedRows | None) -> None:
+def _step_row_sparse(step: _Step, p, m, v, g: RowSparse, packed: PackedRows | None, live) -> None:
     """Walk m and v in blocks of whole rows, updating each block in place
     with g = 0, against p's matching rows: row i of m and v is row i of p,
-    or with `packed` row packed.rows[i], gathered and scattered back. The
-    touched rows are gathered before the walk, stepped with their gradient
-    rows and scattered back over what the walk made of them. While packed,
-    AdamW decays the whole of p first, as the walk skips the dead rows."""
+    or with `packed` row packed.rows[i] for i < `live`, the rows live before
+    this step, gathered and scattered back. The touched rows are gathered
+    before the walk, stepped with their gradient rows and scattered back over
+    what the walk made of them; a row first touched now is stepped that once,
+    from its zero moments. While packed, AdamW decays the whole of p first,
+    as the walk skips the dead rows."""
     slots = g.rows if packed is None else packed.slot[g.rows]
     touched = p[g.rows], m[slots], v[slots]
     if packed is not None and step.shrink is not None:
         np.multiply(p, step.shrink, out=p)
-    n, width = p.shape if packed is None else (packed.rows.size, p.shape[1])
+    n, width = p.shape if packed is None else (live, p.shape[1])
     per_block = max(1, _CHUNK // max(width, 1))
     step.reserve(per_block * width)
     for lo in range(0, n, per_block):
@@ -293,6 +295,7 @@ def optimizer_step(
             else:
                 state.m[name], state.v[name] = np.zeros(p.shape), np.zeros(p.shape)
         packed = state.packed.get(name)
+        live = 0 if packed is None else packed.rows.size
         if packed is not None:
             if sparse:
                 packed.make_live(g.rows)
@@ -301,6 +304,6 @@ def optimizer_step(
                 del state.packed[name]
                 packed = None
         if sparse:
-            _step_row_sparse(step, p, state.m[name], state.v[name], g, packed)
+            _step_row_sparse(step, p, state.m[name], state.v[name], g, packed, live)
         else:
             _step_dense(step, p, state.m[name], state.v[name], g)

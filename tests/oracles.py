@@ -138,6 +138,17 @@ def softplus_np(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
+def sigmoid_masked(x: np.ndarray) -> np.ndarray:
+    """The logistic in two masked branches, each taking exp of a value <= 0:
+    1/(1 + exp(-x)) where x >= 0 and exp(x)/(1 + exp(x)) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-shifted softmax; positive outputs summing to 1 along `axis`."""
     logits = np.asarray(logits, dtype=np.float64)

@@ -1,4 +1,6 @@
 """Every differentiable op is checked against central finite differences."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from scipy import sparse
 
-from oracles import grad_check
+from oracles import grad_check, sigmoid_masked
 from topicarg import autodiff as ad
 from topicarg.nn import SeededRng
 
@@ -73,6 +75,30 @@ OPS = [
 @pytest.mark.parametrize("name,build,x0", OPS, ids=[o[0] for o in OPS])
 def test_op_gradients(name, build, x0):
     check_op(build, x0)
+
+
+# signed zeros, infinities, NaNs of both signs, subnormals, and magnitudes
+# past 709, where exp overflows, and past 745, where exp(-|x|) underflows to 0
+SIGMOID_EDGES = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 2.2e-308,
+    -2.2e-308, 709.8, -709.8, 710.0, -710.0, 745.2, -745.2, 1e308, -1e308,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(SIGMOID_EDGES)
+        | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+        # raw bit patterns: any NaN payload, quiet or signaling
+        | st.integers(0, 2**64 - 1).map(lambda bits: np.uint64(bits).view(np.float64)),
+        max_size=300,
+    )
+)
+@example(SIGMOID_EDGES)
+def test_sigmoid_equals_masked_oracle_bytewise(values):
+    x = np.array(values, dtype=np.float64)
+    assert ad._sigmoid(x).tobytes() == sigmoid_masked(x).tobytes()
 
 
 def test_div_gradient_both_sides():

@@ -1,6 +1,8 @@
+import contextlib
 import copy
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,6 +374,36 @@ class TestAlternating:
 
         h1, h2 = run(), run()
         assert h1 == h2
+
+    def test_tracing_changes_no_arithmetic(self, monkeypatch):
+        """perfbench's tracer wraps functions where they are looked up and only
+        reads the clock, so a traced run equals an untraced one bitwise."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from tracing import Tracer
+
+        schedule = TrainSchedule(
+            max_iterations=2, ntm_epochs=1, classifier_epochs=1, batch_size=8,
+            seed=33, patience=0,
+        )
+
+        def run(tracer):
+            ntm, enc, data = _training_setup(gamma=0.1)
+            with tracer.installed() if tracer else contextlib.nullcontext():
+                result = mutual_mod.train_alternating(
+                    ntm, enc, data, schedule, gamma=0.1,
+                    lr_ntm=2e-3, lr_classifier=1e-3, n_top_terms=4, ratio_p=0.5, max_len=64,
+                )
+            params = [
+                (k, v.tobytes())
+                for part in (result.ntm.params, result.enc.params, result.proj_params)
+                for k, v in sorted(part.items())
+            ]
+            return params, repr([dataclasses.astuple(row) for row in result.history])
+
+        tracer = Tracer()
+        assert run(None) == run(tracer)
+        names = {span[0] for span in tracer.spans}
+        assert {"mutual.iteration", "optim.step", "autodiff.backward"} <= names
 
     def test_mutual_reduces_mutual_loss(self):
         schedule = TrainSchedule(

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import row_layout_moments, textbook_step
+from topicarg import optim
 from topicarg.autodiff import RowSparse
 from topicarg.nn import SeededRng
 from topicarg.optim import _CHUNK, _PACKED_SHARE, OptimizerState, adam, adamw, optimizer_step
@@ -286,6 +287,39 @@ def _packed_setup():
     optimizer_step(state, params, grads)
     assert set(state.packed) == {"w"}
     return rng, params, state
+
+
+def test_packed_walk_steps_only_rows_live_before_the_step(monkeypatch):
+    """The g = 0 walk of packed moments covers the k rows live before a step,
+    k x width elements; rows first touched in the step are stepped only with
+    their gradient rows. Every step still equals `reference_step` bytewise."""
+    walked = []
+    update = optim._Step.update
+
+    def counting_update(self, pc, mc, vc, gc=None, decay=True):
+        if gc is None:
+            walked.append(pc.size)
+        update(self, pc, mc, vc, gc, decay)
+
+    monkeypatch.setattr(optim._Step, "update", counting_update)
+    rng = np.random.default_rng(3)
+    shape = (40, 3)
+    fused = adamw(0.1, weight_decay=0.1)
+    ref = copy.deepcopy(fused)
+    p_fused = {"w": rng.normal(size=shape)}
+    p_ref = copy.deepcopy(p_fused)
+    # (touched rows, rows live before the step): all new, mixed, all new again
+    for rows, live_before in (([2, 5, 9], 0), ([5, 11, 30], 3), ([0, 1], 5)):
+        walked.clear()
+        g = RowSparse(np.array(rows), rng.normal(size=(len(rows), 3)), shape)
+        optimizer_step(fused, p_fused, {"w": g})
+        reference_step(ref, p_ref, {"w": np.asarray(g)})
+        assert "w" in fused.packed
+        assert sum(walked) == live_before * shape[1]
+        m, v = row_layout_moments(fused, "w")
+        assert p_fused["w"].tobytes() == p_ref["w"].tobytes()
+        assert m.tobytes() == ref.m["w"].tobytes()
+        assert v.tobytes() == ref.v["w"].tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
