@@ -1,22 +1,20 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A deliberately small operator set: dense linear algebra, a product with a
-constant CSR left operand, the activations the models need, softmax and
-log-softmax over the last axis, sums, segment means, and a gather for
-embedding lookups. Everything is float64 and single-threaded, so two runs from
-the same seed give bitwise-identical results.
+constant CSR left operand (a bag-of-words batch, or the encoder's pooling of
+token embeddings), the activations the models need, softmax and log-softmax
+over the last axis, and sums. Everything is float64 and single-threaded, so
+two runs from the same seed give bitwise-identical results.
 
 Each op declares one (parent, vjp) edge per operand; only parents that need a
 gradient keep theirs, so a constant's vjp is never built or called.
 `Tensor.backward` is the one router: in reverse topological order it calls
 each edge's vjp on the node's gradient and accumulates the result into the
 parent. Gradients are dense arrays, except that a leaf fed only through
-`take_rows` or `csr_matmul` gets a `RowSparse` gradient holding just the rows
-a batch touches; the router densifies one sent to a non-leaf.
+`csr_matmul` gets a `RowSparse` gradient holding just the rows a batch
+touches; the router densifies one sent to a non-leaf.
 """
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -28,18 +26,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _ordered_row_sums(counts: np.ndarray, order: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Row s sums, in turn from 0.0, the next counts[s] rows of `a` named in `order`:
-    a CSR 0/1 selector's product, sequential where np.add.reduceat is not."""
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    select = sparse.csr_matrix(
-        (np.ones(order.size), order, indptr), shape=(counts.size, a.shape[0])
-    )
-    return np.asarray(select @ a)
-
-
 class RowSparse:
-    """A gradient that is zero outside a few rows of a 2-D leaf.
+    """A gradient that is zero outside a few rows of a 2-D leaf, as
+    `csr_matmul` gives the leaf it multiplies.
 
     `rows` are sorted and unique, `values[i]` is row `rows[i]` of the dense
     gradient, and `shape` is the dense shape. `Tensor.backward` densifies one
@@ -174,8 +163,8 @@ def lift(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
 def grads_of(leaves: dict[str, Tensor]) -> dict[str, np.ndarray | RowSparse]:
     """Collect leaf gradients after backward(); missing grads are zeros.
 
-    A gradient that only a gather or a CSR matmul produced is a `RowSparse`;
-    any mix with another gradient is dense.
+    A gradient that only CSR matmuls produced is a `RowSparse`; any mix with
+    another gradient is dense.
     """
     return {
         k: (t.grad if t.grad is not None else np.zeros_like(t.data))
@@ -232,13 +221,16 @@ def csr_matmul(x, b) -> Tensor:
     b's gradient is `x.T @ g`, which is zero outside x's stored columns (a
     bag-of-words batch touches few words): it is computed over those columns
     only and, for a leaf, handed on as a `RowSparse`. Any other `x` format is
-    refused: its index arrays would be read as CSR's.
+    refused: its index arrays would be read as CSR's. So is a column index
+    outside [0, x.shape[1]), which scipy would read past b's end.
     """
     if not (sparse.issparse(x) and x.format == "csr"):
         raise ValueError(f"csr_matmul takes a scipy CSR x, got {type(x).__name__}")
     b = as_tensor(b)
     if b.data.ndim != 2 or x.shape[1] != b.data.shape[0]:
         raise ValueError(f"csr_matmul shapes {x.shape} @ {b.data.shape} do not align")
+    if x.indices.size and (x.indices.min() < 0 or x.indices.max() >= x.shape[1]):
+        raise IndexError(f"csr_matmul column index out of range [0, {x.shape[1]})")
 
     def vjp(g):
         cols, compact = np.unique(x.indices, return_inverse=True)
@@ -300,41 +292,3 @@ def tensor_sum(a, axis=None) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     return _result(a.data.reshape(shape), (a, lambda g: g.reshape(a.data.shape)))
-
-
-def segment_mean(a, keys, n: int) -> Tensor:
-    """Row means of a 2-D tensor per segment: out[s] averages rows with key s.
-
-    `keys` are non-decreasing ints in [0, n), one per row of `a`; the cost is
-    linear in the rows. Each segment's rows are summed in order, then scaled
-    by 1/count; an empty segment gives a zero row. Backward hands each row its
-    segment's gradient scaled by 1/count.
-    """
-    a = as_tensor(a)
-    keys = np.asarray(keys, dtype=np.int64)
-    if a.data.ndim != 2 or keys.shape != (a.data.shape[0],):
-        raise ValueError("segment_mean expects a 2-D tensor and one key per row")
-    if keys.size and (keys[0] < 0 or keys[-1] >= n or np.any(keys[1:] < keys[:-1])):
-        raise ValueError(f"segment keys must be non-decreasing in [0, {n})")
-    counts = np.bincount(keys, minlength=n)
-    scale = np.divide(1.0, counts, out=np.zeros(n), where=counts > 0)
-    out = _ordered_row_sums(counts, np.arange(keys.size), a.data) * scale[:, None]
-    return _result(out, (a, lambda g: (g * scale[:, None])[keys]))
-
-
-def take_rows(a, ids: Sequence[int] | np.ndarray) -> Tensor:
-    """Gather rows of a 2-D tensor; backward scatter-adds (embedding lookup)."""
-    a = as_tensor(a)
-    idx = np.asarray(ids, dtype=np.int64)
-    if a.data.ndim != 2:
-        raise ValueError("take_rows expects a 2-D tensor")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
-        raise IndexError(f"row id out of range [0, {a.data.shape[0]})")
-
-    def vjp(g):
-        # each id's positions in ascending order, as a dense scatter-add sums them
-        rows, counts = np.unique(idx, return_counts=True)
-        sums = _ordered_row_sums(counts, np.argsort(idx, kind="stable"), g)
-        return RowSparse(rows, sums, a.data.shape)
-
-    return _result(a.data[idx], (a, vjp))

@@ -2,7 +2,8 @@
 
 The input is [cls] sentence [sep] target [sep] topic-terms: three segments in
 a fixed order, so each is described by its length. The built-in reference
-encoder embeds tokens, adds a segment embedding, mean-pools each segment,
+encoder mean-pools each segment's token embeddings (one CSR product of
+1/count weights with the embedding table), adds the segment's embedding,
 concatenates the three pooled vectors, and maps them through a 2-layer MLP to
 the semantic vector h. Any deterministic differentiable map with the same
 signature can stand in for it.
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
+from scipy import sparse
 
 from . import autodiff as ad
 from .corpus import LABELS, Vocabulary, count_tokens, rank_by_count, tokenize
@@ -149,18 +151,24 @@ def init_encoder(cfg: EncoderConfig, rng: SeededRng) -> EncoderParams:
 
 
 def encode_batch_graph(params: dict, cfg: EncoderConfig, inputs: EncoderInputs) -> ad.Tensor:
-    """Batched encode: one embedding gather, then one mean per (input, segment).
+    """Batched encode: one CSR pooling product over the embedding table.
 
-    Pooling costs O(tokens); an absent segment pools to zeros. Returns (B, d_h).
+    Row 3i + s of the pooling matrix weighs input i's segment-s token ids by
+    1/count; `inputs.ids` holds them in that order. Pooling costs O(tokens),
+    and an absent segment pools to zeros, its segment embedding included.
+    Returns (B, d_h).
     """
     if not inputs:
         raise ValueError("encode_batch_graph needs at least one input")
     n_seg = len(SEGMENTS)
-    # key 3i + s for the tokens of input i's segment s: sorted by construction
-    keys = np.repeat(np.arange(len(inputs) * n_seg), inputs.lengths.ravel())
-    segs = keys % n_seg
-    rows = ad.take_rows(params["word_emb"], inputs.ids) + ad.take_rows(params["seg_emb"], segs)
-    pooled = ad.segment_mean(rows, keys, len(inputs) * n_seg)  # (B*3, emb_dim)
+    counts = inputs.lengths.ravel()
+    pool = sparse.csr_matrix(
+        (1.0 / np.repeat(counts, counts), inputs.ids, np.concatenate(([0], np.cumsum(counts)))),
+        shape=(counts.size, cfg.vocab_size),
+    )
+    present = np.tile(np.eye(n_seg), (len(inputs), 1)) * (counts > 0)[:, None]
+    words = ad.csr_matmul(pool, params["word_emb"])  # (B*3, emb_dim)
+    pooled = words + ad.matmul(ad.constant(present), params["seg_emb"])
     stacked = ad.reshape(pooled, (len(inputs), n_seg * cfg.emb_dim))
     return mlp_forward(cfg.body_spec(), params, stacked, prefix="body.")
 

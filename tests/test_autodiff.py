@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from scipy import sparse
 
-from oracles import grad_check, sigmoid_masked
+from oracles import sigmoid_masked
 from topicarg import autodiff as ad
 from topicarg.nn import SeededRng
 
@@ -46,6 +46,15 @@ def check_op(build, x0, rtol=1e-4):
     )
 
 
+def take_rows(t, ids):
+    """A row gather (an embedding lookup) as `csr_matmul` of a 0/1 selector."""
+    ids = np.asarray(ids, dtype=np.int64)
+    select = sparse.csr_matrix(
+        (np.ones(ids.size), ids, np.arange(ids.size + 1)), shape=(ids.size, t.shape[0])
+    )
+    return ad.csr_matmul(select, t)
+
+
 RNG = SeededRng(77)
 _M_RIGHT = RNG.normal((4, 2))
 _M_LEFT = RNG.normal((2, 3))
@@ -66,7 +75,7 @@ OPS = [
     ("rdiv", lambda t: 2.0 / t, RNG.uniform(0.5, 2.0, (3, 4))),
     ("matmul_left", lambda t: ad.matmul(t, ad.constant(_M_RIGHT)), RNG.normal((3, 4))),
     ("matmul_right", lambda t: ad.matmul(ad.constant(_M_LEFT), t), RNG.normal((3, 4))),
-    ("take_rows", lambda t: ad.take_rows(t, [0, 2, 2, 1]), RNG.normal((3, 4))),
+    ("take_rows", lambda t: take_rows(t, [0, 2, 2, 1]), RNG.normal((3, 4))),
     ("broadcast_add", lambda t: ad.constant(_B_MAT) + t, RNG.normal(3)),
     ("broadcast_mul", lambda t: ad.constant(_B_MAT) * t, RNG.normal(3)),
 ]
@@ -138,11 +147,6 @@ def test_matmul_rejects_non_2d():
         ad.matmul(ad.constant(np.ones(3)), ad.constant(np.ones((3, 2))))
 
 
-def test_take_rows_out_of_range():
-    with pytest.raises(IndexError):
-        ad.take_rows(ad.constant(np.ones((3, 2))), [0, 3])
-
-
 def test_softmax_rows_sum_to_one():
     out = ad.softmax(ad.constant(RNG.normal((6, 5)) * 50))
     assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
@@ -179,7 +183,7 @@ def test_take_rows_gradient_equals_dense_scatter_bitwise(rows, width, ids, gathe
     idx = np.asarray([i % rows for i in ids], dtype=np.int64)  # unsorted, repeated, empty
     leaf = ad.Tensor(rng.normal(size=(rows, width)))
     upstream = [rng.normal(size=(idx.size, width)) for _ in range(gathers)]
-    outs = [ad.take_rows(leaf, idx) for _ in range(gathers)]
+    outs = [take_rows(leaf, idx) for _ in range(gathers)]
     sum(ad.tensor_sum(o * ad.constant(u)) for o, u in zip(outs, upstream)).backward()
     dense = None
     for u in upstream:  # the dense scatter each gather used to accumulate
@@ -188,30 +192,6 @@ def test_take_rows_gradient_equals_dense_scatter_bitwise(rows, width, ids, gathe
         dense = buf if dense is None else dense + buf
     # one gather stays row-sparse; a second one on the same leaf densifies
     assert isinstance(leaf.grad, ad.RowSparse) == (gathers == 1)
-    assert np.asarray(leaf.grad).tobytes() == dense.tobytes()
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    rows=st.integers(1, 12),
-    ids=st.lists(st.integers(0, 11), max_size=40),
-    zeros=st.floats(0.0, 1.0),
-    seed=st.integers(0, 2**16),
-)
-def test_take_rows_gradient_bitwise_on_signed_zeros_and_extreme_magnitudes(
-    rows, ids, zeros, seed
-):
-    # repeated ids sum values from 1e-300 to 1e300 and of both zero signs, so
-    # any other order or starting value than the dense scatter's shows
-    rng = np.random.default_rng(seed)
-    idx = np.asarray([i % rows for i in ids], dtype=np.int64)
-    g = rng.normal(size=(idx.size, 3)) * 10.0 ** rng.integers(-300, 301, size=(idx.size, 3))
-    signed_zero = rng.random(g.shape) < zeros
-    g[signed_zero] = np.where(rng.random(int(signed_zero.sum())) < 0.5, -0.0, 0.0)
-    leaf = ad.Tensor(rng.normal(size=(rows, 3)))
-    ad.tensor_sum(ad.take_rows(leaf, idx) * ad.constant(g)).backward()
-    dense = np.zeros((rows, 3))
-    np.add.at(dense, idx, g)
     assert np.asarray(leaf.grad).tobytes() == dense.tobytes()
 
 
@@ -292,60 +272,18 @@ def test_csr_matmul_rejects_misaligned_shapes():
         ad.csr_matmul(sparse.csr_matrix(np.ones((2, 3))), ad.Tensor(np.ones((4, 2))))
 
 
-def pool_matrix(keys, n):
-    """The dense (n, T) mean-pooling matrix segment_mean replaces."""
-    pool = np.zeros((n, len(keys)))
-    for s in range(n):
-        members = np.flatnonzero(keys == s)
-        pool[s, members] = 1.0 / max(members.size, 1)
-    return pool
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    keys=st.lists(st.integers(0, 11), max_size=50).map(sorted),
-    extra=st.integers(0, 3),
-    width=st.integers(1, 7),
-    seed=st.integers(0, 2**16),
-)
-def test_segment_mean_equals_pool_matrix_product(keys, extra, width, seed):
-    keys = np.asarray(keys, dtype=np.int64)
-    n = (int(keys.max()) + 1 if keys.size else 0) + extra  # trailing empty segments
-    rng = np.random.default_rng(seed)
-    rows = ad.Tensor(rng.normal(size=(keys.size, width)))
-    upstream = rng.normal(size=(n, width))
-    pool = pool_matrix(keys, n)
-    out = ad.segment_mean(rows, keys, n)
-    assert out.data.shape == (n, width)
-    bound = 1e-12 * (pool @ np.abs(rows.data))
-    assert np.all(np.abs(out.data - pool @ rows.data) <= bound)
-    assert not out.data[np.bincount(keys, minlength=n) == 0].any()  # empty segments
-    ad.tensor_sum(out * ad.constant(upstream)).backward()
-    assert np.allclose(rows.grad, pool.T @ upstream, rtol=1e-15, atol=0.0)
-
-
-def test_segment_mean_grad_check():
-    keys = np.array([0, 0, 0, 2, 3, 3, 5])
-    params = {"x": RNG.normal((keys.size, 4))}
-    weights = RNG.normal((7, 4))
-
-    def loss(leaves):
-        return ad.tensor_sum(ad.softplus(ad.segment_mean(leaves["x"], keys, 7)) * ad.constant(weights))
-
-    report = grad_check(loss, params, samples=28, rng=SeededRng(5))
-    assert report.passed, report.max_rel_error
-
-
-@pytest.mark.parametrize("keys", [[1, 0], [0, 3], [-1, 0]])
-def test_segment_mean_rejects_bad_keys(keys):
-    with pytest.raises(ValueError):
-        ad.segment_mean(ad.Tensor(np.ones((2, 2))), keys, 3)
+@pytest.mark.parametrize("column", [3, -1])
+def test_csr_matmul_refuses_out_of_range_columns(column):
+    # scipy checks no column index against the shape, and would read past b
+    x = sparse.csr_matrix((np.ones(2), [0, column], [0, 2]), shape=(1, 3))
+    with pytest.raises(IndexError, match=r"out of range \[0, 3\)"):
+        ad.csr_matmul(x, ad.Tensor(np.ones((3, 2))))
 
 
 def test_row_sparse_gradient_only_lands_on_leaves():
     table = ad.Tensor(RNG.normal((5, 3)))
     doubled = table * 2.0
-    ad.tensor_sum(ad.take_rows(doubled, [4, 1, 4])).backward()
+    ad.tensor_sum(take_rows(doubled, [4, 1, 4])).backward()
     assert isinstance(doubled.grad, np.ndarray)
     expected = np.zeros((5, 3))
     expected[[1, 4]] = [[2.0] * 3, [4.0] * 3]
@@ -359,7 +297,7 @@ def _random_graph(leaves, ids, perm, ops, upstream):
     """A chain over leaves E (r, k), W (k, k), b (k,) and s (t, k): a gather
     from E, then `ops` in order, each reusing its leaf; a gather from the
     chain itself sends a row-sparse gradient to a non-leaf."""
-    h = ad.take_rows(leaves["E"], ids)
+    h = take_rows(leaves["E"], ids)
     for op in ops:
         if op == "matmul":
             h = ad.matmul(h, leaves["W"])
@@ -372,7 +310,7 @@ def _random_graph(leaves, ids, perm, ops, upstream):
         elif op == "softmax":
             h = ad.softmax(h)
         else:
-            h = ad.take_rows(h, perm)
+            h = take_rows(h, perm)
     return ad.tensor_sum(h * ad.constant(upstream))
 
 

@@ -309,6 +309,42 @@ def test_batched_prediction_matches_per_example_oracle(
     assert labels == [o.predicted for o in oracle]
 
 
+# the fixture is only read, so sharing it across examples is safe
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    lengths=st.lists(st.tuples(*[st.integers(0, 5)] * 3), min_size=1, max_size=12),
+    distinct=st.integers(1, 8),
+    chunk=st.integers(1, 13),
+    seed=st.integers(0, 2**16),
+)
+@example(lengths=[(0, 0, 0), (3, 0, 2), (0, 2, 0), (1, 1, 0)], distinct=1, chunk=2, seed=0)
+def test_pooled_encode_equals_the_per_token_oracle(enc, monkeypatch, lengths, distinct, chunk, seed):
+    rng = np.random.default_rng(seed)
+    lengths = np.array(lengths, dtype=np.int64)
+    # a few distinct ids, so segments repeat them
+    ids = rng.choice(rng.choice(enc.cfg.vocab_size, distinct, replace=False), lengths.sum())
+    inputs = EncoderInputs(ids, lengths)
+    pooled = []
+    with monkeypatch.context() as m:
+        m.setattr(encoder_mod, "ENCODE_CHUNK", chunk)  # small chunks cross boundaries
+        m.setattr(encoder_mod, "mlp_forward",
+                  lambda *args, **kw: pooled.append(args[2].data) or mlp_forward(*args, **kw))
+        h = encoder_mod.encode_all(enc, inputs)
+    per_input = np.split(ids, np.cumsum(lengths.sum(axis=1))[:-1])
+    oracle = np.array([encode(enc, (x, n)) for x, n in zip(per_input, lengths)])
+    assert np.all(np.abs(h - oracle) <= 1e-12)
+    blocks = np.concatenate(pooled).reshape(len(lengths), len(SEGMENTS), enc.cfg.emb_dim)
+    assert not blocks[lengths == 0].any()  # an absent segment's block, segment term included
+    leaves = ad.lift(enc.params)
+    h_graph = encode_batch_graph(leaves, enc.cfg, inputs)
+    ad.tensor_sum(h_graph * ad.constant(rng.normal(size=h.shape))).backward()
+    grads = ad.grads_of(leaves)
+    assert isinstance(grads["word_emb"], ad.RowSparse)
+    assert np.array_equal(grads["word_emb"].rows, np.unique(ids))
+    assert type(grads["seg_emb"]) is np.ndarray
+    assert grads["seg_emb"].shape == (len(SEGMENTS), enc.cfg.emb_dim)
+
+
 _WORDS = st.lists(st.sampled_from(["water", "flood", "river", "qqqqzz"]), max_size=12)
 
 
