@@ -152,7 +152,8 @@ def as_tensor(x) -> Tensor:
 
 
 def constant(x) -> Tensor:
-    return as_tensor(x)
+    """`x`'s values as a constant; a Tensor's graph is not kept."""
+    return Tensor(x.data if isinstance(x, Tensor) else x, requires_grad=False)
 
 
 def lift(params: dict[str, np.ndarray]) -> dict[str, Tensor]:

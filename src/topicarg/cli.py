@@ -384,6 +384,10 @@ def cmd_extract_topics(args) -> int:
     for key in ("n_top_terms", "ratio_p"):  # the run's settings, unless flagged
         if getattr(args, key) is None and key in meta:
             setattr(cfg, key, meta[key])
+    try:
+        cfg.validate()
+    except ValueError as err:
+        raise ValueError(f"{args.checkpoint}: its header's {err}") from None
     _check_targets(vocab, records, cfg.n_top_terms)
     # extraction reads only the vocabularies, never the examples
     data = mutual_mod.TrainData(examples=[], bows=None, vocab=vocab, enc_vocab=enc_vocab)

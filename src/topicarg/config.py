@@ -36,6 +36,9 @@ class RunConfig:
     folds: int = 10
 
     def validate(self) -> None:
+        for f in fields(self):  # one type per key: a bool is not an int, nor an int a float
+            if type(getattr(self, f.name)) is not type(f.default):
+                raise ValueError(f"config field {f.name} must be of type {type(f.default).__name__}")
         positive = (
             "vocab_max_size", "enc_vocab_max_size", "num_topics", "batch_size",
             "n_top_terms", "iterations", "ntm_epochs", "classifier_epochs",

@@ -150,10 +150,7 @@ def load_tsv(path) -> list[RawRecord]:
                 )
             sentence = row[column["sentence"]].strip()
             annotation = row[column["annotation"]].strip()
-            if annotation not in ANNOTATION_TO_LABEL:
-                rejected += 1
-                continue
-            if not sentence:
+            if annotation not in ANNOTATION_TO_LABEL or not sentence:
                 rejected += 1
                 continue
             split_tag = row[column["set"]].strip()

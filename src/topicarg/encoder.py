@@ -82,13 +82,11 @@ class EncoderParams:
         return self.params["word_emb"]
 
 
-def build_encoder_vocab(
-    records, max_size: int, ntm_vocab: Vocabulary | None = None
-) -> Vocabulary:
+def build_encoder_vocab(records, max_size: int, ntm_vocab: Vocabulary) -> Vocabulary:
     """Encoder-mode vocabulary: markers first, stopwords kept.
 
-    The NTM vocabulary, when given, is force-included so the embedding table
-    derived from the encoder covers every word the topic model can emit.
+    The NTM vocabulary is force-included so the embedding table derived from
+    the encoder covers every word the topic model can emit.
     """
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
@@ -97,10 +95,7 @@ def build_encoder_vocab(
     for target, n in Counter(record.target for record in records).items():
         tokens = tokenize(target, mode="encoder")
         freq.update({t: n * c for t, c in Counter(tokens).items()})
-    words = list(MARKERS) + rank_by_count(freq)[:max_size]
-    if ntm_vocab is not None:
-        present = set(words)
-        words += [w for w in ntm_vocab.id_to_word if w not in present]
+    words = list(dict.fromkeys([*MARKERS, *rank_by_count(freq)[:max_size], *ntm_vocab.id_to_word]))
     return Vocabulary(index_of={w: i for i, w in enumerate(words)}, id_to_word=words)
 
 

@@ -6,7 +6,7 @@ none); P+/R+ and P-/R- report precision/recall for support and oppose.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -43,15 +43,6 @@ class MetricReport:
     recall_support: float
     recall_oppose: float
 
-    def row(self) -> tuple[float, ...]:
-        return (
-            self.macro_f1,
-            self.precision_support,
-            self.precision_oppose,
-            self.recall_support,
-            self.recall_oppose,
-        )
-
 
 def metric_report(cm: np.ndarray) -> MetricReport:
     """Per-class precision/recall (0/0 -> 0), macro F1 over all three classes."""
@@ -79,7 +70,7 @@ def mean_report(reports) -> MetricReport:
     reports = list(reports)
     if not reports:
         raise ValueError("no reports to average")
-    rows = np.array([r.row() for r in reports])
+    rows = np.array([astuple(r) for r in reports])
     return MetricReport(*[float(x) for x in rows.mean(axis=0)])
 
 
@@ -143,18 +134,17 @@ def _scored_words(topic_words, cutoff: int) -> list[str]:
     return words
 
 
-def _window_counts(vocab: list[str], corpus_docs, window: int) -> tuple[int, np.ndarray]:
-    """Window total and the integer co-occurrence matrix of `vocab`.
+def _window_counts(column: dict[str, int], corpus_docs, window: int) -> tuple[int, np.ndarray]:
+    """Window total and the integer co-occurrence matrix of the words `column` numbers.
 
     `corpus_docs` is an iterable of token sequences. Every document yields
     max(len - window, 0) + 1 sliding windows (none if empty). One pass over
     the tokens builds the sparse 0/1 window x word incidence matrix S;
-    `counts = S.T @ S` then holds, for vocab columns i and j, the windows
+    `counts = S.T @ S` then holds, for columns i and j, the windows
     containing word i (diagonal) or both words.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    column = {w: i for i, w in enumerate(vocab)}
     docs = list(corpus_docs)
     lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
     tokens = np.fromiter(
@@ -179,7 +169,7 @@ def _window_counts(vocab: list[str], corpus_docs, window: int) -> tuple[int, np.
     rows = np.arange(spans.sum()) + np.repeat(lo - (np.cumsum(spans) - spans), spans)
     incidence = sparse.csr_array(
         (np.ones(len(rows), dtype=np.int64), (rows, np.repeat(cols, spans))),
-        shape=(total, len(vocab)),
+        shape=(total, len(column)),
     )
     incidence.sum_duplicates()
     incidence.data[:] = 1  # a word repeated inside a window counts once
@@ -205,15 +195,11 @@ class CoherenceReport:
     averaged: dict[int, float]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("topic," + ",".join(f"npmi@{c}" for c in self.cutoffs) + "\n")
-            for topic, row in sorted(self.per_topic.items()):
-                fh.write(
-                    f"{topic}," + ",".join(f"{row[c]:.6f}" for c in self.cutoffs) + "\n"
-                )
-            fh.write(
-                "mean," + ",".join(f"{self.averaged[c]:.6f}" for c in self.cutoffs) + "\n"
-            )
+        rows = [*sorted(self.per_topic.items()), ("mean", self.averaged)]
+        _write_table(
+            path, "topic," + ",".join(f"npmi@{c}" for c in self.cutoffs),
+            [(label, [row[c] for c in self.cutoffs]) for label, row in rows],
+        )
 
 
 def coherence_report(
@@ -230,11 +216,11 @@ def coherence_report(
         for topic, words in topic_word_lists.items()
     }
     vocab = list(dict.fromkeys(w for row in scored.values() for ws in row.values() for w in ws))
-    total, counts = _window_counts(vocab, corpus_docs, window)
+    column = {w: i for i, w in enumerate(vocab)}
+    total, counts = _window_counts(column, corpus_docs, window)
     for w, c in zip(vocab, np.diagonal(counts)):
         if c == 0:
             logger.warning("npmi: word %r never occurs in the corpus", w)
-    column = {w: i for i, w in enumerate(vocab)}
     per_topic = {
         topic: {c: _mean_npmi([column[w] for w in ws], total, counts) for c, ws in row.items()}
         for topic, row in scored.items()
@@ -255,11 +241,20 @@ def npmi(topic_words, corpus_docs, window: int = 10, cutoff: int = 10) -> float:
     return coherence_report({0: topic_words}, corpus_docs, window, (cutoff,)).per_topic[0][cutoff]
 
 
+def _write_table(path, header: str, rows) -> None:
+    """A CSV of `header` and one `label,values` line per (label, values) row,
+    the values at 6 decimals."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for label, values in rows:
+            fh.write(f"{label}," + ",".join(f"{x:.6f}" for x in values) + "\n")
+
+
 def report_to_csv(path, rows: list[tuple[str, MetricReport]], mean_row: MetricReport | None = None) -> None:
     """Metric CSV: one row per fold/target plus an optional mean row."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("unit,macro_f1,p_support,p_oppose,r_support,r_oppose\n")
-        for name, rep in rows:
-            fh.write(f"{name}," + ",".join(f"{x:.6f}" for x in rep.row()) + "\n")
-        if mean_row is not None:
-            fh.write("mean," + ",".join(f"{x:.6f}" for x in mean_row.row()) + "\n")
+    if mean_row is not None:
+        rows = [*rows, ("mean", mean_row)]
+    _write_table(
+        path, "unit,macro_f1,p_support,p_oppose,r_support,r_oppose",
+        [(name, astuple(report)) for name, report in rows],
+    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -132,11 +132,12 @@ def train_classifier_epoch(
     onehot_all = np.eye(enc.cfg.num_classes)
     gold = np.asarray(gold_indices)
     sum_ce = sum_mutual = 0.0
+    # the merge shares the underlying arrays, so in-place updates land in both
+    # enc.params and proj_params
+    stepped = {**enc.params, **proj_params} if mutual_on else enc.params
     for start in range(0, n, batch_size):
         idx = order[start : start + batch_size]
-        leaves = ad.lift(enc.params)
-        if mutual_on:
-            leaves.update(ad.lift(proj_params))
+        leaves = ad.lift(stepped)
         h = encode_batch_graph(leaves, enc.cfg, inputs[idx])
         probs = classify_graph(leaves, enc.cfg, h)
         onehot = onehot_all[gold[idx]]
@@ -148,9 +149,6 @@ def train_classifier_epoch(
             loss = loss + gamma * mut
             sum_mutual += float(mut.data)
         loss.backward()
-        # dict merge shares the underlying arrays, so in-place updates land in
-        # both enc.params and proj_params
-        stepped = {**enc.params, **proj_params} if mutual_on else enc.params
         optimizer_step(optimizer, stepped, ad.grads_of(leaves))
         sum_ce += float(ce_sum.data)
     return ClassifierEpochStats(mean_ce=sum_ce / n, mean_mutual=sum_mutual / n)
@@ -391,12 +389,9 @@ def history_to_csv(history: list[HistoryRow], path) -> None:
     """Training history CSV, one row per phase epoch."""
 
     def fmt(x):
-        return "" if x is None else repr(float(x))
+        return "" if x is None else repr(float(x)) if isinstance(x, float) else str(x)
 
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,phase,epoch,elbo,kl,mutual,cross_entropy,val_macro_f1\n")
+        fh.write(",".join(f.name for f in fields(HistoryRow)) + "\n")
         for row in history:
-            fh.write(
-                f"{row.iteration},{row.phase},{row.epoch},{fmt(row.elbo)},{fmt(row.kl)},"
-                f"{fmt(row.mutual)},{fmt(row.cross_entropy)},{fmt(row.val_macro_f1)}\n"
-            )
+            fh.write(",".join(map(fmt, astuple(row))) + "\n")

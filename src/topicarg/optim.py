@@ -245,21 +245,24 @@ def optimizer_step(
     (since the optimizer created m and v) still have m = v = +0.0, and with
     g = 0 their Adam update is exactly 0.0/(0.0 + eps_hat) = +0.0; while the
     moments are packed such rows are skipped, and AdamW gives them the decay
-    multiply alone. Every gradient (a `RowSparse` one through its values) is
-    checked for finiteness, every `RowSparse` for sorted, unique, in-range
-    rows and values of their shape, every stepped parameter for
-    C-contiguity, and its m and v, when it has them, for being C-contiguous
-    float64 arrays of its shape, packed or not, before anything is mutated.
+    multiply alone. Before anything is mutated, `grads` is checked for naming
+    exactly the parameters, so that AdamW's decay reaches each of them; every
+    gradient (a `RowSparse` one through its values) for finiteness, every
+    `RowSparse` for sorted, unique, in-range rows and values of their shape,
+    every parameter for C-contiguity, and its m and v, when it has them, for
+    being C-contiguous float64 arrays of its shape, packed or not.
     """
+    if grads.keys() != params.keys():
+        raise ValueError(
+            f"gradients {sorted(grads.keys() - params.keys())} name no parameter and"
+            f" parameters {sorted(params.keys() - grads.keys())} have no gradient"
+        )
     for name, g in grads.items():
+        p = params[name]
         if not np.isfinite(g.values if isinstance(g, RowSparse) else g).all():
             raise FloatingPointError(
                 f"non-finite gradient for parameter {name!r} at step {state.step_count + 1}"
             )
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
         if not p.flags.c_contiguous:
             # reshape(-1) would copy, and the in-place update would be lost
             raise ValueError(f"parameter {name!r} is not C-contiguous")
@@ -282,9 +285,7 @@ def optimizer_step(
     state.step_count += 1
     step = _Step(state)
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
+        g = grads[name]
         sparse = isinstance(g, RowSparse)
         if name not in state.m:
             if sparse:

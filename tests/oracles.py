@@ -284,7 +284,7 @@ def build_vocabulary(records, max_size: int) -> Vocabulary:
     return Vocabulary({w: i for i, w in enumerate(ranked)}, ranked)
 
 
-def build_encoder_vocab(records, max_size: int, ntm_vocab: Vocabulary | None = None) -> Vocabulary:
+def build_encoder_vocab(records, max_size: int, ntm_vocab: Vocabulary) -> Vocabulary:
     """Encoder vocabulary from one encoder-mode `tokenize` call per record and target."""
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
@@ -294,8 +294,7 @@ def build_encoder_vocab(records, max_size: int, ntm_vocab: Vocabulary | None = N
         freq.update(tokenize(record.target, mode="encoder"))
     ranked = sorted(freq, key=lambda w: (-freq[w], w))[:max_size]
     words = list(MARKERS) + ranked
-    if ntm_vocab is not None:
-        words += [w for w in ntm_vocab.id_to_word if w not in words]
+    words += [w for w in ntm_vocab.id_to_word if w not in words]
     return Vocabulary({w: i for i, w in enumerate(words)}, words)
 
 

@@ -345,3 +345,13 @@ def test_a_constant_operand_leaves_other_gradients_bitwise_unchanged(
         if full is not None:
             assert type(full) is type(pruned)
             assert np.asarray(full).tobytes() == np.asarray(pruned).tobytes()
+
+
+def test_constant_of_a_tensor_is_cut_from_its_graph():
+    # x * constant(x) has gradient constant(x) = x: the constant side adds none
+    leaf = ad.Tensor(np.array([2.0, -3.0]))
+    held = ad.constant(leaf)
+    assert held is not leaf and not held.requires_grad and held.data is leaf.data
+    ad.tensor_sum(leaf * held).backward()
+    assert held.grad is None
+    assert leaf.grad.tobytes() == leaf.data.tobytes()

@@ -59,6 +59,15 @@ def train_fold_0(corpus_path, out_dir):
     return out_dir / "train" / "fold_0" / "checkpoint.bin"
 
 
+@pytest.fixture(scope="module")
+def trained_fold_0(tmp_path_factory):
+    """The corpus and fold-0 checkpoint of one small run, for tests that only read them."""
+    root = tmp_path_factory.mktemp("trained")
+    corpus_path = root / "corpus.tsv"
+    write_tsv(stance_corpus(n_per_cell=10, seed=0), corpus_path)
+    return corpus_path, train_fold_0(corpus_path, root / "run")
+
+
 class TestPrepare:
     def test_writes_manifest_with_counts(self, corpus_path, tmp_path):
         out = tmp_path / "run"
@@ -790,6 +799,40 @@ class TestCheckpoint:
         assert main(["extract-topics", "--checkpoint", str(checkpoint),
                      *small_flags(corpus_path, out)]) == 1
         assert capsys.readouterr().err == f"error: {checkpoint}{reason}\n"
+
+
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("n_top_terms", "6", "config field n_top_terms must be of type int"),
+            ("n_top_terms", 2.5, "config field n_top_terms must be of type int"),
+            ("n_top_terms", None, "config field n_top_terms must be of type int"),
+            ("n_top_terms", True, "config field n_top_terms must be of type int"),
+            ("n_top_terms", 0, "config field n_top_terms must be >= 1"),
+            ("ratio_p", "0.5", "config field ratio_p must be of type float"),
+            ("ratio_p", 1.5, "ratio_p must be in (0, 1)"),
+        ],
+        ids=["n_str", "n_float", "n_null", "n_bool", "n_zero", "p_str", "p_above_1"],
+    )
+    def test_malformed_header_settings_are_refused(
+        self, trained_fold_0, tmp_path, capsys, key, value, reason
+    ):
+        corpus_path, trained = trained_fold_0
+        arrays, meta = load_checkpoint(trained)
+        meta[key] = value
+        checkpoint = tmp_path / "bad.bin"
+        save_checkpoint(checkpoint, arrays, meta)
+        out = tmp_path / "topics.tsv"
+        args = ["extract-topics", "--checkpoint", str(checkpoint), "--data", str(corpus_path),
+                "--out-dir", str(trained.parents[2]), "--out", str(out)]
+        capsys.readouterr()
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {checkpoint}: its header's {reason}\n"
+        assert not out.exists()
+        # the header's settings sit under the flags, so a flag sets this one aside
+        flag = {"n_top_terms": ("--n-top-terms", "4"), "ratio_p": ("--ratio-p", "0.5")}[key]
+        assert main([*args, *flag]) == 0
+        assert out.exists()
 
 
 class TestExtractAndCoherence:

@@ -229,26 +229,23 @@ records_strategy = st.lists(
     records=records_strategy,
     max_size=st.integers(1, 40),
     chunk=st.sampled_from([1, 2, 3, corpus._COUNT_CHUNK]),
-    with_ntm=st.booleans(),
 )
-@example(records=[rec(sentence="bb aa cc bb aa")], max_size=1, chunk=1, with_ntm=True)
-@example(records=[rec(sentence="bb aa cc bb aa")], max_size=9, chunk=1, with_ntm=False)
+@example(records=[rec(sentence="bb aa cc bb aa")], max_size=1, chunk=1)
 @example(records=[rec(sentence=s) for s in ["bb aa", "ΟΔΟΣ aa", "cc, bb", "the é", "aa"]],
-         max_size=40, chunk=2, with_ntm=True)
-def test_vocabularies_equal_the_per_record_references(records, max_size, chunk, with_ntm):
+         max_size=40, chunk=2)
+def test_vocabularies_equal_the_per_record_references(records, max_size, chunk):
     with mock.patch.object(corpus, "_COUNT_CHUNK", chunk):
         if not records:
             with pytest.raises(ValueError, match="zero records"):
                 build_vocabulary(records, max_size)
-            ntm_vocab = None
+            ntm_vocab = Vocabulary({}, [])
         else:
             ntm_vocab = build_vocabulary(records, max_size)
             expected = oracles.build_vocabulary(records, max_size)
             assert ntm_vocab.id_to_word == expected.id_to_word
             assert ntm_vocab.index_of == expected.index_of
-        forced = ntm_vocab if with_ntm else None
-        enc_vocab = build_encoder_vocab(records, max_size, ntm_vocab=forced)
-        expected = oracles.build_encoder_vocab(records, max_size, ntm_vocab=forced)
+        enc_vocab = build_encoder_vocab(records, max_size, ntm_vocab=ntm_vocab)
+        expected = oracles.build_encoder_vocab(records, max_size, ntm_vocab=ntm_vocab)
         assert enc_vocab.id_to_word == expected.id_to_word
         assert enc_vocab.index_of == expected.index_of
 

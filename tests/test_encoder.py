@@ -10,7 +10,7 @@ from oracles import build_input, grad_check, segment_tags
 from synthdata import stance_corpus
 from topicarg import autodiff as ad
 from topicarg import encoder as encoder_mod
-from topicarg.corpus import LABELS, ArgumentExample, build_vocabulary, tokenize
+from topicarg.corpus import LABELS, ArgumentExample, Vocabulary, build_vocabulary, tokenize
 from topicarg.encoder import (
     CLS,
     SEGMENTS,
@@ -93,7 +93,7 @@ def topics(*terms) -> ExtractedTopics:
 @pytest.fixture
 def enc_vocab():
     records = stance_corpus(n_per_cell=10, seed=0)
-    return build_encoder_vocab(records, max_size=200)
+    return build_encoder_vocab(records, max_size=200, ntm_vocab=build_vocabulary(records, 40))
 
 
 @pytest.fixture
@@ -168,7 +168,7 @@ class TestEncoderVocab:
 
     def test_max_size_validation(self):
         with pytest.raises(ValueError):
-            build_encoder_vocab([], max_size=0)
+            build_encoder_vocab([], max_size=0, ntm_vocab=Vocabulary({}, []))
 
 
 class TestEncode:
@@ -271,8 +271,9 @@ def test_embedding_table_covers_ntm_vocab():
 def test_vocabulary_rows_refuses_a_missing_ntm_word():
     records = stance_corpus(n_per_cell=10, seed=0)
     ntm_vocab = build_vocabulary(records, max_size=25)
-    enc_vocab = build_encoder_vocab(records, max_size=3)  # NTM words not forced in
-    with pytest.raises(ValueError, match=r"encoder vocabulary is missing \d+ NTM word"):
+    words = [CLS, SEP, UNK, *ntm_vocab.id_to_word[:20]]  # the last 5 NTM words left out
+    enc_vocab = Vocabulary({w: i for i, w in enumerate(words)}, words)
+    with pytest.raises(ValueError, match=r"encoder vocabulary is missing 5 NTM word"):
         vocabulary_rows(enc_vocab, ntm_vocab)
 
 

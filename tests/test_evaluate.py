@@ -13,6 +13,7 @@ from topicarg.corpus import DatasetSplit, LABELS, examples_from_records
 from topicarg.evaluate import (
     NPMI_SMOOTHING,
     CoherenceReport,
+    MetricReport,
     assert_no_leakage,
     coherence_report,
     confusion,
@@ -23,6 +24,7 @@ from topicarg.evaluate import (
     report_to_csv,
     run_protocol,
 )
+from topicarg.mutual import HistoryRow, history_to_csv
 from topicarg.nn import SeededRng
 
 
@@ -478,6 +480,46 @@ def test_coherence_report_equals_reference_exactly(docs, window, topics, form, d
         }
     for c in cutoffs:
         assert rep.averaged[c] == float(np.mean([row[c] for row in rep.per_topic.values()]))
+
+
+def test_tables_are_written_byte_for_byte(tmp_path):
+    reports = [
+        ("fold_0", MetricReport(0.5, 1 / 3, 0.25, 2 / 3, 0.125)),
+        ("cross_guns", MetricReport(1.0, 0.0, 1e-7, 0.9999995, 0.5)),
+    ]
+    report_to_csv(tmp_path / "metrics.csv", reports, mean_report(r for _, r in reports))
+    report_to_csv(tmp_path / "row.csv", reports[:1])
+    CoherenceReport(
+        (5, 10), {1: {5: -0.25, 10: 1 / 7}, 0: {5: 0.1234567, 10: -1e-9}}, {5: -0.0632718, 10: 0.5}
+    ).to_csv(tmp_path / "coherence.csv")
+    history_to_csv(
+        [
+            HistoryRow(1, "ntm", 1, elbo=123.456, kl=0.1, mutual=None),
+            HistoryRow(1, "classifier", 2, mutual=0.25, cross_entropy=1 / 3, val_macro_f1=1.0),
+        ],
+        tmp_path / "history.csv",
+    )
+    assert (tmp_path / "metrics.csv").read_bytes() == (
+        b"unit,macro_f1,p_support,p_oppose,r_support,r_oppose\n"
+        b"fold_0,0.500000,0.333333,0.250000,0.666667,0.125000\n"
+        b"cross_guns,1.000000,0.000000,0.000000,1.000000,0.500000\n"
+        b"mean,0.750000,0.166667,0.125000,0.833333,0.312500\n"
+    )
+    assert (tmp_path / "row.csv").read_bytes() == (
+        b"unit,macro_f1,p_support,p_oppose,r_support,r_oppose\n"
+        b"fold_0,0.500000,0.333333,0.250000,0.666667,0.125000\n"
+    )
+    assert (tmp_path / "coherence.csv").read_bytes() == (
+        b"topic,npmi@5,npmi@10\n"
+        b"0,0.123457,-0.000000\n"
+        b"1,-0.250000,0.142857\n"
+        b"mean,-0.063272,0.500000\n"
+    )
+    assert (tmp_path / "history.csv").read_bytes() == (
+        b"iteration,phase,epoch,elbo,kl,mutual,cross_entropy,val_macro_f1\n"
+        b"1,ntm,1,123.456,0.1,,,\n"
+        b"1,classifier,2,,,0.25,0.3333333333333333,1.0\n"
+    )
 
 
 def test_report_csv_shape(tmp_path):

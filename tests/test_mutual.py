@@ -25,6 +25,7 @@ from topicarg import autodiff as ad
 from topicarg import mutual as mutual_mod
 from topicarg import ntm as ntm_mod
 from topicarg.corpus import (
+    Vocabulary,
     build_vocabulary,
     examples_from_records,
     make_cross_target_splits,
@@ -529,9 +530,10 @@ def test_extraction_maps_the_vocabularies_once_per_train_data(monkeypatch):
 
 def test_extraction_refuses_an_encoder_vocabulary_missing_ntm_words():
     ntm, enc, data = _training_setup()
-    short = build_encoder_vocab(stance_corpus(n_per_cell=8, seed=0), max_size=3)
+    words = [w for w in data.enc_vocab.id_to_word if w != data.vocab.id_to_word[0]]
+    short = Vocabulary({w: i for i, w in enumerate(words)}, words)
     data = dataclasses.replace(data, enc_vocab=short)
-    with pytest.raises(ValueError, match=r"encoder vocabulary is missing \d+ NTM word"):
+    with pytest.raises(ValueError, match=r"encoder vocabulary is missing 1 NTM word"):
         extract_topics_for_targets(ntm, enc, data, ["guns"], 4, 0.5)
 
 

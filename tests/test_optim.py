@@ -624,3 +624,26 @@ def test_constructors_validate():
     with pytest.raises(ValueError, match="weight_decay"):
         adamw(1e-3, weight_decay=-0.5)
     assert OptimizerState(1e-3, beta1=0.0, beta2=0.0).beta1 == 0.0
+
+
+@pytest.mark.parametrize(
+    "grad_names, match",
+    [
+        (("a", "e", "x"), r"gradients \['x'\] name no parameter and parameters \[\] have"),
+        (("a",), r"gradients \[\] name no parameter and parameters \['e'\] have no gradient"),
+    ],
+    ids=["gradient_without_a_parameter", "parameter_without_a_gradient"],
+)
+def test_gradients_must_name_exactly_the_parameters(grad_names, match):
+    rng = np.random.default_rng(5)
+    params = {"a": rng.normal(size=(5, 4)), "e": rng.normal(size=(8, 3))}
+    state = adamw(0.1, weight_decay=0.1)
+    optimizer_step(state, params, {
+        "a": rng.normal(size=(5, 4)), "e": RowSparse(np.array([2]), rng.normal(size=(1, 3)), (8, 3)),
+    })
+    before = _snapshot(state, params)
+    grads = {name: np.ones(params.get(name, np.ones(2)).shape) for name in grad_names}
+    with pytest.raises(ValueError, match=match):
+        optimizer_step(state, params, grads)
+    assert _snapshot(state, params) == before
+    assert state.step_count == 1
