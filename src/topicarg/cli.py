@@ -303,6 +303,7 @@ class _Protocol:
                     "mode": "cross_target" if self.cross else "in_target_fold",
                     "run": run_name,
                     "iterations_run": result.stopped_at_iteration,
+                    "selected_iteration": result.selected_iteration,
                     "step_counters": {
                         "ntm": result.ntm_steps,
                         "classifier": result.classifier_steps,
@@ -381,14 +382,17 @@ def cmd_extract_topics(args) -> int:
             f"checkpoint {args.checkpoint} was trained on other vocabularies than "
             f"the prepared data under {_prepare_dir(cfg)}"
         )
-    for key in ("n_top_terms", "ratio_p"):  # the run's settings, unless flagged
-        if getattr(args, key) is None and key in meta:
-            setattr(cfg, key, meta[key])
+    header = [key for key in ("n_top_terms", "ratio_p") if getattr(args, key) is None and key in meta]
+    for key in header:  # the run's settings, unless flagged
+        setattr(cfg, key, meta[key])
     try:
         cfg.validate()
+        if "n_top_terms" in header:
+            _check_targets(vocab, records, cfg.n_top_terms)
     except ValueError as err:
         raise ValueError(f"{args.checkpoint}: its header's {err}") from None
-    _check_targets(vocab, records, cfg.n_top_terms)
+    if "n_top_terms" not in header:
+        _check_targets(vocab, records, cfg.n_top_terms)
     # extraction reads only the vocabularies, never the examples
     data = mutual_mod.TrainData(examples=[], bows=None, vocab=vocab, enc_vocab=enc_vocab)
     targets = sorted({r.target for r in records})

@@ -30,16 +30,12 @@ from .encoder import (  # perfbench/tracing.py patches some of these names here
     vocabulary_rows,
 )
 from .evaluate import confusion, metric_report
-from .nn import EPS, MlpSpec, SeededRng, init_mlp, mlp_forward
+from .nn import EPS, MlpSpec, SeededRng, init_mlp, mlp_forward, mutual_sum_graph, similarity_graph
 from .ntm import NtmParams, infer_topic_distributions, train_ntm_epoch
 from .optim import adam, adamw, OptimizerState, optimizer_step
 from .topics import ExtractedTopics, extract_topics
 
 logger = logging.getLogger(__name__)
-
-# Guard for the harmonic denominator in the differentiable path; invisible in
-# float64 unless both KLs are essentially zero.
-_HARMONIC_GUARD = 1e-30
 
 
 @dataclass
@@ -79,27 +75,6 @@ def project_to_topic(proj_params: dict, h: np.ndarray) -> np.ndarray:
     return _projection_graph(proj_params, h).data
 
 
-def _kl_rows_graph(p, q) -> ad.Tensor:
-    """Row-wise floored KL between (B, K) distributions; returns (B,)."""
-    p = ad.as_tensor(p)
-    q = ad.as_tensor(q)
-    return ad.tensor_sum(p * (ad.log(p + EPS) - ad.log(q + EPS)), axis=1)
-
-
-def similarity_graph(u, z) -> ad.Tensor:
-    """Differentiable row-wise O(u, z); either side may be a constant."""
-    # floored KLs can dip a hair below 0; clamping them keeps O in (0, 1]
-    a = ad.relu(_kl_rows_graph(u, z))
-    b = ad.relu(_kl_rows_graph(z, u))
-    harm = a * b / (a + b + _HARMONIC_GUARD)
-    return 1.0 / (1.0 + harm)
-
-
-def mutual_sum_graph(u, z) -> ad.Tensor:
-    """Batch mutual loss sum(1 - O) as a scalar Tensor."""
-    return ad.tensor_sum(1.0 - similarity_graph(u, z))
-
-
 @dataclass
 class ClassifierEpochStats:
     mean_ce: float
@@ -119,15 +94,18 @@ def train_classifier_epoch(
 ) -> ClassifierEpochStats:
     """One shuffled pass minimizing sum CE (+ gamma * sum(1 - O(u, z))).
 
-    With `proj_params`/`z_targets` unset no mutual machinery runs: the loop is
-    plain cross-entropy training and consumes the same RNG draws either way.
+    With `proj_params` and `z_targets` unset no mutual machinery runs: the loop
+    is plain cross-entropy training and consumes the same RNG draws either way.
+    One of them without the other is refused.
     """
     n = len(inputs)
     if n == 0:
         raise ValueError("no training inputs")
     if n != len(gold_indices):
         raise ValueError("inputs and gold labels differ in length")
-    mutual_on = proj_params is not None and z_targets is not None
+    if (proj_params is None) != (z_targets is None):
+        raise ValueError("proj_params and z_targets must be given together or not at all")
+    mutual_on = proj_params is not None
     order = rng.permutation(n)
     onehot_all = np.eye(enc.cfg.num_classes)
     gold = np.asarray(gold_indices)
@@ -203,6 +181,7 @@ class TrainResult:
     topics_by_target: dict[str, ExtractedTopics]
     best_val_macro_f1: float | None
     stopped_at_iteration: int
+    selected_iteration: int  # the iteration whose parameters and topics these are
     ntm_steps: int = 0
     classifier_steps: int = 0
 
@@ -284,14 +263,10 @@ def _iterations(ntm, enc, proj_params, data: TrainData, schedule: TrainSchedule,
 
     for iteration in range(1, schedule.max_iterations + 1):
         rows: list[HistoryRow] = []
-        mutual_term = None
+        u_targets = None
         if mutual_on:
             h_all = _encode_all(enc, inputs(data.examples, topics()))
             u_targets = project_to_topic(proj_params, h_all)
-
-            def mutual_term(z_tensor, idx, _u=u_targets):
-                return mutual_sum_graph(z_tensor, ad.constant(_u[idx]))
-
         for epoch in range(1, schedule.ntm_epochs + 1):
             global_ntm_epoch = (iteration - 1) * schedule.ntm_epochs + epoch
             kl_w = (
@@ -302,7 +277,7 @@ def _iterations(ntm, enc, proj_params, data: TrainData, schedule: TrainSchedule,
             with _phase("ntm"):
                 stats = train_ntm_epoch(
                     ntm, data.bows, opt_ntm, schedule.batch_size, rng_ntm,
-                    kl_weight=kl_w, mutual_term=mutual_term, gamma=gamma,
+                    kl_weight=kl_w, u_targets=u_targets, gamma=gamma,
                 )
             rows.append(HistoryRow(
                 iteration, "ntm", epoch, elbo=stats.mean_total, kl=stats.mean_kl,
@@ -350,7 +325,10 @@ def train_alternating(
     """Alternating optimization of the topic model and the classifier.
 
     Runs `_iterations` until `max_iterations`, or until `patience` validation
-    rounds in a row bring no strict rise in macro F1. With gamma=0 the mutual
+    rounds in a row bring no strict rise in macro F1. With `patience` > 0 the
+    models, topics and step counts returned are those of the iteration with the
+    highest validation macro F1, the earliest on ties; with `patience` 0, or no
+    validation examples, those of the last iteration. With gamma=0 the mutual
     terms and the projection head are structurally absent and no extra
     randomness is consumed, so the two models train exactly as they would
     independently.
@@ -365,6 +343,10 @@ def train_alternating(
     history: list[HistoryRow] = []
     best_f1: float | None = None
     bad_rounds = 0
+    # with patience, the best record so far and a copy of the parameters it left,
+    # unless it is the last iteration, whose parameters are the ones returned
+    selected = held = None
+    arrays = [*ntm.params.values(), *enc.params.values(), *(proj_params or {}).values()]
     for record in _iterations(
         ntm, enc, proj_params, data, schedule,
         gamma=gamma, lr_ntm=lr_ntm, lr_classifier=lr_classifier, n_top_terms=n_top_terms,
@@ -375,13 +357,25 @@ def train_alternating(
             continue
         if best_f1 is None or record.val_macro_f1 > best_f1:
             best_f1, bad_rounds = record.val_macro_f1, 0
+            if schedule.patience:
+                selected = record
+                if record.iteration < schedule.max_iterations:
+                    held = held or [np.empty_like(a) for a in arrays]
+                    for kept, a in zip(held, arrays):
+                        np.copyto(kept, a)
         else:
             bad_rounds += 1
             if schedule.patience and bad_rounds >= schedule.patience:
                 break
+    if selected is None:
+        selected = record
+    elif selected is not record:
+        for a, kept in zip(arrays, held):
+            np.copyto(a, kept)
     return TrainResult(
-        ntm, enc, proj_params, history, record.topics, best_f1, record.iteration,
-        ntm_steps=record.ntm_steps, classifier_steps=record.classifier_steps,
+        ntm, enc, proj_params, history, selected.topics, best_f1, record.iteration,
+        selected.iteration, ntm_steps=selected.ntm_steps,
+        classifier_steps=selected.classifier_steps,
     )
 
 

@@ -1,4 +1,4 @@
-"""Dense networks and seeded randomness.
+"""Dense networks, seeded randomness and the mutual-learning similarity graphs.
 
 Training and inference build their math as autodiff graphs via `mlp_forward`
 and the ops in :mod:`topicarg.autodiff`; array-level restatements of the
@@ -16,6 +16,10 @@ from . import autodiff as ad
 
 # Probability floor used inside every log and KL ratio.
 EPS = 1e-8
+
+# Guard for the harmonic denominator in the differentiable path; invisible in
+# float64 unless both KLs are essentially zero.
+_HARMONIC_GUARD = 1e-30
 
 _ACTIVATIONS = {"relu": ad.relu, "softplus": ad.softplus}
 
@@ -105,3 +109,24 @@ def mlp_forward(spec: MlpSpec, params: dict, x, prefix: str = "") -> ad.Tensor:
         if i < spec.n_layers - 1:
             h = act(h)
     return h
+
+
+def _kl_rows_graph(p, q) -> ad.Tensor:
+    """Row-wise floored KL between (B, K) distributions; returns (B,)."""
+    p = ad.as_tensor(p)
+    q = ad.as_tensor(q)
+    return ad.tensor_sum(p * (ad.log(p + EPS) - ad.log(q + EPS)), axis=1)
+
+
+def similarity_graph(u, z) -> ad.Tensor:
+    """Differentiable row-wise O(u, z); either side may be a constant."""
+    # floored KLs can dip a hair below 0; clamping them keeps O in (0, 1]
+    a = ad.relu(_kl_rows_graph(u, z))
+    b = ad.relu(_kl_rows_graph(z, u))
+    harm = a * b / (a + b + _HARMONIC_GUARD)
+    return 1.0 / (1.0 + harm)
+
+
+def mutual_sum_graph(u, z) -> ad.Tensor:
+    """Batch mutual loss sum(1 - O) as a scalar Tensor."""
+    return ad.tensor_sum(1.0 - similarity_graph(u, z))

@@ -16,7 +16,7 @@ from scipy import sparse
 
 from . import autodiff as ad
 from .corpus import Vocabulary
-from .nn import MlpSpec, SeededRng, init_mlp, mlp_forward
+from .nn import MlpSpec, SeededRng, init_mlp, mlp_forward, mutual_sum_graph
 from .optim import OptimizerState, optimizer_step
 
 
@@ -124,13 +124,13 @@ def train_ntm_epoch(
     batch_size: int,
     rng: SeededRng,
     kl_weight: float = 1.0,
-    mutual_term=None,
+    u_targets: np.ndarray | None = None,
     gamma: float = 0.0,
 ) -> NtmEpochStats:
-    """One shuffled pass minimizing recon + kl_weight * kl (+ gamma * mutual).
+    """One shuffled pass minimizing recon + kl_weight * kl (+ gamma * sum(1 - O(z, u))).
 
-    `mutual_term(z_tensor, batch_indices)` returns the unweighted mutual-loss
-    Tensor for the batch; when None, no mutual machinery runs at all.
+    `u_targets` are the classifier's frozen (N, K) topic-space distributions,
+    one per row of `corpus_bows`; with them unset no mutual machinery runs.
     `corpus_bows` is the CSR count matrix `corpus.vectorize_all` builds.
     """
     n = corpus_bows.shape[0]
@@ -145,8 +145,8 @@ def train_ntm_epoch(
         leaves = ad.lift(ntm.params)
         recon, kl, z = elbo_batch_graph(leaves, ntm.cfg, ntm.log_freq, counts, noise)
         loss = recon + kl_weight * kl
-        if mutual_term is not None:
-            mut = mutual_term(z, idx)
+        if u_targets is not None:
+            mut = mutual_sum_graph(z, ad.constant(u_targets[idx]))
             loss = loss + gamma * mut
             sum_mutual += float(mut.data)
         loss.backward()

@@ -258,6 +258,8 @@ class TestTrain:
         _, meta = load_checkpoint(run_dir / "checkpoint.bin")
         assert meta["step_counters"]["ntm"] > 0
         assert meta["step_counters"]["classifier"] > 0
+        # --patience 0 selects nothing: the file holds the last iteration
+        assert meta["selected_iteration"] == meta["iterations_run"] == 2
 
     def test_fixed_seed_reproduces_history(self, corpus_path, tmp_path):
         out = tmp_path / "run"
@@ -461,6 +463,10 @@ def tightest_target(corpus_path, out):
     target = min(sorted(rooms), key=rooms.get)
     assert rooms[target] < vocab.size  # it masks at least one word
     return target, rooms[target]
+
+
+# a header n_top_terms one past the tightest target's room, worked out per corpus
+ONE_PAST_THE_ROOM = object()
 
 
 def n_top_terms_refusal(target, room):
@@ -811,13 +817,18 @@ class TestCheckpoint:
             ("n_top_terms", 0, "config field n_top_terms must be >= 1"),
             ("ratio_p", "0.5", "config field ratio_p must be of type float"),
             ("ratio_p", 1.5, "ratio_p must be in (0, 1)"),
+            ("n_top_terms", ONE_PAST_THE_ROOM, None),
         ],
-        ids=["n_str", "n_float", "n_null", "n_bool", "n_zero", "p_str", "p_above_1"],
+        ids=["n_str", "n_float", "n_null", "n_bool", "n_zero", "p_str", "p_above_1", "n_past_room"],
     )
     def test_malformed_header_settings_are_refused(
         self, trained_fold_0, tmp_path, capsys, key, value, reason
     ):
         corpus_path, trained = trained_fold_0
+        if value is ONE_PAST_THE_ROOM:  # more terms than the tightest target leaves
+            target, room = tightest_target(corpus_path, trained.parents[2])
+            value = room + 1
+            reason = n_top_terms_refusal(target, room).removeprefix("error: ").rstrip("\n")
         arrays, meta = load_checkpoint(trained)
         meta[key] = value
         checkpoint = tmp_path / "bad.bin"

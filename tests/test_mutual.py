@@ -53,7 +53,7 @@ from topicarg.mutual import (
 )
 from topicarg.nn import EPS, SeededRng
 from topicarg.ntm import NtmConfig, compute_log_freq, init_ntm, train_ntm_epoch
-from topicarg.optim import adam, adamw
+from topicarg.optim import adam, adamw, optimizer_step
 
 
 def random_distribution(rng, k=6):
@@ -281,6 +281,23 @@ class TestClassifierEpoch:
         )
         assert any(not np.array_equal(before[k], proj[k]) for k in proj)
 
+    @pytest.mark.parametrize("given", ["proj_params", "z_targets"])
+    def test_half_given_mutual_inputs_are_refused(self, given):
+        ntm, enc, data = _training_setup()
+        inputs = build_inputs(data.examples, {}, data.enc_vocab, 64, False)
+        gold = [ex.label_index() for ex in data.examples]
+        mutual = {
+            "proj_params": init_projection(6, 4, SeededRng(8)),
+            "z_targets": softmax(SeededRng(9).normal((len(inputs), 4)), axis=-1),
+        }
+        before = copy.deepcopy(enc.params)
+        with pytest.raises(ValueError, match="^proj_params and z_targets must be given together"):
+            train_classifier_epoch(
+                enc, inputs, gold, adamw(1e-3), 8, SeededRng(10), gamma=0.5,
+                **{given: mutual[given]},
+            )
+        assert all(np.array_equal(before[k], enc.params[k]) for k in before)
+
     def test_input_length_mismatch(self):
         ntm, enc, data = _training_setup()
         inputs = build_inputs(data.examples[:2], {}, data.enc_vocab, 64, False)
@@ -288,6 +305,48 @@ class TestClassifierEpoch:
             train_classifier_epoch(enc, inputs[:0], [], adamw(1e-3), 4, SeededRng(0))
         with pytest.raises(ValueError, match="differ in length"):
             train_classifier_epoch(enc, inputs, [0], adamw(1e-3), 4, SeededRng(0))
+
+
+def test_ntm_epoch_mutual_term_equals_a_hand_rolled_loop():
+    """`u_targets` adds gamma * sum(1 - O(z, u[idx])) to each batch's loss, and
+    nothing else changes: same batches, same draws, same graph order."""
+    ntm, _, data = _training_setup()
+    hand = copy.deepcopy(ntm)
+    plain = copy.deepcopy(ntm)
+    n = data.bows.shape[0]
+    u = softmax(SeededRng(5).normal((n, ntm.cfg.num_topics)) * 2.0, axis=-1)
+    stats = train_ntm_epoch(
+        ntm, data.bows, adam(2e-3), 8, SeededRng(6), kl_weight=0.5, u_targets=u, gamma=0.1
+    )
+
+    opt, rng = adam(2e-3), SeededRng(6)
+    order = rng.permutation(n)
+    sum_recon = sum_kl = sum_mutual = 0.0
+    for start in range(0, n, 8):
+        idx = order[start : start + 8]
+        noise = rng.normal((len(idx), hand.cfg.latent_dim))
+        leaves = ad.lift(hand.params)
+        recon, kl, z = ntm_mod.elbo_batch_graph(
+            leaves, hand.cfg, hand.log_freq, data.bows[idx], noise
+        )
+        loss = recon + 0.5 * kl
+        mut = mutual_sum_graph(z, ad.constant(u[idx]))
+        loss = loss + 0.1 * mut
+        loss.backward()
+        optimizer_step(opt, hand.params, ad.grads_of(leaves))
+        sum_recon += float(recon.data)
+        sum_kl += float(kl.data)
+        sum_mutual += float(mut.data)
+
+    for key in ntm.params:
+        assert ntm.params[key].tobytes() == hand.params[key].tobytes(), key
+    assert stats == ntm_mod.NtmEpochStats(
+        mean_total=(sum_recon + sum_kl) / n, mean_kl=sum_kl / n, mean_mutual=sum_mutual / n
+    )
+    assert stats.mean_mutual > 0
+    # the term is live: without it the same epoch ends elsewhere
+    train_ntm_epoch(plain, data.bows, adam(2e-3), 8, SeededRng(6), kl_weight=0.5)
+    assert any(not np.array_equal(plain.params[k], ntm.params[k]) for k in ntm.params)
 
 
 class TestClassifierSideGradient:
@@ -655,26 +714,33 @@ def _stopping_run(seed, gamma, max_iterations, patience):
     )
 
 
-def _trained_state(result):
+def _trained_state(result, through=None):
+    """Everything a run returns, its history cut after iteration `through`."""
     params = {**result.ntm.params, **result.enc.params, **(result.proj_params or {})}
     return (
         {k: v.tobytes() for k, v in params.items()},
-        repr(result.history),
+        repr([row for row in result.history if through is None or row.iteration <= through]),
         repr(sorted(result.topics_by_target.items())),
         result.best_val_macro_f1,
-        result.stopped_at_iteration,
+        result.selected_iteration,
         result.ntm_steps,
         result.classifier_steps,
     )
+
+
+def _val_f1s(result):
+    return [row.val_macro_f1 for row in result.history if row.val_macro_f1 is not None]
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.1])
 @pytest.mark.parametrize("patience", [1, 2])
 @pytest.mark.parametrize("seed", range(6))
 def test_early_stop_equals_the_run_cut_at_its_stop(seed, patience, gamma):
+    """A run that stops at k after selecting iteration j returns bitwise the
+    run that was only ever given j iterations."""
     stopped = _stopping_run(seed, gamma, max_iterations=8, patience=patience)
     k = stopped.stopped_at_iteration
-    f1s = [row.val_macro_f1 for row in stopped.history if row.val_macro_f1 is not None]
+    f1s = _val_f1s(stopped)
     assert len(f1s) == k < 8
     # a round is bad unless it strictly beats every earlier round (a tie is bad);
     # the run stops at the first iteration that ends `patience` bad rounds in a row
@@ -682,8 +748,45 @@ def test_early_stop_equals_the_run_cut_at_its_stop(seed, patience, gamma):
     assert k == next(
         i + 1 for i in range(patience, len(bad)) if all(bad[i - patience + 1 : i + 1])
     )
+    # the selected iteration is the first to reach the best F1
+    j = f1s.index(max(f1s)) + 1
+    assert stopped.selected_iteration == j < k
     assert stopped.best_val_macro_f1 == max(f1s)
-    # the RNG streams do not depend on max_iterations, so the stopped run is
-    # bitwise the run that was only ever given k iterations
-    cut = _stopping_run(seed, gamma, max_iterations=k, patience=0)
-    assert _trained_state(stopped) == _trained_state(cut)
+    # the RNG streams do not depend on max_iterations, so the iterations up to j
+    # are bitwise those of the run cut at j
+    cut = _stopping_run(seed, gamma, max_iterations=j, patience=0)
+    assert cut.stopped_at_iteration == cut.selected_iteration == j
+    assert _trained_state(stopped, through=j) == _trained_state(cut)
+
+
+@pytest.mark.parametrize("seed", [1, 2])  # seed 2 ties its best F1 at iterations 2 and 3
+def test_patience_that_never_runs_out_returns_the_best_iteration(seed):
+    run = _stopping_run(seed, 0.1, max_iterations=5, patience=5)
+    f1s = _val_f1s(run)
+    assert run.stopped_at_iteration == len(f1s) == 5
+    j = f1s.index(max(f1s)) + 1
+    assert run.selected_iteration == j < 5  # an earlier best, not the last iteration
+    cut = _stopping_run(seed, 0.1, max_iterations=j, patience=0)
+    assert _trained_state(run, through=j) == _trained_state(cut)
+    last = _stopping_run(seed, 0.1, max_iterations=5, patience=0)
+    assert last.selected_iteration == 5
+    assert _trained_state(last)[0] != _trained_state(run)[0]
+
+
+def test_a_run_without_validation_selects_its_last_iteration():
+    def run(patience):
+        ntm, enc, data = _training_setup()
+        data.val_examples = []
+        schedule = TrainSchedule(
+            max_iterations=3, ntm_epochs=1, classifier_epochs=1, batch_size=8,
+            seed=2, patience=patience,
+        )
+        return train_alternating(
+            ntm, enc, data, schedule, gamma=0.1,
+            lr_ntm=2e-3, lr_classifier=5e-3, n_top_terms=4, ratio_p=0.5, max_len=64,
+        )
+
+    patient = run(2)
+    assert patient.selected_iteration == patient.stopped_at_iteration == 3
+    assert patient.best_val_macro_f1 is None
+    assert _trained_state(patient) == _trained_state(run(0))
