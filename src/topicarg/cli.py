@@ -133,12 +133,13 @@ def _cross_run_name(target: str) -> str:
     return f"cross_{target.replace(' ', '_')}"
 
 
-def _check_targets(vocab: Vocabulary, records, n_top_terms, max_len=None, cross=False) -> None:
+def _check_targets(vocab: Vocabulary, records, n_top_terms, max_len=None, cross=False,
+                   where="") -> None:
     """Refuse settings some corpus target cannot meet: an `n_top_terms` (None:
-    topics off) its topic rows cannot fill once its own words are masked, a
-    `max_len` its non-sentence segments exceed, or (`cross`) a cross-target run
-    directory that would leave `train/` or be another target's; the `cross_`
-    prefix already rules out `.` and `..`."""
+    topics off; `where` begins its refusal) its topic rows cannot fill once its
+    own words are masked, a `max_len` its non-sentence segments exceed, or
+    (`cross`) a cross-target run directory that would leave `train/` or be
+    another target's; the `cross_` prefix already rules out `.` and `..`."""
     runs: dict[str, str] = {}
     for target in sorted({r.target for r in records}):
         tokens = corpus_mod.tokenize(target, mode="encoder")
@@ -146,7 +147,7 @@ def _check_targets(vocab: Vocabulary, records, n_top_terms, max_len=None, cross=
         room = vocab.size - len(ids)
         if n_top_terms is not None and n_top_terms > room:
             raise ValueError(
-                f"config field n_top_terms must be <= {room}, the vocabulary words "
+                f"{where}config field n_top_terms must be <= {room}, the vocabulary words "
                 f"left after masking target {target!r}"
             )
         fixed = encoder_mod.non_sentence_length(len(tokens), (n_top_terms or 0) if ids else 0)
@@ -166,7 +167,8 @@ def _check_targets(vocab: Vocabulary, records, n_top_terms, max_len=None, cross=
             )
 
 
-def _init_models(cfg: RunConfig, vocab_size: int, enc_vocab_size: int, log_freq, seed: int):
+def _model_configs(cfg: RunConfig, vocab_size: int, enc_vocab_size: int):
+    """The topic model's and encoder's configs of a run over vocabularies of these sizes."""
     ntm_cfg = ntm_mod.NtmConfig(
         vocab_size=vocab_size,
         num_topics=cfg.num_topics,
@@ -179,10 +181,7 @@ def _init_models(cfg: RunConfig, vocab_size: int, enc_vocab_size: int, log_freq,
         hidden_dim=cfg.encoder_hidden_dim,
         output_dim=cfg.encoder_output_dim,
     )
-    root = SeededRng(seed)
-    ntm = ntm_mod.init_ntm(ntm_cfg, log_freq, root.child(10))
-    enc = encoder_mod.init_encoder(enc_cfg, root.child(11))
-    return ntm, enc
+    return ntm_cfg, enc_cfg
 
 
 def _schedule(cfg: RunConfig, seed: int) -> mutual_mod.TrainSchedule:
@@ -207,27 +206,34 @@ def _checkpoint_arrays(result) -> dict[str, np.ndarray]:
 
 
 def load_run(path):
-    """The topic model, encoder and projection head (or None) a `train`
-    checkpoint holds, rebuilt from the configs in its metadata, plus that
-    metadata."""
+    """The run config a `train` checkpoint's header holds; the topic model,
+    encoder and projection head (or None) built from it and the arrays; and
+    the header."""
     arrays, meta = load_checkpoint(path)
-    if "ntm_config" not in meta:
-        raise ValueError(f"{path} stores no model configs; retrain it with `train`")
+    if not isinstance(meta.get("config"), dict):
+        raise ValueError(f"{path} stores no run config; retrain it with `train`")
+    unknown = sorted(meta["config"].keys() - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise ValueError(f"{path}: its header's config field {unknown[0]} is not a run setting")
+    cfg = RunConfig(**meta["config"])
+    try:  # whatever the flags: a malformed header is a corrupt file, like a cut-short one
+        cfg.validate()
+    except ValueError as err:
+        raise ValueError(f"{path}: its header's {err}") from None
     groups: dict[str, dict[str, np.ndarray]] = {"ntm": {}, "enc": {}, "proj": {}}
     for name, array in arrays.items():
         group, _, key = name.partition("/")
         if group not in groups or not key:
             raise ValueError(f"{path}: array {name!r} is not under ntm/, enc/ or proj/")
         groups[group][key] = array
-    if "log_freq" not in groups["ntm"]:
-        raise ValueError(f"{path} holds no ntm/log_freq array")
-    try:
-        ntm_cfg = ntm_mod.NtmConfig(**meta["ntm_config"])
-        enc_cfg = encoder_mod.EncoderConfig(**meta["encoder_config"])
-    except (KeyError, TypeError) as err:
-        raise ValueError(f"{path}: malformed model configs in its header ({err!r})") from None
+    for name in ("ntm/log_freq", "enc/word_emb"):  # their rows are the vocabulary sizes
+        if name not in arrays:
+            raise ValueError(f"{path} holds no {name} array")
+    ntm_cfg, enc_cfg = _model_configs(
+        cfg, len(arrays["ntm/log_freq"]), len(arrays["enc/word_emb"])
+    )
     ntm = ntm_mod.NtmParams(ntm_cfg, groups["ntm"], groups["ntm"].pop("log_freq"))
-    return ntm, encoder_mod.EncoderParams(enc_cfg, groups["enc"]), groups["proj"] or None, meta
+    return cfg, ntm, encoder_mod.EncoderParams(enc_cfg, groups["enc"]), groups["proj"] or None, meta
 
 
 @contextmanager
@@ -281,8 +287,11 @@ class _Protocol:
         out = Path(cfg.out_dir) / "train" / run_name
         with _replaced_when_complete(out) as tmp:
             write_snapshot(cfg, tmp / "config.resolved")
+            ntm_cfg, enc_cfg = _model_configs(cfg, self.vocab.size, self.enc_vocab.size)
+            root = SeededRng(seed)
             result = mutual_mod.train_alternating(
-                *_init_models(cfg, self.vocab.size, self.enc_vocab.size, self.log_freq, seed),
+                ntm_mod.init_ntm(ntm_cfg, self.log_freq, root.child(10)),
+                encoder_mod.init_encoder(enc_cfg, root.child(11)),
                 mutual_mod.TrainData.from_split(
                     split, self.vocab, self.enc_vocab, corpus_mod.vectorize_all
                 ),
@@ -308,11 +317,8 @@ class _Protocol:
                         "ntm": result.ntm_steps,
                         "classifier": result.classifier_steps,
                     },
-                    "ntm_config": asdict(result.ntm.cfg),
-                    "encoder_config": asdict(result.enc.cfg),
+                    "config": asdict(cfg),
                     "vocab_sha256": self.vocab_sha,
-                    "n_top_terms": cfg.n_top_terms,
-                    "ratio_p": cfg.ratio_p,
                 },
             )
             corpus_mod.write_examples_jsonl(
@@ -376,23 +382,17 @@ def cmd_evaluate(args) -> int:
 def cmd_extract_topics(args) -> int:
     cfg = _resolve_config(args)
     records, vocab, enc_vocab, vocab_sha = _load_prepared(cfg)
-    ntm, enc, _, meta = load_run(args.checkpoint)
+    run, ntm, enc, _, meta = load_run(args.checkpoint)
     if meta.get("vocab_sha256") != vocab_sha:
         raise ValueError(
             f"checkpoint {args.checkpoint} was trained on other vocabularies than "
             f"the prepared data under {_prepare_dir(cfg)}"
         )
-    header = [key for key in ("n_top_terms", "ratio_p") if getattr(args, key) is None and key in meta]
-    for key in header:  # the run's settings, unless flagged
-        setattr(cfg, key, meta[key])
-    try:
-        cfg.validate()
-        if "n_top_terms" in header:
-            _check_targets(vocab, records, cfg.n_top_terms)
-    except ValueError as err:
-        raise ValueError(f"{args.checkpoint}: its header's {err}") from None
-    if "n_top_terms" not in header:
-        _check_targets(vocab, records, cfg.n_top_terms)
+    for key in ("n_top_terms", "ratio_p"):  # the run's settings, unless flagged
+        if getattr(args, key) is None:
+            setattr(cfg, key, getattr(run, key))
+    header = f"{args.checkpoint}: its header's " if args.n_top_terms is None else ""
+    _check_targets(vocab, records, cfg.n_top_terms, where=header)
     # extraction reads only the vocabularies, never the examples
     data = mutual_mod.TrainData(examples=[], bows=None, vocab=vocab, enc_vocab=enc_vocab)
     targets = sorted({r.target for r in records})

@@ -37,8 +37,15 @@ class RunConfig:
 
     def validate(self) -> None:
         for f in fields(self):  # one type per key: a bool is not an int, nor an int a float
-            if type(getattr(self, f.name)) is not type(f.default):
+            value = getattr(self, f.name)
+            if type(value) is not type(f.default):
                 raise ValueError(f"config field {f.name} must be of type {type(f.default).__name__}")
+            # what `load_config_file` would cut off or split, so the snapshot cannot hold it
+            if isinstance(value, str) and ({"#", "\n", "\r"} & set(value) or value != value.strip()):
+                raise ValueError(
+                    f"config field {f.name} must not hold '#' or a line break, nor start or end "
+                    f"with whitespace: the config snapshot could not hold {value!r}"
+                )
         positive = (
             "vocab_max_size", "enc_vocab_max_size", "num_topics", "batch_size",
             "n_top_terms", "iterations", "ntm_epochs", "classifier_epochs",
@@ -68,6 +75,7 @@ def load_config_file(path) -> RunConfig:
     """Parse key=value lines; '#' starts a comment, blank lines ignored."""
     cfg = RunConfig()
     types = {f.name: type(getattr(cfg, f.name)) for f in fields(RunConfig)}
+    first_lines: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -78,6 +86,12 @@ def load_config_file(path) -> RunConfig:
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in first_lines:
+                raise ValueError(
+                    f"{path}:{lineno}: config key {key!r} is given twice "
+                    f"(first on line {first_lines[key]})"
+                )
+            first_lines[key] = lineno
             type_ = types[key]
             try:
                 value = _BOOL_STRINGS[raw.lower()] if type_ is bool else type_(raw)

@@ -179,7 +179,6 @@ class TrainResult:
     proj_params: dict | None
     history: list[HistoryRow]
     topics_by_target: dict[str, ExtractedTopics]
-    best_val_macro_f1: float | None
     stopped_at_iteration: int
     selected_iteration: int  # the iteration whose parameters and topics these are
     ntm_steps: int = 0
@@ -373,7 +372,7 @@ def train_alternating(
         for a, kept in zip(arrays, held):
             np.copyto(a, kept)
     return TrainResult(
-        ntm, enc, proj_params, history, selected.topics, best_f1, record.iteration,
+        ntm, enc, proj_params, history, selected.topics, record.iteration,
         selected.iteration, ntm_steps=selected.ntm_steps,
         classifier_steps=selected.classifier_steps,
     )

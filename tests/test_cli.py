@@ -1,10 +1,15 @@
 import hashlib
 import json
 import shutil
-from dataclasses import fields, replace
+import tempfile
+from dataclasses import asdict, fields, replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synthdata import stance_corpus, write_tsv
 from topicarg import autodiff
@@ -12,9 +17,13 @@ from topicarg import corpus as corpus_mod
 from topicarg import evaluate as evaluate_mod
 from topicarg import mutual as mutual_mod
 from topicarg.checkpoint import load_checkpoint, save_checkpoint
-from topicarg.cli import _Protocol, _resolve_config, build_parser, load_run, main
-from topicarg.config import RunConfig
-from topicarg.ntm import NtmConfig, compute_log_freq
+from topicarg.cli import (
+    _checkpoint_arrays, _model_configs, _Protocol, _resolve_config, build_parser, load_run, main,
+)
+from topicarg.config import RunConfig, load_config_file, write_snapshot
+from topicarg.encoder import init_encoder
+from topicarg.nn import SeededRng
+from topicarg.ntm import compute_log_freq, init_ntm
 
 
 @pytest.fixture
@@ -678,18 +687,28 @@ class TestEvaluate:
 
 class TestCheckpoint:
     def test_describes_its_models(self, corpus_path, tmp_path):
-        checkpoint = train_fold_0(corpus_path, tmp_path / "run")
-        ntm, enc, proj, meta = load_run(checkpoint)
-        assert meta["ntm_config"] == {
-            "vocab_size": ntm.cfg.vocab_size, "num_topics": 3, "latent_dim": 6,
-            "hidden_dim": 10,
+        out = tmp_path / "run"
+        checkpoint = train_fold_0(corpus_path, out)
+        cfg, ntm, enc, proj, meta = load_run(checkpoint)
+        # the header holds the run's resolved config, the one its snapshot holds
+        assert meta["config"] == asdict(cfg)
+        assert cfg == load_config_file(checkpoint.parent / "config.resolved")
+        assert cfg == _resolve_config(build_parser().parse_args(
+            ["train", "--mode", "in_target_fold", *small_flags(corpus_path, out)]
+        ))
+        assert not {"ntm_config", "encoder_config", "n_top_terms", "ratio_p", "num_topics",
+                    "vocab_size", "encoder_vocab_size"} & set(meta)
+        # the model sizes come from the config and the arrays' vocabulary sizes
+        sizes = [corpus_mod.Vocabulary.from_tsv(out / "prepared" / name).size
+                 for name in ("vocab.tsv", "encoder_vocab.tsv")]
+        assert asdict(ntm.cfg) == {
+            "vocab_size": sizes[0], "num_topics": 3, "latent_dim": 6, "hidden_dim": 10,
         }
-        assert meta["encoder_config"] == {
-            "vocab_size": enc.cfg.vocab_size, "emb_dim": 8, "hidden_dim": 10,
+        assert asdict(enc.cfg) == {
+            "vocab_size": sizes[1], "emb_dim": 8, "hidden_dim": 10,
             "output_dim": 6, "num_classes": 3,
         }
-        assert not {"num_topics", "vocab_size", "encoder_vocab_size"} & set(meta)
-        assert (meta["n_top_terms"], meta["ratio_p"]) == (4, 0.5)
+        assert (cfg.n_top_terms, cfg.ratio_p) == (4, 0.5)
         assert proj["proj.W0"].shape == (6, 3)
 
     def test_arrays_match_a_run_from_vectorized_log_freq(self, corpus_path, tmp_path):
@@ -724,16 +743,37 @@ class TestCheckpoint:
         out = tmp_path / "run"
         checkpoint = train_fold_0(corpus_path, out)
         arrays, meta = load_checkpoint(checkpoint)
-        for key in ("ntm_config", "encoder_config"):
-            del meta[key]
+        del meta["config"]
         save_checkpoint(checkpoint, arrays, meta)
         capsys.readouterr()
         code = main(["extract-topics", "--checkpoint", str(checkpoint),
                      "--data", str(corpus_path), "--out-dir", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: {checkpoint} stores no model configs; retrain it with `train`\n"
+            f"error: {checkpoint} stores no run config; retrain it with `train`\n"
         )
+
+    def test_checkpoint_in_the_model_configs_format_is_refused(
+        self, trained_fold_0, tmp_path, capsys
+    ):
+        """Headers once held the two model configs and the extraction settings
+        as four keys; such a file names no run config."""
+        corpus_path, trained = trained_fold_0
+        arrays, meta = load_checkpoint(trained)
+        cfg, ntm, enc, _, _ = load_run(trained)
+        del meta["config"]
+        meta.update(ntm_config=asdict(ntm.cfg), encoder_config=asdict(enc.cfg),
+                    n_top_terms=cfg.n_top_terms, ratio_p=cfg.ratio_p)
+        checkpoint = tmp_path / "old.bin"
+        save_checkpoint(checkpoint, arrays, meta)
+        capsys.readouterr()
+        assert main(["extract-topics", "--checkpoint", str(checkpoint), "--data",
+                     str(corpus_path), "--out-dir", str(trained.parents[2]),
+                     "--out", str(tmp_path / "topics.tsv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {checkpoint} stores no run config; retrain it with `train`\n"
+        )
+        assert not (tmp_path / "topics.tsv").exists()
 
     def test_truncated_checkpoint_is_refused(self, corpus_path, tmp_path, capsys):
         out = tmp_path / "run"
@@ -764,7 +804,7 @@ class TestCheckpoint:
              ": its header needs a meta object and a names list of strings"),
             ('{"magic": "topicarg-checkpoint-v1", "meta": {}, "names": [1]}',
              ": its header needs a meta object and a names list of strings"),
-            ('{"magic": "topicarg-checkpoint-v1", "meta": {"ntm_config": {}}, "names": []}',
+            ('{"magic": "topicarg-checkpoint-v1", "meta": {"config": {}}, "names": []}',
              " holds no ntm/log_freq array"),
         ],
         ids=["array", "not_json", "no_names", "name_not_a_string", "no_log_freq"],
@@ -786,26 +826,23 @@ class TestCheckpoint:
     ):
         out = tmp_path / "run"
         prepare(corpus_path, out)
-        arrays = {"ntm/log_freq": np.zeros(3)}
-        meta = {"ntm_config": {"vocab_size": 3}, "encoder_config": {"vocab_size": 5}}
+        arrays = {"ntm/log_freq": np.zeros(3), "enc/word_emb": np.zeros((5, 8))}
+        meta = {"config": {}}  # RunConfig's defaults
         if case == "array_outside_the_groups":
             arrays["log_freq"] = np.zeros(3)
             reason = ": array 'log_freq' is not under ntm/, enc/ or proj/"
         elif case == "unknown_config_key":
-            meta["ntm_config"]["topics"] = 3
-            with pytest.raises(TypeError) as err:
-                NtmConfig(vocab_size=3, topics=3)
-            reason = f": malformed model configs in its header ({err.value!r})"
-        else:
-            del meta["encoder_config"]
-            reason = ": malformed model configs in its header (KeyError('encoder_config'))"
+            meta["config"].update(topics=3, num_topics=3)
+            reason = ": its header's config field topics is not a run setting"
+        else:  # without the encoder's vocabulary size there is no encoder config
+            del arrays["enc/word_emb"]
+            reason = " holds no enc/word_emb array"
         checkpoint = tmp_path / "bad.bin"
         save_checkpoint(checkpoint, arrays, meta)
         capsys.readouterr()
         assert main(["extract-topics", "--checkpoint", str(checkpoint),
                      *small_flags(corpus_path, out)]) == 1
         assert capsys.readouterr().err == f"error: {checkpoint}{reason}\n"
-
 
     @pytest.mark.parametrize(
         "key, value, reason",
@@ -825,25 +862,98 @@ class TestCheckpoint:
         self, trained_fold_0, tmp_path, capsys, key, value, reason
     ):
         corpus_path, trained = trained_fold_0
-        if value is ONE_PAST_THE_ROOM:  # more terms than the tightest target leaves
+        past_room = value is ONE_PAST_THE_ROOM
+        if past_room:  # more terms than the tightest target leaves
             target, room = tightest_target(corpus_path, trained.parents[2])
             value = room + 1
             reason = n_top_terms_refusal(target, room).removeprefix("error: ").rstrip("\n")
         arrays, meta = load_checkpoint(trained)
-        meta[key] = value
+        meta["config"][key] = value
         checkpoint = tmp_path / "bad.bin"
         save_checkpoint(checkpoint, arrays, meta)
         out = tmp_path / "topics.tsv"
         args = ["extract-topics", "--checkpoint", str(checkpoint), "--data", str(corpus_path),
                 "--out-dir", str(trained.parents[2]), "--out", str(out)]
+        flag = {"n_top_terms": ("--n-top-terms", "4"), "ratio_p": ("--ratio-p", "0.5")}[key]
         capsys.readouterr()
         assert main(args) == 1
         assert capsys.readouterr().err == f"error: {checkpoint}: its header's {reason}\n"
         assert not out.exists()
-        # the header's settings sit under the flags, so a flag sets this one aside
-        flag = {"n_top_terms": ("--n-top-terms", "4"), "ratio_p": ("--ratio-p", "0.5")}[key]
-        assert main([*args, *flag]) == 0
-        assert out.exists()
+        if past_room:  # a well-formed setting the corpus cannot meet sits under the flags
+            assert main([*args, *flag]) == 0
+            assert out.exists()
+        else:  # a malformed header is a corrupt file, whatever the flags
+            assert main([*args, *flag]) == 1
+            assert capsys.readouterr().err == f"error: {checkpoint}: its header's {reason}\n"
+            assert not out.exists()
+
+
+# the model sizes a drawn config keeps small, so each draw builds its models fast
+SMALL_DIMS = ("num_topics", "latent_dim", "ntm_hidden_dim", "emb_dim", "encoder_hidden_dim",
+              "encoder_output_dim")
+
+
+@st.composite
+def run_configs(draw):
+    """A RunConfig whose every number validates; its strings are any text."""
+    values = {}
+    for f in fields(RunConfig):
+        kind = type(f.default)
+        if kind is str:
+            strategy = st.text(max_size=8)
+        elif kind is bool:
+            strategy = st.booleans()
+        elif kind is int:
+            low = 0 if f.name in ("seed", "patience", "kl_warmup_epochs") else 1
+            strategy = st.integers(low, 4 if f.name in SMALL_DIMS else 10**9)
+        elif f.name == "ratio_p":
+            strategy = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        else:  # gamma may be 0, the learning rates may not
+            strategy = st.floats(0.0, exclude_min=f.name != "gamma", allow_infinity=False)
+        values[f.name] = draw(strategy)
+    return RunConfig(**values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=run_configs(), sizes=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_run_config_round_trips_through_snapshot_and_checkpoint(cfg, sizes, seed):
+    """A config validates exactly when its snapshot reads back as it; a valid
+    one, and the models `train` builds from it, come back from a checkpoint
+    equal, every array bitwise."""
+    try:
+        cfg.validate()
+        valid = True
+    except ValueError:
+        valid = False
+    with tempfile.TemporaryDirectory() as tmp:
+        write_snapshot(cfg, Path(tmp) / "config.resolved")
+        try:
+            read_back = load_config_file(Path(tmp) / "config.resolved")
+        except ValueError:  # a line break left a line without '='
+            read_back = None
+        assert (read_back == cfg) == valid
+        if not valid:
+            return
+        ntm_cfg, enc_cfg = _model_configs(cfg, *sizes)
+        rng = SeededRng(seed)
+        run = SimpleNamespace(
+            ntm=init_ntm(ntm_cfg, rng.child(0).normal(sizes[0]), rng.child(1)),
+            enc=init_encoder(enc_cfg, rng.child(2)),
+            proj_params=mutual_mod.init_projection(
+                enc_cfg.output_dim, ntm_cfg.num_topics, rng.child(3)
+            ) if cfg.gamma > 0.0 else None,
+        )
+        arrays = _checkpoint_arrays(run)
+        save_checkpoint(Path(tmp) / "checkpoint.bin", arrays, {"config": asdict(cfg)})
+        loaded, ntm, enc, proj, _ = load_run(Path(tmp) / "checkpoint.bin")
+    assert loaded == cfg
+    assert (ntm.cfg, enc.cfg) == (ntm_cfg, enc_cfg)
+    again = _checkpoint_arrays(SimpleNamespace(ntm=ntm, enc=enc, proj_params=proj))
+    assert sorted(again) == sorted(arrays)
+    for name, array in arrays.items():
+        assert again[name].dtype == array.dtype, name
+        assert again[name].tobytes() == array.tobytes(), name
 
 
 class TestExtractAndCoherence:
@@ -1089,6 +1199,35 @@ class TestConfigFile:
         assert main(["train", "--mode", "in_target_fold", "--config", str(cfg_file),
                      "--data", str(corpus_path), "--out-dir", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {cfg_file}:2: {expected}\n"
+
+    def test_key_given_twice_is_refused(self, corpus_path, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("seed=1\n# a comment\nseed=2\n")
+        assert main(["prepare", "--config", str(cfg_file), "--data", str(corpus_path),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg_file}:3: config key 'seed' is given twice (first on line 1)\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("data", "a#b/corpus.tsv"), ("out_dir", "runs/x y "), ("out_dir", " runs/x"),
+         ("data", "a\nb.tsv"), ("data", "a\rb.tsv"), ("out_dir", "runs/x\t")],
+        ids=["hash", "trailing_space", "leading_space", "newline", "carriage_return",
+             "trailing_tab"],
+    )
+    def test_string_the_snapshot_cannot_hold_is_refused(
+        self, corpus_path, tmp_path, capsys, monkeypatch, key, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        flags = {"data": str(corpus_path), "out_dir": "run", key: value}
+        assert main(["prepare", "--data", flags["data"], "--out-dir", flags["out_dir"]]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config field {key} must not hold '#' or a line break, nor start or end "
+            f"with whitespace: the config snapshot could not hold {value!r}\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.tsv"]
 
     def test_bad_config_key(self, corpus_path, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
