@@ -167,21 +167,16 @@ def _check_targets(vocab: Vocabulary, records, n_top_terms, max_len=None, cross=
             )
 
 
-def _model_configs(cfg: RunConfig, vocab_size: int, enc_vocab_size: int):
-    """The topic model's and encoder's configs of a run over vocabularies of these sizes."""
-    ntm_cfg = ntm_mod.NtmConfig(
-        vocab_size=vocab_size,
-        num_topics=cfg.num_topics,
-        latent_dim=cfg.latent_dim,
-        hidden_dim=cfg.ntm_hidden_dim,
-    )
-    enc_cfg = encoder_mod.EncoderConfig(
-        vocab_size=enc_vocab_size,
-        emb_dim=cfg.emb_dim,
-        hidden_dim=cfg.encoder_hidden_dim,
-        output_dim=cfg.encoder_output_dim,
-    )
-    return ntm_cfg, enc_cfg
+def _init_models(cfg: RunConfig, log_freq: np.ndarray, enc_vocab_size: int, rng: SeededRng):
+    """The topic model and encoder `train` starts a run from, over vocabularies of
+    `len(log_freq)` and `enc_vocab_size` words, drawn from `rng`."""
+    ntm_cfg = ntm_mod.NtmConfig(vocab_size=len(log_freq), num_topics=cfg.num_topics,
+                                latent_dim=cfg.latent_dim, hidden_dim=cfg.ntm_hidden_dim)
+    enc_cfg = encoder_mod.EncoderConfig(vocab_size=enc_vocab_size, emb_dim=cfg.emb_dim,
+                                        hidden_dim=cfg.encoder_hidden_dim,
+                                        output_dim=cfg.encoder_output_dim)
+    return (ntm_mod.init_ntm(ntm_cfg, log_freq, rng.child(10)),
+            encoder_mod.init_encoder(enc_cfg, rng.child(11)))
 
 
 def _schedule(cfg: RunConfig, seed: int) -> mutual_mod.TrainSchedule:
@@ -196,19 +191,11 @@ def _schedule(cfg: RunConfig, seed: int) -> mutual_mod.TrainSchedule:
     )
 
 
-def _checkpoint_arrays(result) -> dict[str, np.ndarray]:
-    arrays = {f"ntm/{k}": v for k, v in result.ntm.params.items()}
-    arrays["ntm/log_freq"] = result.ntm.log_freq
-    arrays.update({f"enc/{k}": v for k, v in result.enc.params.items()})
-    if result.proj_params is not None:
-        arrays.update({f"proj/{k}": v for k, v in result.proj_params.items()})
-    return arrays
-
-
 def load_run(path):
     """The run config a `train` checkpoint's header holds; the topic model,
-    encoder and projection head (or None) built from it and the arrays; and
-    the header."""
+    encoder and projection head (or None) `train` builds from it, holding the
+    checkpoint's arrays; and the header. The arrays must be the models' own,
+    name for name and shape for shape, all float64."""
     arrays, meta = load_checkpoint(path)
     if not isinstance(meta.get("config"), dict):
         raise ValueError(f"{path} stores no run config; retrain it with `train`")
@@ -220,20 +207,29 @@ def load_run(path):
         cfg.validate()
     except ValueError as err:
         raise ValueError(f"{path}: its header's {err}") from None
-    groups: dict[str, dict[str, np.ndarray]] = {"ntm": {}, "enc": {}, "proj": {}}
-    for name, array in arrays.items():
-        group, _, key = name.partition("/")
-        if group not in groups or not key:
-            raise ValueError(f"{path}: array {name!r} is not under ntm/, enc/ or proj/")
-        groups[group][key] = array
+    sizes = []
     for name in ("ntm/log_freq", "enc/word_emb"):  # their rows are the vocabulary sizes
         if name not in arrays:
             raise ValueError(f"{path} holds no {name} array")
-    ntm_cfg, enc_cfg = _model_configs(
-        cfg, len(arrays["ntm/log_freq"]), len(arrays["enc/word_emb"])
-    )
-    ntm = ntm_mod.NtmParams(ntm_cfg, groups["ntm"], groups["ntm"].pop("log_freq"))
-    return cfg, ntm, encoder_mod.EncoderParams(enc_cfg, groups["enc"]), groups["proj"] or None, meta
+        if not arrays[name].ndim or not len(arrays[name]):
+            raise ValueError(f"{path}: array {name!r} has no rows to give a vocabulary size")
+        sizes.append(len(arrays[name]))
+    rng = SeededRng(0)  # any draws: the checkpoint's arrays replace them all
+    ntm, enc = _init_models(cfg, np.zeros(sizes[0]), sizes[1], rng)
+    proj = (mutual_mod.init_projection(enc.cfg.output_dim, ntm.cfg.num_topics, rng)
+            if cfg.gamma > 0.0 else None)
+    layout = mutual_mod.run_arrays(ntm, enc, proj)
+    for name in sorted(layout.keys() | arrays.keys()):
+        if name not in layout:
+            raise ValueError(f"{path}: array {name!r} is not one of the run's models' arrays")
+        if name not in arrays:
+            raise ValueError(f"{path}: array {name!r} is missing; the run's models hold one")
+        have, want = arrays[name], layout[name]
+        if (have.dtype, have.shape) != (want.dtype, want.shape):
+            raise ValueError(f"{path}: array {name!r} is {have.dtype} of shape {have.shape}; "
+                             f"the run's models hold {want.dtype} of shape {want.shape}")
+        np.copyto(want, have)
+    return cfg, ntm, enc, proj, meta
 
 
 @contextmanager
@@ -287,11 +283,9 @@ class _Protocol:
         out = Path(cfg.out_dir) / "train" / run_name
         with _replaced_when_complete(out) as tmp:
             write_snapshot(cfg, tmp / "config.resolved")
-            ntm_cfg, enc_cfg = _model_configs(cfg, self.vocab.size, self.enc_vocab.size)
-            root = SeededRng(seed)
+            ntm, enc = _init_models(cfg, self.log_freq, self.enc_vocab.size, SeededRng(seed))
             result = mutual_mod.train_alternating(
-                ntm_mod.init_ntm(ntm_cfg, self.log_freq, root.child(10)),
-                encoder_mod.init_encoder(enc_cfg, root.child(11)),
+                ntm, enc,
                 mutual_mod.TrainData.from_split(
                     split, self.vocab, self.enc_vocab, corpus_mod.vectorize_all
                 ),
@@ -306,7 +300,7 @@ class _Protocol:
             )
             save_checkpoint(
                 tmp / "checkpoint.bin",
-                _checkpoint_arrays(result),
+                mutual_mod.run_arrays(result.ntm, result.enc, result.proj_params),
                 meta={
                     "seed": seed,
                     "mode": "cross_target" if self.cross else "in_target_fold",

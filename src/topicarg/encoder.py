@@ -32,7 +32,6 @@ class EncoderConfig:
     emb_dim: int = 100
     hidden_dim: int = 128
     output_dim: int = 128  # d_h
-    num_classes: int = len(LABELS)
 
     def body_spec(self) -> MlpSpec:
         return MlpSpec(
@@ -40,7 +39,7 @@ class EncoderConfig:
         )
 
     def classifier_spec(self) -> MlpSpec:
-        return MlpSpec((self.output_dim, self.num_classes))
+        return MlpSpec((self.output_dim, len(LABELS)))
 
 
 @dataclass(frozen=True, eq=False)

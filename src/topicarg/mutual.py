@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import ArgumentExample, DatasetSplit, Vocabulary, tokenize
+from .corpus import LABELS, ArgumentExample, DatasetSplit, Vocabulary, tokenize
 from .encoder import (  # perfbench/tracing.py patches some of these names here
     EncoderInputs,
     EncoderParams,
@@ -107,7 +107,7 @@ def train_classifier_epoch(
         raise ValueError("proj_params and z_targets must be given together or not at all")
     mutual_on = proj_params is not None
     order = rng.permutation(n)
-    onehot_all = np.eye(enc.cfg.num_classes)
+    onehot_all = np.eye(len(LABELS))
     gold = np.asarray(gold_indices)
     sum_ce = sum_mutual = 0.0
     # the merge shares the underlying arrays, so in-place updates land in both
@@ -185,6 +185,16 @@ class TrainResult:
     classifier_steps: int = 0
 
 
+def run_arrays(ntm: NtmParams, enc: EncoderParams, proj_params: dict | None) -> dict[str, np.ndarray]:
+    """Every array of a run by its checkpoint name: `ntm/<param>`, `ntm/log_freq`,
+    `enc/<param>` and, with mutual learning on, `proj/<param>`; the models' own arrays."""
+    arrays = {f"ntm/{k}": v for k, v in ntm.params.items()}
+    arrays["ntm/log_freq"] = ntm.log_freq
+    arrays.update({f"enc/{k}": v for k, v in enc.params.items()})
+    arrays.update({f"proj/{k}": v for k, v in (proj_params or {}).items()})
+    return arrays
+
+
 def extract_topics_for_targets(
     ntm: NtmParams,
     enc: EncoderParams,
@@ -225,11 +235,10 @@ def _phase(name: str):
 
 @dataclass
 class IterationRecord:
-    """What one alternating iteration did: its rows, score, topics and step counts."""
+    """What one alternating iteration did: its rows, topics and step counts."""
 
     iteration: int
-    rows: list[HistoryRow]
-    val_macro_f1: float | None
+    rows: list[HistoryRow]  # the last one holds the validation macro F1, if scored
     topics: dict[str, ExtractedTopics]
     ntm_steps: int
     classifier_steps: int
@@ -297,14 +306,11 @@ def _iterations(ntm, enc, proj_params, data: TrainData, schedule: TrainSchedule,
                 mutual=stats.mean_mutual if mutual_on else None,
             ))
 
-        val_f1 = None
         if data.val_examples:
             preds = predict(enc, inputs(data.val_examples, topics_now))
             golds = [ex.label for ex in data.val_examples]
-            val_f1 = rows[-1].val_macro_f1 = metric_report(confusion(golds, preds)).macro_f1
-        yield IterationRecord(
-            iteration, rows, val_f1, topics_now, opt_ntm.step_count, opt_cls.step_count
-        )
+            rows[-1].val_macro_f1 = metric_report(confusion(golds, preds)).macro_f1
+        yield IterationRecord(iteration, rows, topics_now, opt_ntm.step_count, opt_cls.step_count)
 
 
 def train_alternating(
@@ -345,17 +351,18 @@ def train_alternating(
     # with patience, the best record so far and a copy of the parameters it left,
     # unless it is the last iteration, whose parameters are the ones returned
     selected = held = None
-    arrays = [*ntm.params.values(), *enc.params.values(), *(proj_params or {}).values()]
+    arrays = list(run_arrays(ntm, enc, proj_params).values())
     for record in _iterations(
         ntm, enc, proj_params, data, schedule,
         gamma=gamma, lr_ntm=lr_ntm, lr_classifier=lr_classifier, n_top_terms=n_top_terms,
         ratio_p=ratio_p, use_topics=use_topics, max_len=max_len,
     ):
         history += record.rows
-        if record.val_macro_f1 is None:
+        val_f1 = record.rows[-1].val_macro_f1
+        if val_f1 is None:
             continue
-        if best_f1 is None or record.val_macro_f1 > best_f1:
-            best_f1, bad_rounds = record.val_macro_f1, 0
+        if best_f1 is None or val_f1 > best_f1:
+            best_f1, bad_rounds = val_f1, 0
             if schedule.patience:
                 selected = record
                 if record.iteration < schedule.max_iterations:

@@ -4,7 +4,6 @@ import shutil
 import tempfile
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,13 +16,10 @@ from topicarg import corpus as corpus_mod
 from topicarg import evaluate as evaluate_mod
 from topicarg import mutual as mutual_mod
 from topicarg.checkpoint import load_checkpoint, save_checkpoint
-from topicarg.cli import (
-    _checkpoint_arrays, _model_configs, _Protocol, _resolve_config, build_parser, load_run, main,
-)
+from topicarg.cli import _init_models, _Protocol, _resolve_config, build_parser, load_run, main
 from topicarg.config import RunConfig, load_config_file, write_snapshot
-from topicarg.encoder import init_encoder
 from topicarg.nn import SeededRng
-from topicarg.ntm import compute_log_freq, init_ntm
+from topicarg.ntm import compute_log_freq
 
 
 @pytest.fixture
@@ -705,8 +701,7 @@ class TestCheckpoint:
             "vocab_size": sizes[0], "num_topics": 3, "latent_dim": 6, "hidden_dim": 10,
         }
         assert asdict(enc.cfg) == {
-            "vocab_size": sizes[1], "emb_dim": 8, "hidden_dim": 10,
-            "output_dim": 6, "num_classes": 3,
+            "vocab_size": sizes[1], "emb_dim": 8, "hidden_dim": 10, "output_dim": 6,
         }
         assert (cfg.n_top_terms, cfg.ratio_p) == (4, 0.5)
         assert proj["proj.W0"].shape == (6, 3)
@@ -819,30 +814,68 @@ class TestCheckpoint:
                      *small_flags(corpus_path, out)]) == 1
         assert capsys.readouterr().err == f"error: {checkpoint}{reason}\n"
 
-    @pytest.mark.parametrize("case", ["array_outside_the_groups", "unknown_config_key",
-                                      "no_encoder_config"])
+    @pytest.mark.parametrize("case", [
+        "array_outside_the_groups", "unknown_config_key", "no_encoder_config", "no_topic_word",
+        "word_emb_3_columns", "body_W0_2_rows", "int_topic_word", "extra_enc_array",
+        "no_proj_at_gamma", "proj_at_gamma_0", "log_freq_without_rows",
+    ])
     def test_arrays_and_configs_no_model_takes_are_refused(
-        self, corpus_path, tmp_path, capsys, case
+        self, trained_fold_0, tmp_path, capsys, case
     ):
-        out = tmp_path / "run"
-        prepare(corpus_path, out)
-        arrays = {"ntm/log_freq": np.zeros(3), "enc/word_emb": np.zeros((5, 8))}
-        meta = {"config": {}}  # RunConfig's defaults
+        """A checkpoint's arrays must be those of the models its header's run
+        builds: name for name, shape for shape, all float64."""
+        corpus_path, trained = trained_fold_0
+        arrays, meta = load_checkpoint(trained)
+
+        def other(name, array):
+            return (f": array {name!r} is {array.dtype} of shape {array.shape}; the run's "
+                    f"models hold float64 of shape {arrays[name].shape}")
+
         if case == "array_outside_the_groups":
-            arrays["log_freq"] = np.zeros(3)
-            reason = ": array 'log_freq' is not under ntm/, enc/ or proj/"
+            arrays["log_freq"] = arrays["ntm/log_freq"]
+            reason = ": array 'log_freq' is not one of the run's models' arrays"
         elif case == "unknown_config_key":
-            meta["config"].update(topics=3, num_topics=3)
+            meta["config"].update(topics=3)
             reason = ": its header's config field topics is not a run setting"
-        else:  # without the encoder's vocabulary size there is no encoder config
+        elif case == "no_encoder_config":  # without the encoder's vocabulary size
             del arrays["enc/word_emb"]
             reason = " holds no enc/word_emb array"
+        elif case == "no_topic_word":
+            del arrays["ntm/topic_word"]
+            reason = ": array 'ntm/topic_word' is missing; the run's models hold one"
+        elif case == "word_emb_3_columns":
+            cut = arrays["enc/word_emb"][:, :3]
+            reason = other("enc/word_emb", cut)
+            arrays["enc/word_emb"] = cut
+        elif case == "body_W0_2_rows":
+            cut = arrays["enc/body.W0"][:2]
+            reason = other("enc/body.W0", cut)
+            arrays["enc/body.W0"] = cut
+        elif case == "int_topic_word":
+            cast = arrays["ntm/topic_word"].astype(np.int64)
+            reason = other("ntm/topic_word", cast)
+            arrays["ntm/topic_word"] = cast
+        elif case == "extra_enc_array":
+            arrays["enc/x"] = np.zeros(3)
+            reason = ": array 'enc/x' is not one of the run's models' arrays"
+        elif case == "no_proj_at_gamma":
+            assert meta["config"]["gamma"] > 0
+            arrays = {name: a for name, a in arrays.items() if not name.startswith("proj/")}
+            reason = ": array 'proj/proj.W0' is missing; the run's models hold one"
+        elif case == "proj_at_gamma_0":  # with gamma 0 the run has no projection head
+            meta["config"]["gamma"] = 0.0
+            reason = ": array 'proj/proj.W0' is not one of the run's models' arrays"
+        else:
+            arrays["ntm/log_freq"] = arrays["ntm/log_freq"][:0]
+            reason = ": array 'ntm/log_freq' has no rows to give a vocabulary size"
         checkpoint = tmp_path / "bad.bin"
         save_checkpoint(checkpoint, arrays, meta)
+        out = tmp_path / "topics.tsv"
         capsys.readouterr()
-        assert main(["extract-topics", "--checkpoint", str(checkpoint),
-                     *small_flags(corpus_path, out)]) == 1
+        assert main(["extract-topics", "--checkpoint", str(checkpoint), "--data", str(corpus_path),
+                     "--out-dir", str(trained.parents[2]), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {checkpoint}{reason}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value, reason",
@@ -916,11 +949,14 @@ def run_configs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(cfg=run_configs(), sizes=st.tuples(st.integers(1, 6), st.integers(1, 6)),
-       seed=st.integers(0, 2**32 - 1))
-def test_a_run_config_round_trips_through_snapshot_and_checkpoint(cfg, sizes, seed):
+       seed=st.integers(0, 2**32 - 1), corrupt=st.integers(0, 2**16),
+       how=st.sampled_from(["delete", "copy", "int", "extra_axis"]))
+def test_a_run_config_round_trips_through_snapshot_and_checkpoint(cfg, sizes, seed, corrupt, how):
     """A config validates exactly when its snapshot reads back as it; a valid
     one, and the models `train` builds from it, come back from a checkpoint
-    equal, every array bitwise."""
+    equal, every array bitwise. A checkpoint with one array deleted, copied to
+    another name, cast to int or given another axis is refused by the file's and
+    the array's name."""
     try:
         cfg.validate()
         valid = True
@@ -935,21 +971,33 @@ def test_a_run_config_round_trips_through_snapshot_and_checkpoint(cfg, sizes, se
         assert (read_back == cfg) == valid
         if not valid:
             return
-        ntm_cfg, enc_cfg = _model_configs(cfg, *sizes)
         rng = SeededRng(seed)
-        run = SimpleNamespace(
-            ntm=init_ntm(ntm_cfg, rng.child(0).normal(sizes[0]), rng.child(1)),
-            enc=init_encoder(enc_cfg, rng.child(2)),
-            proj_params=mutual_mod.init_projection(
-                enc_cfg.output_dim, ntm_cfg.num_topics, rng.child(3)
-            ) if cfg.gamma > 0.0 else None,
-        )
-        arrays = _checkpoint_arrays(run)
-        save_checkpoint(Path(tmp) / "checkpoint.bin", arrays, {"config": asdict(cfg)})
-        loaded, ntm, enc, proj, _ = load_run(Path(tmp) / "checkpoint.bin")
+        ntm, enc = _init_models(cfg, rng.child(0).normal(sizes[0]), sizes[1], rng.child(1))
+        proj = mutual_mod.init_projection(
+            enc.cfg.output_dim, ntm.cfg.num_topics, rng.child(2)
+        ) if cfg.gamma > 0.0 else None
+        arrays = mutual_mod.run_arrays(ntm, enc, proj)
+        checkpoint = Path(tmp) / "checkpoint.bin"
+        save_checkpoint(checkpoint, arrays, {"config": asdict(cfg)})
+        loaded, ntm_back, enc_back, proj_back, _ = load_run(checkpoint)
+
+        corrupted = dict(arrays)
+        victim = sorted(arrays)[corrupt % len(arrays)]
+        original = corrupted.pop(victim)
+        if how == "copy":
+            corrupted.update({victim: original, f"{victim}~": original})
+        elif how == "int":
+            corrupted[victim] = original.astype(np.int64)
+        elif how == "extra_axis":
+            corrupted[victim] = original[..., None]
+        bad = Path(tmp) / "corrupted.bin"
+        save_checkpoint(bad, corrupted, {"config": asdict(cfg)})
+        with pytest.raises(ValueError) as refusal:
+            load_run(bad)
+    assert str(bad) in str(refusal.value) and victim in str(refusal.value)
     assert loaded == cfg
-    assert (ntm.cfg, enc.cfg) == (ntm_cfg, enc_cfg)
-    again = _checkpoint_arrays(SimpleNamespace(ntm=ntm, enc=enc, proj_params=proj))
+    assert (ntm_back.cfg, enc_back.cfg) == (ntm.cfg, enc.cfg)
+    again = mutual_mod.run_arrays(ntm_back, enc_back, proj_back)
     assert sorted(again) == sorted(arrays)
     for name, array in arrays.items():
         assert again[name].dtype == array.dtype, name
