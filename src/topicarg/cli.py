@@ -120,12 +120,11 @@ def _load_prepared(cfg: RunConfig):
         raise ValueError(
             f"prepared data under {out} was built from another corpus; re-run prepare"
         )
-    vocab = Vocabulary.from_tsv(out / "vocab.tsv")
-    enc_vocab = Vocabulary.from_tsv(out / "encoder_vocab.tsv")
     vocab_sha = {name: _sha256(out / name) for name in _VOCAB_FILES}
     for name, sha in vocab_sha.items():
         if checksums.get(name) != sha:
             raise ValueError(f"{out / name} does not match its manifest checksum; re-run prepare")
+    vocab, enc_vocab = (Vocabulary.from_tsv(out / name) for name in _VOCAB_FILES)
     return records, vocab, enc_vocab, vocab_sha
 
 
@@ -199,9 +198,10 @@ def load_run(path):
     arrays, meta = load_checkpoint(path)
     if not isinstance(meta.get("config"), dict):
         raise ValueError(f"{path} stores no run config; retrain it with `train`")
-    unknown = sorted(meta["config"].keys() - {f.name for f in fields(RunConfig)})
-    if unknown:
-        raise ValueError(f"{path}: its header's config field {unknown[0]} is not a run setting")
+    settings = {f.name for f in fields(RunConfig)}
+    for name in sorted(meta["config"].keys() ^ settings):
+        what = "is missing" if name in settings else "is not a run setting"
+        raise ValueError(f"{path}: its header's config field {name} {what}")
     cfg = RunConfig(**meta["config"])
     try:  # whatever the flags: a malformed header is a corrupt file, like a cut-short one
         cfg.validate()
@@ -262,10 +262,15 @@ class _Protocol:
 
     @classmethod
     def set_up(cls, args, protocol: str) -> "_Protocol":
-        """Resolve the config, load the prepared data and list the rows; refuse
-        settings a corpus target cannot meet before any run directory exists."""
+        """Resolve the config, load the prepared data and list the rows; refuse vocabulary
+        sizes it was not built to, or settings a target cannot meet, before any run exists."""
         cfg = _resolve_config(args)
         records, vocab, enc_vocab, vocab_sha = _load_prepared(cfg)
+        prepared = load_config_file(_prepare_dir(cfg) / "config.resolved")
+        for key in ("vocab_max_size", "enc_vocab_max_size"):
+            if getattr(cfg, key) != getattr(prepared, key):
+                raise ValueError(f"prepared data under {_prepare_dir(cfg)} was built with {key}="
+                                 f"{getattr(prepared, key)}, not {getattr(cfg, key)}; re-run prepare")
         examples = corpus_mod.examples_from_records(records)
         runs = evaluate_mod.protocol_runs(protocol, records, examples, cfg.folds, cfg.seed)
         _check_targets(vocab, records, cfg.n_top_terms if cfg.use_topics else None, cfg.max_len,
@@ -413,7 +418,7 @@ def cmd_coherence(args) -> int:
     records, _, _, _ = _load_prepared(cfg)
 
     weights: dict[int, list[tuple[float, str]]] = {}  # per topic, in file order
-    with open(args.topics, encoding="utf-8") as fh:
+    with corpus_mod.open_utf8(args.topics) as fh:
         header = fh.readline()
         if header.strip() != "topic\tword\tweight":
             raise ValueError(f"{args.topics}: not a topic_word.tsv export")
@@ -511,7 +516,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError, AssertionError, FloatingPointError) as err:
+    except (ValueError, OSError, AssertionError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -5,6 +5,8 @@ import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from .corpus import open_utf8
+
 
 @dataclass
 class RunConfig:
@@ -76,7 +78,7 @@ def load_config_file(path) -> RunConfig:
     cfg = RunConfig()
     types = {f.name: type(getattr(cfg, f.name)) for f in fields(RunConfig)}
     first_lines: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

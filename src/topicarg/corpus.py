@@ -12,6 +12,7 @@ import json
 import logging
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, filterfalse, repeat
 from pathlib import Path
@@ -47,6 +48,16 @@ _COUNT_CHUNK = 1024
 
 class CorpusFormatError(ValueError):
     """Raised for missing columns or malformed rows (includes line numbers)."""
+
+
+@contextmanager
+def open_utf8(path, newline=None):
+    """`path` opened to read UTF-8 text; a file that is not UTF-8 is refused by name."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path} is not UTF-8 text ({err})") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,7 +108,7 @@ class Vocabulary:
     def from_tsv(cls, path) -> "Vocabulary":
         """Read `to_tsv`'s lines, `word<TAB>id` with ids 0, 1, 2, ... in order."""
         id_to_word: list[str] = []
-        with open(path, encoding="utf-8") as fh:
+        with open_utf8(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 parts = line.split("\t")
@@ -130,7 +141,7 @@ def load_tsv(path) -> list[RawRecord]:
         raise FileNotFoundError(f"corpus file not found: {path}")
     records: list[RawRecord] = []
     rejected = 0
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
         try:
             header = next(reader)

@@ -244,19 +244,42 @@ class IterationRecord:
     classifier_steps: int
 
 
-def _iterations(ntm, enc, proj_params, data: TrainData, schedule: TrainSchedule, *,
-                gamma, lr_ntm, lr_classifier, n_top_terms, ratio_p, use_topics, max_len):
-    """Yield the record of each alternating iteration, 1..max_iterations.
+def train_alternating(
+    ntm: NtmParams,
+    enc: EncoderParams,
+    data: TrainData,
+    schedule: TrainSchedule,
+    *,
+    gamma: float = 0.1,
+    lr_ntm: float = 2e-3,
+    lr_classifier: float = 2e-5,
+    n_top_terms: int = 10,
+    ratio_p: float = 0.5,
+    use_topics: bool = True,
+    max_len: int = 128,
+) -> TrainResult:
+    """Alternating optimization of the topic model and the classifier.
 
     Per iteration: (a) NTM epochs against frozen u targets, (b) refresh the
     per-sentence z, (c) re-extract explainable topics, (d) classifier epochs
-    against the frozen z, (e) score validation. A caller that stops iterating
-    leaves the models as the last record describes them.
+    against the frozen z, (e) score validation. Iterates until
+    `max_iterations`, or until `patience` validation rounds in a row bring no
+    strict rise in macro F1. With `patience` > 0 the models, topics and step
+    counts returned are those of the iteration with the highest validation
+    macro F1, the earliest on ties; with `patience` 0, or no validation
+    examples, those of the last iteration. With gamma=0 the mutual terms and
+    the projection head are structurally absent and no extra randomness is
+    consumed, so the two models train exactly as they would independently.
     """
+    if not 0.0 <= gamma < np.inf:  # a NaN gamma would silently switch mutual learning off
+        raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
     root = SeededRng(schedule.seed)
+    mutual_on = gamma > 0.0
+    proj_params = (
+        init_projection(enc.cfg.output_dim, ntm.cfg.num_topics, root.child(3)) if mutual_on else None
+    )
     rng_ntm, rng_cls = root.child(1), root.child(2)
     opt_ntm, opt_cls = adam(lr_ntm), adamw(lr_classifier)
-    mutual_on = proj_params is not None
     # topics for every target the run classifies, the held-out test target too
     targets = sorted({ex.target for ex in data.examples + data.val_examples} | {*data.test_targets})
     gold = [ex.label_index() for ex in data.examples]
@@ -269,6 +292,13 @@ def _iterations(ntm, enc, proj_params, data: TrainData, schedule: TrainSchedule,
     def inputs(examples, topics_now):
         return build_inputs(examples, topics_now, data.enc_vocab, max_len, use_topics)
 
+    history: list[HistoryRow] = []
+    best_f1: float | None = None
+    bad_rounds = 0
+    # with patience, the best record so far and a copy of the parameters it left,
+    # unless it is the last iteration, whose parameters are the ones returned
+    selected = held = None
+    arrays = list(run_arrays(ntm, enc, proj_params).values())
     for iteration in range(1, schedule.max_iterations + 1):
         rows: list[HistoryRow] = []
         u_targets = None
@@ -305,67 +335,19 @@ def _iterations(ntm, enc, proj_params, data: TrainData, schedule: TrainSchedule,
                 iteration, "classifier", epoch, cross_entropy=stats.mean_ce,
                 mutual=stats.mean_mutual if mutual_on else None,
             ))
-
-        if data.val_examples:
-            preds = predict(enc, inputs(data.val_examples, topics_now))
-            golds = [ex.label for ex in data.val_examples]
-            rows[-1].val_macro_f1 = metric_report(confusion(golds, preds)).macro_f1
-        yield IterationRecord(iteration, rows, topics_now, opt_ntm.step_count, opt_cls.step_count)
-
-
-def train_alternating(
-    ntm: NtmParams,
-    enc: EncoderParams,
-    data: TrainData,
-    schedule: TrainSchedule,
-    *,
-    gamma: float = 0.1,
-    lr_ntm: float = 2e-3,
-    lr_classifier: float = 2e-5,
-    n_top_terms: int = 10,
-    ratio_p: float = 0.5,
-    use_topics: bool = True,
-    max_len: int = 128,
-) -> TrainResult:
-    """Alternating optimization of the topic model and the classifier.
-
-    Runs `_iterations` until `max_iterations`, or until `patience` validation
-    rounds in a row bring no strict rise in macro F1. With `patience` > 0 the
-    models, topics and step counts returned are those of the iteration with the
-    highest validation macro F1, the earliest on ties; with `patience` 0, or no
-    validation examples, those of the last iteration. With gamma=0 the mutual
-    terms and the projection head are structurally absent and no extra
-    randomness is consumed, so the two models train exactly as they would
-    independently.
-    """
-    if not 0.0 <= gamma < np.inf:  # a NaN gamma would silently switch mutual learning off
-        raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
-    proj_params = (
-        init_projection(enc.cfg.output_dim, ntm.cfg.num_topics, SeededRng(schedule.seed).child(3))
-        if gamma > 0.0
-        else None
-    )
-    history: list[HistoryRow] = []
-    best_f1: float | None = None
-    bad_rounds = 0
-    # with patience, the best record so far and a copy of the parameters it left,
-    # unless it is the last iteration, whose parameters are the ones returned
-    selected = held = None
-    arrays = list(run_arrays(ntm, enc, proj_params).values())
-    for record in _iterations(
-        ntm, enc, proj_params, data, schedule,
-        gamma=gamma, lr_ntm=lr_ntm, lr_classifier=lr_classifier, n_top_terms=n_top_terms,
-        ratio_p=ratio_p, use_topics=use_topics, max_len=max_len,
-    ):
-        history += record.rows
-        val_f1 = record.rows[-1].val_macro_f1
-        if val_f1 is None:
+        history += rows
+        record = IterationRecord(iteration, rows, topics_now, opt_ntm.step_count, opt_cls.step_count)
+        if not data.val_examples:
             continue
+
+        preds = predict(enc, inputs(data.val_examples, topics_now))
+        golds = [ex.label for ex in data.val_examples]
+        val_f1 = rows[-1].val_macro_f1 = metric_report(confusion(golds, preds)).macro_f1
         if best_f1 is None or val_f1 > best_f1:
             best_f1, bad_rounds = val_f1, 0
             if schedule.patience:
                 selected = record
-                if record.iteration < schedule.max_iterations:
+                if iteration < schedule.max_iterations:
                     held = held or [np.empty_like(a) for a in arrays]
                     for kept, a in zip(held, arrays):
                         np.copyto(kept, a)

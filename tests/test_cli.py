@@ -181,6 +181,11 @@ class TestPreparedCorpusLink:
         word = lines[1].split("\t")[0]
         lines[1] = line.format(word=word)  # the second line, id 1
         path.write_text("\n".join(lines), encoding="utf-8")
+        # the checksum is compared before the file is parsed, so the manifest must agree
+        manifest_path = out / "prepared" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["checksums"]["vocab.tsv"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
         capsys.readouterr()
         assert main([*self.COMMANDS["coherence"], *small_flags(corpus_path, out)]) == 1
         assert capsys.readouterr().err == (
@@ -233,6 +238,71 @@ class TestPreparedCorpusLink:
         capsys.readouterr()
         assert main([*self.COMMANDS[command], *small_flags(corpus_path, out)]) == 1
         assert capsys.readouterr().err == f"error: {path} {reason}; re-run prepare\n"
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("key, value", [("vocab_max_size", "20"), ("enc_vocab_max_size", "5")])
+    def test_vocabulary_sizes_other_than_prepared_are_refused(
+        self, corpus_path, tmp_path, capsys, command, key, value
+    ):
+        """The prepared vocabularies were built to the prepared sizes; a run
+        recording other sizes would describe models it does not hold."""
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        prepared = load_config_file(out / "prepared" / "config.resolved")
+        capsys.readouterr()
+        flags = small_flags(corpus_path, out, extra=[f"--{key.replace('_', '-')}", value])
+        assert main([*self.COMMANDS[command], *flags]) == 1
+        assert capsys.readouterr().err == (
+            f"error: prepared data under {out / 'prepared'} was built with "
+            f"{key}={getattr(prepared, key)}, not {value}; re-run prepare\n"
+        )
+        assert not (out / "train").exists()
+
+    @pytest.mark.parametrize("place", ["corpus", "config", "topics", "vocab"])
+    def test_file_that_is_not_utf8_is_refused_by_name(self, corpus_path, tmp_path, capsys, place):
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        args = [*self.COMMANDS["coherence"], *small_flags(corpus_path, out)]
+        if place == "corpus":
+            path = corpus_path
+            args = ["prepare", *small_flags(corpus_path, out)]
+        elif place == "config":
+            path = tmp_path / "run.cfg"
+            args = [*self.COMMANDS["train"], "--config", str(path), *small_flags(corpus_path, out)]
+        elif place == "topics":
+            path = tmp_path / "topic_word.tsv"
+            path.write_text("topic\tword\tweight\n", encoding="utf-8")
+            args[args.index("unused.tsv")] = str(path)
+        else:
+            path = out / "prepared" / "vocab.tsv"
+        path.write_bytes(path.read_bytes() + b"rocket\xff\t1\n" if path.exists() else b"seed=\xff\n")
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        if place == "vocab":  # the checksum is compared before the file is parsed
+            assert err == f"error: {path} does not match its manifest checksum; re-run prepare\n"
+        else:
+            assert err.startswith(f"error: {path} is not UTF-8 text (")
+            assert "can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("prepare", "--data"), ("train", "--config"), ("extract-topics", "--checkpoint"),
+        ("coherence", "--topics"),
+    ])
+    def test_directory_as_input_file_is_refused(self, corpus_path, tmp_path, capsys, command, flag):
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        args = [*self.COMMANDS.get(command, [command]), *small_flags(corpus_path, out)]
+        if flag in args:
+            args[args.index(flag) + 1] = str(folder)
+        else:
+            args += [flag, str(folder)]
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert str(folder) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_missing_data_is_a_clean_error(self, tmp_path, capsys, command):
@@ -472,6 +542,10 @@ def tightest_target(corpus_path, out):
 
 # a header n_top_terms one past the tightest target's room, worked out per corpus
 ONE_PAST_THE_ROOM = object()
+# a header without n_top_terms, ratio_p and gamma
+WITHOUT_N_P_AND_GAMMA = object()
+# the header of a gamma-0 run, which holds no projection head, without gamma
+GAMMA_0_WITHOUT_GAMMA = object()
 
 
 def n_top_terms_refusal(target, room):
@@ -799,7 +873,8 @@ class TestCheckpoint:
              ": its header needs a meta object and a names list of strings"),
             ('{"magic": "topicarg-checkpoint-v1", "meta": {}, "names": [1]}',
              ": its header needs a meta object and a names list of strings"),
-            ('{"magic": "topicarg-checkpoint-v1", "meta": {"config": {}}, "names": []}',
+            (json.dumps({"magic": "topicarg-checkpoint-v1", "meta": {"config": asdict(RunConfig())},
+                         "names": []}),
              " holds no ntm/log_freq array"),
         ],
         ids=["array", "not_json", "no_names", "name_not_a_string", "no_log_freq"],
@@ -888,8 +963,11 @@ class TestCheckpoint:
             ("ratio_p", "0.5", "config field ratio_p must be of type float"),
             ("ratio_p", 1.5, "ratio_p must be in (0, 1)"),
             ("n_top_terms", ONE_PAST_THE_ROOM, None),
+            ("n_top_terms", WITHOUT_N_P_AND_GAMMA, "config field gamma is missing"),
+            ("gamma", GAMMA_0_WITHOUT_GAMMA, "config field gamma is missing"),
         ],
-        ids=["n_str", "n_float", "n_null", "n_bool", "n_zero", "p_str", "p_above_1", "n_past_room"],
+        ids=["n_str", "n_float", "n_null", "n_bool", "n_zero", "p_str", "p_above_1", "n_past_room",
+             "n_p_gamma_missing", "gamma_missing_at_gamma_0"],
     )
     def test_malformed_header_settings_are_refused(
         self, trained_fold_0, tmp_path, capsys, key, value, reason
@@ -901,13 +979,21 @@ class TestCheckpoint:
             value = room + 1
             reason = n_top_terms_refusal(target, room).removeprefix("error: ").rstrip("\n")
         arrays, meta = load_checkpoint(trained)
-        meta["config"][key] = value
+        if value is WITHOUT_N_P_AND_GAMMA:
+            for name in ("n_top_terms", "ratio_p", "gamma"):
+                del meta["config"][name]
+        elif value is GAMMA_0_WITHOUT_GAMMA:
+            arrays = {name: a for name, a in arrays.items() if not name.startswith("proj/")}
+            del meta["config"]["gamma"]
+        else:
+            meta["config"][key] = value
         checkpoint = tmp_path / "bad.bin"
         save_checkpoint(checkpoint, arrays, meta)
         out = tmp_path / "topics.tsv"
         args = ["extract-topics", "--checkpoint", str(checkpoint), "--data", str(corpus_path),
                 "--out-dir", str(trained.parents[2]), "--out", str(out)]
-        flag = {"n_top_terms": ("--n-top-terms", "4"), "ratio_p": ("--ratio-p", "0.5")}[key]
+        flag = {"n_top_terms": ("--n-top-terms", "4"), "ratio_p": ("--ratio-p", "0.5"),
+                "gamma": ("--gamma", "0.0")}[key]
         capsys.readouterr()
         assert main(args) == 1
         assert capsys.readouterr().err == f"error: {checkpoint}: its header's {reason}\n"
