@@ -194,7 +194,7 @@ def load_run(path):
     """The run config a `train` checkpoint's header holds; the topic model,
     encoder and projection head (or None) `train` builds from it, holding the
     checkpoint's arrays; and the header. The arrays must be the models' own,
-    name for name and shape for shape, all float64."""
+    name for name and shape for shape, all float64 and finite."""
     arrays, meta = load_checkpoint(path)
     if not isinstance(meta.get("config"), dict):
         raise ValueError(f"{path} stores no run config; retrain it with `train`")
@@ -228,6 +228,8 @@ def load_run(path):
         if (have.dtype, have.shape) != (want.dtype, want.shape):
             raise ValueError(f"{path}: array {name!r} is {have.dtype} of shape {have.shape}; "
                              f"the run's models hold {want.dtype} of shape {want.shape}")
+        if not np.isfinite(have).all():
+            raise ValueError(f"{path}: array {name!r} holds NaN or infinite values")
         np.copyto(want, have)
     return cfg, ntm, enc, proj, meta
 

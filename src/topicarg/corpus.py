@@ -52,12 +52,20 @@ class CorpusFormatError(ValueError):
 
 @contextmanager
 def open_utf8(path, newline=None):
-    """`path` opened to read UTF-8 text; a file that is not UTF-8 is refused by name."""
+    """`path` opened to read UTF-8 text; a file that is not UTF-8 is refused by
+    name, with its first bad byte's line and offset in the file."""
     with open(path, encoding="utf-8", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as err:
-            raise ValueError(f"{path} is not UTF-8 text ({err})") from None
+            fh.buffer.seek(0)  # `err` counts from its read chunk: decode the whole file
+            data = fh.buffer.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as whole:
+                err = whole
+            line = data.count(b"\n", 0, err.start) + 1
+            raise ValueError(f"{path} is not UTF-8 text (line {line}: {err})") from None
 
 
 @dataclass(frozen=True, slots=True)

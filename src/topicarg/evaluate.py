@@ -119,18 +119,18 @@ def assert_no_leakage(split: DatasetSplit) -> None:
         )
 
 
-def _scored_words(topic_words, cutoff: int) -> list[str]:
-    """The top-`cutoff` words that one NPMI score pairs up, validated."""
-    words = list(topic_words)[:cutoff]
-    if cutoff > len(topic_words):
-        raise ValueError(f"cutoff {cutoff} exceeds the {len(topic_words)} topic words")
-    if cutoff < 2:
-        raise ValueError("need at least two words for pairwise NPMI")
-    seen = set()
-    for w in words:
-        if w in seen:
-            raise ValueError(f"topic word {w!r} is repeated in the top {cutoff}")
-        seen.add(w)
+def _scored_words(topic_words, cutoffs) -> list[str]:
+    """A topic's top max(`cutoffs`) words, validated at each cutoff in turn;
+    the NPMI at a cutoff pairs up that many of them."""
+    words = list(topic_words)[:max(cutoffs, default=0)]
+    repeat = next((i for i, w in enumerate(words) if w in words[:i]), len(words))
+    for cutoff in cutoffs:
+        if cutoff > len(topic_words):
+            raise ValueError(f"cutoff {cutoff} exceeds the {len(topic_words)} topic words")
+        if cutoff < 2:
+            raise ValueError("need at least two words for pairwise NPMI")
+        if repeat < cutoff:
+            raise ValueError(f"topic word {words[repeat]!r} is repeated in the top {cutoff}")
     return words
 
 
@@ -176,16 +176,6 @@ def _window_counts(column: dict[str, int], corpus_docs, window: int) -> tuple[in
     return total, (incidence.T @ incidence).toarray()
 
 
-def _mean_npmi(cols, total: int, counts: np.ndarray) -> float:
-    """Mean NPMI over the column pairs in `combinations(cols, 2)` order."""
-    cols = np.asarray(cols)
-    i, j = np.triu_indices(len(cols), 1)
-    eps = NPMI_SMOOTHING
-    p = np.diagonal(counts)[cols] / total + eps
-    p12 = counts[cols[i], cols[j]] / total + eps
-    return float(np.mean(np.log(p12 / (p[i] * p[j])) / -np.log(p12)))
-
-
 @dataclass
 class CoherenceReport:
     """Per-topic NPMI at each cutoff plus the per-cutoff averages."""
@@ -211,20 +201,23 @@ def coherence_report(
     """Mean pairwise NPMI of every topic at every cutoff, from one pass over the windows."""
     if not topic_word_lists:
         raise ValueError("coherence needs at least one topic")
-    scored = {
-        topic: {c: _scored_words(words, c) for c in cutoffs}
-        for topic, words in topic_word_lists.items()
-    }
-    vocab = list(dict.fromkeys(w for row in scored.values() for ws in row.values() for w in ws))
+    scored = {topic: _scored_words(words, cutoffs) for topic, words in topic_word_lists.items()}
+    vocab = list(dict.fromkeys(chain.from_iterable(scored.values())))
     column = {w: i for i, w in enumerate(vocab)}
     total, counts = _window_counts(column, corpus_docs, window)
     for w, c in zip(vocab, np.diagonal(counts)):
         if c == 0:
             logger.warning("npmi: word %r never occurs in the corpus", w)
-    per_topic = {
-        topic: {c: _mean_npmi([column[w] for w in ws], total, counts) for c, ws in row.items()}
-        for topic, row in scored.items()
-    }
+    cols = np.array([[column[w] for w in words] for words in scored.values()], dtype=np.int64)
+    p = np.diagonal(counts)[cols] / total + NPMI_SMOOTHING
+    per_topic = {topic: {} for topic in scored}
+    for c in cutoffs:  # every topic's pairs in `combinations` order, one row each
+        i, j = np.triu_indices(c, 1)
+        p12 = counts[cols[:, i], cols[:, j]] / total + NPMI_SMOOTHING
+        block = np.log(p12 / (p[:, i] * p[:, j])) / -np.log(p12)
+        # row by row: `block` is F-ordered, and its mean(axis=1) sums in another order
+        for row, scores in zip(per_topic.values(), block):
+            row[c] = float(np.mean(scores))
     averaged = {
         c: float(np.mean([row[c] for row in per_topic.values()])) for c in cutoffs
     }

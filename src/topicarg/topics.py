@@ -40,6 +40,9 @@ def top_terms(topic_word: np.ndarray, excluded_ids, n: int) -> np.ndarray:
     """
     neg = -np.asarray(topic_word, dtype=np.float64)
     k, v = neg.shape
+    finite = np.isfinite(neg).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"topic {np.argmin(finite)}'s word weights are not all finite")
     excluded = np.unique(np.asarray(excluded_ids, dtype=np.int64))
     if not 1 <= n <= v - excluded.size:
         raise ValueError(f"n={n} out of range [1, {v - excluded.size}] after masking")

@@ -892,13 +892,14 @@ class TestCheckpoint:
     @pytest.mark.parametrize("case", [
         "array_outside_the_groups", "unknown_config_key", "no_encoder_config", "no_topic_word",
         "word_emb_3_columns", "body_W0_2_rows", "int_topic_word", "extra_enc_array",
-        "no_proj_at_gamma", "proj_at_gamma_0", "log_freq_without_rows",
+        "no_proj_at_gamma", "proj_at_gamma_0", "log_freq_without_rows", "nan_topic_word_row",
+        "nan_word_emb", "one_nan_weight", "inf_body_W0", "minus_inf_log_freq",
     ])
     def test_arrays_and_configs_no_model_takes_are_refused(
         self, trained_fold_0, tmp_path, capsys, case
     ):
         """A checkpoint's arrays must be those of the models its header's run
-        builds: name for name, shape for shape, all float64."""
+        builds: name for name, shape for shape, all float64 and finite."""
         corpus_path, trained = trained_fold_0
         arrays, meta = load_checkpoint(trained)
 
@@ -940,9 +941,20 @@ class TestCheckpoint:
         elif case == "proj_at_gamma_0":  # with gamma 0 the run has no projection head
             meta["config"]["gamma"] = 0.0
             reason = ": array 'proj/proj.W0' is not one of the run's models' arrays"
-        else:
+        elif case == "log_freq_without_rows":
             arrays["ntm/log_freq"] = arrays["ntm/log_freq"][:0]
             reason = ": array 'ntm/log_freq' has no rows to give a vocabulary size"
+        else:  # NaN or an infinity where the models hold finite weights
+            name, index, value = {
+                "nan_topic_word_row": ("ntm/topic_word", np.s_[0, 1:], np.nan),
+                "nan_word_emb": ("enc/word_emb", np.s_[:], np.nan),
+                "one_nan_weight": ("ntm/topic_word", np.s_[1, 2], np.nan),
+                "inf_body_W0": ("enc/body.W0", np.s_[0, 0], np.inf),
+                "minus_inf_log_freq": ("ntm/log_freq", np.s_[-1], -np.inf),
+            }[case]
+            arrays[name] = arrays[name].copy()
+            arrays[name][index] = value
+            reason = f": array {name!r} holds NaN or infinite values"
         checkpoint = tmp_path / "bad.bin"
         save_checkpoint(checkpoint, arrays, meta)
         out = tmp_path / "topics.tsv"

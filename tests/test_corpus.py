@@ -123,6 +123,23 @@ class TestLoadTsv:
         with pytest.raises(FileNotFoundError):
             load_tsv(tmp_path / "missing.tsv")
 
+    @pytest.mark.parametrize("offset", [0, 38_175])
+    def test_invalid_byte_is_named_by_its_file_offset_and_line(self, tmp_path, offset):
+        """Past the decoder's first read chunk too, where its own position is chunk-relative."""
+        path = tmp_path / "corpus.tsv"
+        write_tsv(stance_corpus(n_per_cell=50, seed=9), path)
+        data = bytearray(path.read_bytes())
+        assert len(data) > offset and data[offset] != ord("\n")
+        data[offset] = 0xFF
+        path.write_bytes(data)
+        line = data.count(b"\n", 0, offset) + 1
+        with pytest.raises(ValueError) as err:
+            load_tsv(path)
+        assert str(err.value) == (
+            f"{path} is not UTF-8 text (line {line}: 'utf-8' codec can't decode byte 0xff "
+            f"in position {offset}: invalid start byte)"
+        )
+
     def test_extra_columns_ignored(self, tmp_path):
         records = stance_corpus(n_per_cell=5, seed=0)
         with_extra = tmp_path / "extra.tsv"

@@ -454,19 +454,36 @@ DOC_FORMS = {
 }
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    docs=docs_strategy,
-    window=st.integers(1, 12),
-    topics=st.lists(topic_strategy, min_size=1, max_size=4),
-    form=st.sampled_from(sorted(DOC_FORMS)),
-    data=st.data(),
+LONG_ALPHABET = [f"u{i}" for i in range(24)]
+# 20-word topics, perfbench's size, always scored at cutoff 20: 190 pairs each
+long_case = st.tuples(
+    st.lists(st.lists(st.sampled_from(LONG_ALPHABET), max_size=40), max_size=6),
+    st.lists(
+        st.lists(st.sampled_from(LONG_ALPHABET + ABSENT), min_size=20, max_size=20, unique=True),
+        min_size=1, max_size=3,
+    ),
+    st.lists(st.integers(2, 20), max_size=3).map(lambda cutoffs: (*cutoffs, 20)),
 )
-def test_coherence_report_equals_reference_exactly(docs, window, topics, form, data):
+
+
+@st.composite
+def short_case(draw):
+    """Topics of 2 to 10 words over `ALPHABET`, at cutoffs up to the shortest's length."""
+    docs = draw(docs_strategy)
+    topics = draw(st.lists(topic_strategy, min_size=1, max_size=4))
     shortest = min(len(t) for t in topics)
-    cutoffs = tuple(
-        data.draw(st.lists(st.integers(2, shortest), min_size=1, max_size=4), label="cutoffs")
-    )
+    cutoffs = draw(st.lists(st.integers(2, shortest), min_size=1, max_size=4), label="cutoffs")
+    return docs, topics, tuple(cutoffs)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    case=st.one_of(short_case(), long_case),
+    window=st.integers(1, 12),
+    form=st.sampled_from(sorted(DOC_FORMS)),
+)
+def test_coherence_report_equals_reference_exactly(case, window, form):
+    docs, topics, cutoffs = case
     lists = dict(enumerate(topics))
     try:
         rep = coherence_report(lists, DOC_FORMS[form](docs), window=window, cutoffs=cutoffs)

@@ -169,6 +169,14 @@ class TestFilterTopics:
         with pytest.raises(ValueError, match="out of range"):
             masked_top_terms(np.ones((1, 4)), mask, n=0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_is_refused(self, value):
+        """Even in an excluded column: the weights must be finite, or the ranking means nothing."""
+        mat = np.ones((3, 5))
+        mat[1, 4] = value
+        with pytest.raises(ValueError, match="^topic 1's word weights are not all finite$"):
+            top_terms(mat, [4], n=2)
+
 
 class TestScoreTopic:
     """The topic score `extract_topics` computes, and the oracle's, agree on
