@@ -263,9 +263,10 @@ class _Protocol:
     log_freq: np.ndarray
 
     @classmethod
-    def set_up(cls, args, protocol: str) -> "_Protocol":
+    def set_up(cls, args, protocol: str, held_out: str | None = None) -> "_Protocol":
         """Resolve the config, load the prepared data and list the rows; refuse vocabulary
-        sizes it was not built to, or settings a target cannot meet, before any run exists."""
+        sizes it was not built to, settings a target cannot meet, or a cross-target row
+        (only `held_out`'s, if given) with nothing to train on or score, before any run exists."""
         cfg = _resolve_config(args)
         records, vocab, enc_vocab, vocab_sha = _load_prepared(cfg)
         prepared = load_config_file(_prepare_dir(cfg) / "config.resolved")
@@ -274,11 +275,21 @@ class _Protocol:
                 raise ValueError(f"prepared data under {_prepare_dir(cfg)} was built with {key}="
                                  f"{getattr(prepared, key)}, not {getattr(cfg, key)}; re-run prepare")
         examples = corpus_mod.examples_from_records(records)
-        runs = evaluate_mod.protocol_runs(protocol, records, examples, cfg.folds, cfg.seed)
+        try:
+            runs = evaluate_mod.protocol_runs(protocol, records, examples, cfg.folds, cfg.seed)
+        except corpus_mod.CorpusFormatError as err:
+            raise ValueError(f"{cfg.data}: {err}") from None
+        cross = protocol == "cross_target"
+        for name, split, _ in runs if cross else ():
+            if held_out in (None, name) and not (split.train and split.test):
+                why = ("train on: no other target has rows tagged train" if not split.train
+                       else "score: it has no rows tagged test")
+                raise ValueError(f"{cfg.data}: the cross-target row of target {name!r} "
+                                 f"has nothing to {why}")
         _check_targets(vocab, records, cfg.n_top_terms if cfg.use_topics else None, cfg.max_len,
-                       cross=protocol == "cross_target")
+                       cross=cross)
         bows = corpus_mod.vectorize_all([ex.tokens for ex in examples], vocab)
-        return cls(cfg, protocol == "cross_target", runs, vocab, enc_vocab, vocab_sha,
+        return cls(cfg, cross, runs, vocab, enc_vocab, vocab_sha,
                    ntm_mod.compute_log_freq(bows))
 
     def run_row(self, name: str, split, seed: int) -> list[str]:
@@ -351,7 +362,7 @@ def cmd_train(args) -> int:
         raise ValueError(f"{other} does not apply in {args.mode} mode")
     if cross and not args.held_out:
         raise ValueError("--held-out TARGET is required in cross_target mode")
-    protocol = _Protocol.set_up(args, "cross_target" if cross else "in_target")
+    protocol = _Protocol.set_up(args, "cross_target" if cross else "in_target", args.held_out)
     names = [name for name, _, _ in protocol.runs]
     if cross and args.held_out not in names:
         raise ValueError(f"unknown target {args.held_out!r}; corpus has {names}")
@@ -441,12 +452,16 @@ def cmd_coherence(args) -> int:
             weights.setdefault(topic, []).append((weight, word))
     if not weights:
         raise ValueError(f"{args.topics}: no topic lines")
-    # weight descending, ties in file order: the order `topics.top_terms` gives
-    # `train`'s export, which lists each topic's words by id
-    top_words = {
-        topic: [w for _, w in sorted(rows, key=lambda t: -t[0])[: max(cutoffs)]]
-        for topic, rows in weights.items()
-    }
+    top_words = {}
+    for topic, rows in weights.items():
+        # weight descending, ties in file order: the order `topics.top_terms` gives
+        # `train`'s export, which lists each topic's words by id
+        try:
+            top_words[topic] = evaluate_mod.scored_words(
+                [w for _, w in sorted(rows, key=lambda t: -t[0])], cutoffs
+            )
+        except ValueError as err:
+            raise ValueError(f"{args.topics}: topic {topic}: {err}") from None
     docs = [
         corpus_mod.tokenize(r.sentence, mode="ntm") for r in records
     ]

@@ -47,7 +47,7 @@ _COUNT_CHUNK = 1024
 
 
 class CorpusFormatError(ValueError):
-    """Raised for missing columns or malformed rows (includes line numbers)."""
+    """Raised for missing or repeated columns or malformed rows (includes line numbers)."""
 
 
 @contextmanager
@@ -142,7 +142,7 @@ def load_tsv(path) -> list[RawRecord]:
 
     Rows whose annotation is not one of the three known strings are skipped
     and counted (reported via logging). Structural problems (missing file,
-    missing column, short row) raise CorpusFormatError with the line number.
+    missing or repeated column, short row) raise CorpusFormatError with the line number.
     """
     path = Path(path)
     if not path.exists():
@@ -155,10 +155,14 @@ def load_tsv(path) -> list[RawRecord]:
             header = next(reader)
         except StopIteration:
             raise CorpusFormatError(f"{path}: empty file, no header row") from None
-        column = {name.strip(): i for i, name in enumerate(header)}
+        names = [name.strip() for name in header]
+        column = {name: i for i, name in enumerate(names)}
         missing = [c for c in _REQUIRED_COLUMNS if c not in column]
         if missing:
             raise CorpusFormatError(f"{path}: missing required column(s) {missing}")
+        for c in _REQUIRED_COLUMNS:
+            if names.count(c) > 1:
+                raise CorpusFormatError(f"{path}: column {c!r} appears {names.count(c)} times")
         width = max(column[c] for c in _REQUIRED_COLUMNS) + 1
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):

@@ -119,7 +119,7 @@ def assert_no_leakage(split: DatasetSplit) -> None:
         )
 
 
-def _scored_words(topic_words, cutoffs) -> list[str]:
+def scored_words(topic_words, cutoffs) -> list[str]:
     """A topic's top max(`cutoffs`) words, validated at each cutoff in turn;
     the NPMI at a cutoff pairs up that many of them."""
     words = list(topic_words)[:max(cutoffs, default=0)]
@@ -201,7 +201,7 @@ def coherence_report(
     """Mean pairwise NPMI of every topic at every cutoff, from one pass over the windows."""
     if not topic_word_lists:
         raise ValueError("coherence needs at least one topic")
-    scored = {topic: _scored_words(words, cutoffs) for topic, words in topic_word_lists.items()}
+    scored = {topic: scored_words(words, cutoffs) for topic, words in topic_word_lists.items()}
     vocab = list(dict.fromkeys(chain.from_iterable(scored.values())))
     column = {w: i for i, w in enumerate(vocab)}
     total, counts = _window_counts(column, corpus_docs, window)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -233,17 +233,6 @@ def _phase(name: str):
         raise FloatingPointError(f"{name} phase: {err}") from err
 
 
-@dataclass
-class IterationRecord:
-    """What one alternating iteration did: its rows, topics and step counts."""
-
-    iteration: int
-    rows: list[HistoryRow]  # the last one holds the validation macro F1, if scored
-    topics: dict[str, ExtractedTopics]
-    ntm_steps: int
-    classifier_steps: int
-
-
 def train_alternating(
     ntm: NtmParams,
     enc: EncoderParams,
@@ -295,12 +284,11 @@ def train_alternating(
     history: list[HistoryRow] = []
     best_f1: float | None = None
     bad_rounds = 0
-    # with patience, the best record so far and a copy of the parameters it left,
-    # unless it is the last iteration, whose parameters are the ones returned
+    # with patience, the best iteration's result so far and a copy of the parameters
+    # it left, unless it is the last iteration, whose parameters are the ones returned
     selected = held = None
     arrays = list(run_arrays(ntm, enc, proj_params).values())
     for iteration in range(1, schedule.max_iterations + 1):
-        rows: list[HistoryRow] = []
         u_targets = None
         if mutual_on:
             h_all = _encode_all(enc, inputs(data.examples, topics()))
@@ -317,7 +305,7 @@ def train_alternating(
                     ntm, data.bows, opt_ntm, schedule.batch_size, rng_ntm,
                     kl_weight=kl_w, u_targets=u_targets, gamma=gamma,
                 )
-            rows.append(HistoryRow(
+            history.append(HistoryRow(
                 iteration, "ntm", epoch, elbo=stats.mean_total, kl=stats.mean_kl,
                 mutual=stats.mean_mutual if mutual_on else None,
             ))
@@ -331,18 +319,19 @@ def train_alternating(
                     enc, train_inputs, gold, opt_cls, schedule.batch_size, rng_cls,
                     proj_params=proj_params, z_targets=z_targets, gamma=gamma,
                 )
-            rows.append(HistoryRow(
+            history.append(HistoryRow(
                 iteration, "classifier", epoch, cross_entropy=stats.mean_ce,
                 mutual=stats.mean_mutual if mutual_on else None,
             ))
-        history += rows
-        record = IterationRecord(iteration, rows, topics_now, opt_ntm.step_count, opt_cls.step_count)
+        # the result if the run stopped here; its history is the run's, still growing
+        record = TrainResult(ntm, enc, proj_params, history, topics_now, iteration, iteration,
+                             opt_ntm.step_count, opt_cls.step_count)
         if not data.val_examples:
             continue
 
         preds = predict(enc, inputs(data.val_examples, topics_now))
         golds = [ex.label for ex in data.val_examples]
-        val_f1 = rows[-1].val_macro_f1 = metric_report(confusion(golds, preds)).macro_f1
+        val_f1 = history[-1].val_macro_f1 = metric_report(confusion(golds, preds)).macro_f1
         if best_f1 is None or val_f1 > best_f1:
             best_f1, bad_rounds = val_f1, 0
             if schedule.patience:
@@ -360,11 +349,7 @@ def train_alternating(
     elif selected is not record:
         for a, kept in zip(arrays, held):
             np.copyto(a, kept)
-    return TrainResult(
-        ntm, enc, proj_params, history, selected.topics, record.iteration,
-        selected.iteration, ntm_steps=selected.ntm_steps,
-        classifier_steps=selected.classifier_steps,
-    )
+    return replace(selected, stopped_at_iteration=iteration)
 
 
 def history_to_csv(history: list[HistoryRow], path) -> None:

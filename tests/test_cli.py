@@ -650,6 +650,51 @@ def test_cross_target_run_names_that_leave_train_or_coincide_are_refused(
                      *small_flags(corpus_path, out), "--iterations", "1"]) == 0
 
 
+def no_space_mining_test_rows(records):
+    """Its test rows tagged train: space mining's cross-target row has nothing to score."""
+    return [replace(r, split_tag="train") if (r.target, r.split_tag) == ("space mining", "test")
+            else r for r in records]
+
+
+NOTHING_TO_SCORE = ("the cross-target row of target 'space mining' has nothing to score: "
+                    "it has no rows tagged test")
+NOTHING_TO_TRAIN_ON = ("the cross-target row of target 'space mining' has nothing to train on: "
+                       "no other target has rows tagged train")
+UNKNOWN_TAG = "records carry unknown split tag(s): ['dev']"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["train", "--mode", "cross_target", "--held-out", "space mining"],
+     ["evaluate", "--protocol", "cross_target"]],
+    ids=["train", "evaluate"],
+)
+@pytest.mark.parametrize(
+    "edit, err",
+    [
+        (no_space_mining_test_rows, NOTHING_TO_SCORE),
+        (lambda records: [r for r in records if r.target == "space mining"], NOTHING_TO_TRAIN_ON),
+        (lambda records: [replace(r, split_tag="dev") if r.split_tag == "val" else r
+                          for r in records], UNKNOWN_TAG),
+    ],
+    ids=["no-test-rows", "one-target", "unknown-tag"],
+)
+def test_cross_target_rows_that_cannot_train_or_be_scored_are_refused_before_any_run(
+    tmp_path, capsys, command, edit, err
+):
+    corpus_path = tmp_path / "corpus.tsv"
+    write_tsv(edit(stance_corpus(n_per_cell=10, seed=0)), corpus_path)
+    out = tmp_path / "run"
+    prepare(corpus_path, out)
+    capsys.readouterr()
+    assert main([*command, *small_flags(corpus_path, out)]) == 1
+    assert capsys.readouterr().err == f"error: {corpus_path}: {err}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["prepared"]
+    if edit is no_space_mining_test_rows and command[0] == "train":  # only its own row counts
+        assert main(["train", "--mode", "cross_target", "--held-out", "river dams",
+                     *small_flags(corpus_path, out), "--iterations", "1"]) == 0
+
+
 def test_a_failed_row_leaves_the_run_directories_as_they_were(
     corpus_path, tmp_path, capsys, monkeypatch
 ):
@@ -1247,6 +1292,30 @@ class TestExtractAndCoherence:
         code = main(["coherence", "--topics", str(topics), *small_flags(corpus_path, out)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {topics}: no topic lines\n"
+        assert not (out / "coherence.csv").exists()
+
+    @pytest.mark.parametrize(
+        "lines, cutoffs, err",
+        [
+            ("0\triver\t0.5\n0\tdams\t0.25\n1\ta\t0.5\n1\ta\t0.25\n", "2",
+             "topic 1: topic word 'a' is repeated in the top 2"),
+            ("1\triver\t0.5\n1\tdams\t0.25\n1\tflood\t0.2\n0\triver\t0.5\n0\tdams\t0.25\n",
+             "2,5", "topic 1: cutoff 5 exceeds the 3 topic words"),
+        ],
+        ids=["repeated-word", "too-few-words"],
+    )
+    def test_topic_a_cutoff_cannot_score_is_refused_by_file_and_topic(
+        self, corpus_path, tmp_path, capsys, lines, cutoffs, err
+    ):
+        out = tmp_path / "run"
+        prepare(corpus_path, out)
+        topics = tmp_path / "topic_word.tsv"
+        topics.write_text(f"topic\tword\tweight\n{lines}", encoding="utf-8")
+        capsys.readouterr()
+        code = main(["coherence", "--topics", str(topics), "--cutoffs", cutoffs,
+                     *small_flags(corpus_path, out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {topics}: {err}\n"
         assert not (out / "coherence.csv").exists()
 
     @pytest.mark.parametrize("cutoffs", ["5,x", "5,-1", "1", "", "5,5"])

@@ -109,6 +109,22 @@ class TestLoadTsv:
         with pytest.raises(CorpusFormatError, match="annotation"):
             load_tsv(path)
 
+    @pytest.mark.parametrize("column", ["topic", "sentence", "annotation", "set"])
+    def test_repeated_required_column_is_refused(self, tmp_path, column):
+        """Refused, not read from its last repeat: a second `topic` once loaded target 'y'."""
+        path = tmp_path / "twice.tsv"
+        path.write_text(f"topic\tsentence\tannotation\tset\t{column}\n"
+                        "x\thello world\tNoArgument\ttrain\ty\n")
+        with pytest.raises(CorpusFormatError) as err:
+            load_tsv(path)
+        assert str(err.value) == f"{path}: column {column!r} appears 2 times"
+
+    def test_repeated_other_column_is_ignored(self, tmp_path):
+        path = tmp_path / "twice.tsv"
+        path.write_text("topic\tnote\tsentence\tannotation\tset\tnote\n"
+                        "x\ta\thello world\tNoArgument\ttrain\tb\n")
+        assert [r.target for r in load_tsv(path)] == ["x"]
+
     def test_malformed_row_reports_line_number(self, tmp_path):
         path = tmp_path / "short.tsv"
         path.write_text(

@@ -480,7 +480,7 @@ class TestAlternating:
 
     def test_history_csv_round_shape(self, tmp_path):
         schedule = TrainSchedule(
-            max_iterations=1, ntm_epochs=2, classifier_epochs=1, batch_size=8,
+            max_iterations=2, ntm_epochs=2, classifier_epochs=2, batch_size=8,
             seed=5, patience=0,
         )
         ntm, enc, data = _training_setup()
@@ -492,8 +492,14 @@ class TestAlternating:
         history_to_csv(result.history, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "iteration,phase,epoch,elbo,kl,mutual,cross_entropy,val_macro_f1"
-        assert len(lines) == 1 + 3  # 2 ntm epochs + 1 classifier epoch
-        assert result.history[-1].val_macro_f1 is not None
+        assert len(lines) == 1 + 2 * (2 + 2)  # per iteration: 2 ntm + 2 classifier epochs
+        assert [(r.iteration, r.phase, r.epoch) for r in result.history] == [
+            (it, phase, epoch)
+            for it in (1, 2) for phase in ("ntm", "classifier") for epoch in (1, 2)
+        ]
+        # validation is scored once per iteration, onto that iteration's last row
+        scored = [r.val_macro_f1 is not None for r in result.history]
+        assert scored == [False, False, False, True] * 2
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
